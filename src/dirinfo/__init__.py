@@ -1,9 +1,9 @@
 """Feedback capacity of MIMO Gaussian linear channel models with memory.
 
 Solver library + CLI: Riccati recursions for the control part of the
-optimal strategy, water-filling for the innovations part, multiplier search
-over the power constraint, and Monte Carlo validation of the resulting
-directed-information rates.
+optimal strategy, water-filling for the innovations part, a closed-form
+water level for the power constraint, and Monte Carlo validation of the
+resulting directed-information rates.
 """
 
 __version__ = "0.1.0"

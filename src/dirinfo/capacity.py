@@ -1,10 +1,19 @@
 """Feedback-capacity characterizations: finite-horizon DP, stationary solve,
-multiplier search, scalar closed forms, and the no-feedback comparator.
+closed-form budget match, scalar closed forms, and the no-feedback comparator.
 
 The control part (gains) comes from the Riccati module, the innovations
 part from the water-fill module, and output covariances from the Lyapunov
-solvers; this module wires them together and matches the power budget by
-root-finding on the Lagrange multiplier.
+solvers; this module wires them together.
+
+The power budget is matched in closed form.  The Riccati map is positively
+homogeneous in the multiplier s, so P(s) = s P_1 and the gain does not
+depend on s.  At that gain P_1 solves the adjoint of the closed-loop
+Lyapunov equation, so a strategy with innovations K_Z costs
+trace(W_1 K_Z) + trace(P_1 K_V), with W_1 = R + D^T P_1 D (the finite
+horizon sums the same terms over the steps).  trace(P_1 K_V) is the cost
+floor, and the water-fill at multiplier s spends trace(W_1 K_Z) =
+sum_j (1/(2s) - sigma_j^{-2})_+ over the subchannel gains sigma_j of W_1.
+One water level mu for the budget above the floor gives s* = 1/(2 mu).
 """
 
 from __future__ import annotations
@@ -15,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import riccati, stability, waterfill
-from .errors import ConvergenceError, InfeasibleError, PreconditionError
+from .errors import InfeasibleError, PreconditionError
 from .linalg import logdet_pd, sym
 from .model import ChannelModel, Strategy, strategy, validate_model
 from .stability import lyapunov_step, solve_lyapunov
@@ -24,9 +33,7 @@ REGIME_STABLE_NO_FEEDBACK = "stable_no_feedback"
 REGIME_UNSTABLE_STABILIZED = "unstable_stabilized"
 REGIME_ZERO_RATE = "zero_rate"
 
-COST_TOL = 1e-9          # |achieved_cost - kappa| <= COST_TOL * (1 + kappa)
-_MAX_BRACKET = 120
-_MAX_ROOT_ITER = 300
+COST_TOL = 1e-9          # budget below the cost floor by more than COST_TOL * (1 + kappa): infeasible
 
 
 @dataclass(frozen=True)
@@ -70,6 +77,30 @@ def information_rate(model: ChannelModel, strat: Strategy, steps: int) -> float:
 # finite horizon
 
 
+def _riccati_pass(model: ChannelModel, s: float):
+    """P(n) = s * terminal_Q, then backward Riccati steps; the terminal gain is zero."""
+    n = model.horizon
+    P = [None] * (n + 1)
+    gains = [None] * (n + 1)
+    P[n] = sym(s * model.terminal_Q)
+    gains[n] = np.zeros((model.input_dim, model.output_dim))
+    for i in range(n - 1, -1, -1):
+        P[i], blocks = riccati.riccati_backward_step(
+            P[i + 1], model.C(i), model.D(i), model.Q(i), model.R(i), s)
+        gains[i] = riccati.optimal_gain(blocks)
+    return P, gains
+
+
+def _step_problem(model: ChannelModel, P, i: int, s: float) -> waterfill.WaterfillProblem:
+    """Water-fill of step i: weight sR(i) + D(i)^T P(i+1) D(i), just sR(n) at the last step."""
+    D = model.D(i)
+    weight = s * model.R(i)
+    if i < model.horizon:
+        weight = weight + D.T @ P[i + 1] @ D
+    kv_eff, _ = model.noise_for_inversion(i)
+    return waterfill.WaterfillProblem(D=D, KV=kv_eff, weight=sym(weight))
+
+
 def finite_horizon_dp(model: ChannelModel, s: float) -> FiniteHorizonSolution:
     """Backward DP at a fixed multiplier, then the forward covariance pass.
 
@@ -82,43 +113,16 @@ def finite_horizon_dp(model: ChannelModel, s: float) -> FiniteHorizonSolution:
     if s <= 0:
         raise PreconditionError("multiplier s must be positive")
     n = model.horizon
-    p, q = model.output_dim, model.input_dim
-    kappa = model.kappa
-
-    P = [None] * (n + 1)
-    gains = [None] * (n + 1)
-    P[n] = sym(s * model.terminal_Q)
-    gains[n] = np.zeros((q, p))
-    for i in range(n - 1, -1, -1):
-        Pi, blocks = riccati.riccati_backward_step(
-            P[i + 1], model.C(i), model.D(i), model.Q(i), model.R(i), s)
-        P[i] = Pi
-        gains[i] = riccati.optimal_gain(blocks)
+    P, gains = _riccati_pass(model, s)
 
     KZ = [None] * (n + 1)
     r = [0.0] * (n + 1)
-    kv_n, regularized = model.noise_for_inversion(n)
-    kz_n, val_n = waterfill.solve(waterfill.WaterfillProblem(
-        D=model.D(n), KV=kv_n, weight=sym(s * model.R(n))))
-    KZ[n] = kz_n
-    r[n] = val_n + s * (n + 1) * kappa
-    cached = None   # reuse the water-fill on the converged Riccati plateau
+    KZ[n], val_n = waterfill.solve(_step_problem(model, P, n, s))
+    r[n] = val_n + s * (n + 1) * model.kappa
     for i in range(n - 1, -1, -1):
-        kv_eff, reg_i = model.noise_for_inversion(i)
-        regularized = regularized or reg_i
-        reusable = (
-            model.time_invariant and cached is not None
-            and np.linalg.norm(P[i + 1] - cached[0]) <= 1e-13 * (1.0 + np.linalg.norm(P[i + 1]))
-        )
-        if reusable:
-            kz_i, val_i = cached[1], cached[2]
-        else:
-            weight = sym(s * model.R(i) + model.D(i).T @ P[i + 1] @ model.D(i))
-            kz_i, val_i = waterfill.solve(waterfill.WaterfillProblem(
-                D=model.D(i), KV=kv_eff, weight=weight))
-            cached = (P[i + 1], kz_i, val_i)
-        KZ[i] = kz_i
+        KZ[i], val_i = waterfill.solve(_step_problem(model, P, i, s))
         r[i] = r[i + 1] + val_i - float(np.trace(P[i + 1] @ model.KV(i)))
+    regularized = any(model.noise_for_inversion(i)[1] for i in range(n + 1))
 
     strat = strategy(gains, KZ)
     KB = [model.initial_second_moment()]
@@ -141,126 +145,28 @@ def finite_horizon_dp(model: ChannelModel, s: float) -> FiniteHorizonSolution:
     )
 
 
-def _find_multiplier(cost_fn, kappa, tol, label):
-    """Root of cost(s) = kappa by bracketing + Illinois false position.
-
-    cost is monotone non-increasing in s; a detected violation is reported
-    by raising ConvergenceError tagged "monotonicity" for the caller's
-    golden-section fallback.
-    """
-    observations = []
-
-    def f(s):
-        c = cost_fn(s)
-        observations.append((s, c))
-        return c - kappa
-
-    s0 = 1.0
-    f0 = f(s0)
-    if abs(f0) <= tol:
-        return s0, observations
-    if f0 > 0:
-        lo, flo = s0, f0
-        hi, fhi = s0, f0
-        for _ in range(_MAX_BRACKET):
-            hi *= 2.0
-            fhi = f(hi)
-            if abs(fhi) <= tol:
-                return hi, observations
-            if fhi < 0:
-                break
-        else:
-            raise InfeasibleError(
-                f"{label}: power budget {kappa} below the achievable cost floor "
-                f"({kappa + fhi:.12g} at multiplier {hi:.3g})",
-                kappa_stab=kappa + fhi)
-    else:
-        hi, fhi = s0, f0
-        lo, flo = s0, f0
-        for _ in range(_MAX_BRACKET):
-            lo *= 0.5
-            flo = f(lo)
-            if abs(flo) <= tol:
-                return lo, observations
-            if flo > 0:
-                break
-        else:
-            raise ConvergenceError(f"{label}: could not bracket the multiplier from below")
-
-    # Illinois iteration on the bracket [lo, hi], flo > 0 > fhi
-    side = 0
-    for _ in range(_MAX_ROOT_ITER):
-        mid = (lo * fhi - hi * flo) / (fhi - flo)
-        if not (lo < mid < hi):
-            mid = 0.5 * (lo + hi)
-        fm = f(mid)
-        if abs(fm) <= tol or (hi - lo) <= 1e-15 * hi:
-            _assert_monotone(observations, tol, label)
-            return mid, observations
-        if fm > 0:
-            lo, flo = mid, fm
-            if side == 1:
-                fhi *= 0.5
-            side = 1
-        else:
-            hi, fhi = mid, fm
-            if side == -1:
-                flo *= 0.5
-            side = -1
-    raise ConvergenceError(f"{label}: multiplier search did not converge")
-
-
-def _assert_monotone(observations, tol, label):
-    obs = sorted(observations)
-    for (s1, c1), (s2, c2) in zip(obs, obs[1:]):
-        if c2 > c1 + 10 * tol:
-            raise ConvergenceError(
-                f"{label}: monotonicity violation of cost in s "
-                f"(cost({s1:.6g})={c1:.9g} < cost({s2:.6g})={c2:.9g})")
-
-
-def _golden_section(fun, lo, hi, iters=200):
-    phi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - phi * (b - a)
-    d = a + phi * (b - a)
-    fc, fd = fun(c), fun(d)
-    for _ in range(iters):
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - phi * (b - a)
-            fc = fun(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + phi * (b - a)
-            fd = fun(d)
-        if (b - a) <= 1e-13 * (1 + b):
-            break
-    return 0.5 * (a + b)
-
-
-def ftfi_capacity(model: ChannelModel, cost_tol: float = COST_TOL):
+def ftfi_capacity(model: ChannelModel):
     """Multiplier matched to the power budget; returns (solution, capacity).
 
-    Capacity is the per-unit-time directed-information value of the solved
-    strategy.  Falls back to golden-section on the dual value if the runtime
-    monotonicity assertion on cost(s) fails.
+    One backward pass at s = 1 gives the cost floor
+    trace(P_1(0) K_{B_{-1}}) + sum_{i<n} trace(P_1(i+1) K_V(i)) and one water
+    level over the subchannel gains of every step.  Capacity is the
+    per-unit-time directed-information value of the solved strategy.
     """
     validate_model(model)
-    kappa = model.kappa
-    tol = cost_tol * (1.0 + kappa)
-
-    def cost_fn(s):
-        return finite_horizon_dp(model, s).achieved_cost
-
-    try:
-        s_star, _ = _find_multiplier(cost_fn, kappa, tol, "ftfi_capacity")
-    except ConvergenceError as exc:
-        if "monotonicity" not in str(exc):
-            raise
-        s_star = _golden_section(lambda s: finite_horizon_dp(model, s).value_nats, 1e-8, 1e4)
-    sol = finite_horizon_dp(model, s_star)
     n = model.horizon
+    kappa = model.kappa
+    P1, _ = _riccati_pass(model, 1.0)
+    floor = float(np.trace(P1[0] @ model.initial_second_moment())) + sum(
+        float(np.trace(P1[i + 1] @ model.KV(i))) for i in range(n))
+    budget = (n + 1) * kappa - floor
+    if budget < -COST_TOL * (1.0 + kappa) * (n + 1):
+        raise InfeasibleError(
+            f"ftfi_capacity: power budget {kappa} below the achievable cost floor "
+            f"{floor / (n + 1):.12g}", kappa_stab=floor / (n + 1))
+    gains = np.concatenate([waterfill.subchannel_gains(_step_problem(model, P1, i, 1.0))
+                            for i in range(n + 1)])
+    sol = finite_horizon_dp(model, 0.5 / waterfill.water_level(gains, max(budget, 0.0)))
     capacity = information_rate(model, sol.strategy, n + 1) / (n + 1)
     return sol, capacity
 
@@ -274,6 +180,10 @@ def _ti_matrices(model: ChannelModel):
         raise PreconditionError("stationary solve requires a time-invariant model")
     # the running Q, never the terminal weight
     return model.C(0), model.D(0), model.KV(0), model.R(0), model.Q_seq[0]
+
+
+def _gain_is_zero(gain, C) -> bool:
+    return float(np.abs(gain).max(initial=0.0)) <= 1e-9 * (1.0 + float(np.abs(C).max()))
 
 
 def stationary_solve(model: ChannelModel, s: float) -> StationarySolution:
@@ -298,9 +208,8 @@ def stationary_solve(model: ChannelModel, s: float) -> StationarySolution:
     cost = float(np.trace(R @ g @ K @ g.T) + np.trace(R @ KZ) + np.trace(Q @ K))
     M = D @ KZ @ D.T + kv_eff
     rate = 0.5 * (logdet_pd(M) - logdet_pd(kv_eff))
-    gain_zero = float(np.abs(g).max(initial=0.0)) <= 1e-9 * (1.0 + float(np.abs(C).max()))
     kz_zero = float(np.abs(KZ).max(initial=0.0)) <= 1e-12
-    if gain_zero:
+    if _gain_is_zero(g, C):
         regime = REGIME_STABLE_NO_FEEDBACK
     elif kz_zero:
         regime = REGIME_ZERO_RATE
@@ -313,105 +222,45 @@ def stationary_solve(model: ChannelModel, s: float) -> StationarySolution:
     )
 
 
-def _stabilization_cost(model: ChannelModel):
-    """Gain, output covariance and cost of the K_Z = 0 stabilizing strategy.
-
-    The ARE solution is positively homogeneous in s, so the gain does not
-    depend on s; s = 1 is used.
-    """
-    C, D, KV, R, Q = _ti_matrices(model)
-    are = riccati.solve_are(C, D, Q, R, 1.0)
-    K0 = solve_lyapunov(are.closed_loop, KV)
-    cost = float(np.trace(R @ are.gain @ K0 @ are.gain.T) + np.trace(Q @ K0))
-    return are, K0, cost
-
-
 def kappa_min(model: ChannelModel) -> float:
-    """Minimum average power of the stabilizing strategy with K_Z = 0.
+    """Minimum average power: trace(P_1 K_V), the cost of the stabilizing
+    strategy with K_Z = 0, where P_1 solves the ARE at s = 1.
 
     Zero when the channel needs no feedback (gain 0) and carries no output
     cost.  Reproduces (C^2-1) K_V / D^2 on scalar models.
     """
     validate_model(model)
-    C = model.C(0)
-    Q = _ti_matrices(model)[4]
-    are, _, cost = _stabilization_cost(model)
-    gain_zero = float(np.abs(are.gain).max(initial=0.0)) <= 1e-9 * (1.0 + float(np.abs(C).max()))
-    if gain_zero and not Q.any():
+    C, D, KV, R, Q = _ti_matrices(model)
+    are = riccati.solve_are(C, D, Q, R, 1.0)
+    if _gain_is_zero(are.gain, C) and not Q.any():
         return 0.0
-    return cost
+    return float(np.trace(are.P @ KV))
 
 
-def _zero_rate_boundary(model: ChannelModel, s_hint: float = 1.0) -> float:
-    """Smallest multiplier (within bisection tolerance) whose water-fill is 0."""
-    lo, hi = s_hint, s_hint
-    for _ in range(_MAX_BRACKET):
-        if float(np.abs(stationary_solve(model, hi).KZ).max(initial=0.0)) <= 1e-12:
-            break
-        hi *= 2.0
-    for _ in range(_MAX_BRACKET):
-        if float(np.abs(stationary_solve(model, lo).KZ).max(initial=0.0)) > 1e-12:
-            break
-        lo *= 0.5
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        if float(np.abs(stationary_solve(model, mid).KZ).max(initial=0.0)) <= 1e-12:
-            hi = mid
-        else:
-            lo = mid
-    return hi
-
-
-def feedback_capacity(model: ChannelModel, cost_tol: float = COST_TOL):
+def feedback_capacity(model: ChannelModel):
     """Infinite-horizon feedback capacity; returns (solution, capacity_nats).
 
-    The multiplier is matched to the budget by root finding on the achieved
-    cost.  When the budget cannot cover the pure stabilization cost: models
-    with Q = 0 fall into the zero-rate regime (capacity 0); models with
-    Q != 0 are infeasible and the stabilization cost is reported.
+    One ARE solve at s = 1 gives the cost floor trace(P_1 K_V) and the
+    subchannel gains of W_1 = R + D^T P_1 D; the water level of the budget
+    above the floor fixes the multiplier.  When the budget cannot cover the
+    floor: models with Q = 0 fall into the zero-rate regime (capacity 0, at
+    the smallest multiplier whose water-fill is empty); models with Q != 0
+    are infeasible and the floor is reported as the stabilization cost.
     """
     validate_model(model)
-    kappa = model.kappa
-    Q = _ti_matrices(model)[4]
-    _, _, kappa_stab = _stabilization_cost(model)
-    tol = cost_tol * (1.0 + kappa)
-
-    def zero_rate():
-        sol = stationary_solve(model, _zero_rate_boundary(model))
-        return sol, 0.0
-
-    if kappa < kappa_stab - tol:
-        if not Q.any():
-            return zero_rate()
-        raise InfeasibleError(
-            f"power budget {kappa} below minimum stabilization cost {kappa_stab:.12g}",
-            kappa_stab=kappa_stab)
-
-    def cost_fn(s):
-        return stationary_solve(model, s).achieved_cost
-
-    try:
-        s_star, _ = _find_multiplier(cost_fn, kappa, tol, "feedback_capacity")
-    except InfeasibleError:
-        # budget sits on the stabilization-cost floor within tolerance
-        if not Q.any():
-            return zero_rate()
-        raise
-    except ConvergenceError as exc:
-        if "monotonicity" not in str(exc):
-            raise
-        s_star = _golden_section(lambda s: _stationary_dual(model, s), 1e-10, 1e6)
-    sol = stationary_solve(model, s_star)
-    return sol, sol.rate_nats
-
-
-def _stationary_dual(model: ChannelModel, s: float) -> float:
-    """Dual value J(s) = rate + s*kappa - trace penalties, convex in s."""
-    sol = stationary_solve(model, s)
     C, D, KV, R, Q = _ti_matrices(model)
-    weight = sym(s * R + D.T @ sol.P @ D)
-    return (sol.rate_nats + s * model.kappa
-            - float(np.trace(weight @ sol.KZ)) - float(np.trace(sol.P @ KV)))
+    kappa = model.kappa
+    are = riccati.solve_are(C, D, Q, R, 1.0)
+    floor = float(np.trace(are.P @ KV))
+    if Q.any() and kappa < floor - COST_TOL * (1.0 + kappa):
+        raise InfeasibleError(
+            f"power budget {kappa} below minimum stabilization cost {floor:.12g}",
+            kappa_stab=floor)
+    kv_eff, _ = model.noise_for_inversion(0)
+    gains = waterfill.subchannel_gains(waterfill.WaterfillProblem(
+        D=D, KV=kv_eff, weight=sym(R + D.T @ are.P @ D)))
+    sol = stationary_solve(model, 0.5 / waterfill.water_level(gains, max(kappa - floor, 0.0)))
+    return sol, sol.rate_nats
 
 
 # ---------------------------------------------------------------------------
@@ -462,11 +311,11 @@ def scalar_kappa_min(C: float, D: float, KV: float, R: float = 1.0) -> float:
     return (C * C - 1.0) * KV * R / (D * D)
 
 
-def nofeedback_capacity_q0(model: ChannelModel, cost_tol: float = COST_TOL) -> float:
+def nofeedback_capacity_q0(model: ChannelModel) -> float:
     """No-feedback capacity of a time-invariant Q = 0 model.
 
-    Stable channels: water-fill under trace(R K_Z) <= kappa (bisection on
-    the constraint's multiplier).  Unstable channels: 0.
+    Stable channels: water-fill under trace(R K_Z) <= kappa (one water level
+    over the subchannel gains of the weight R).  Unstable channels: 0.
     """
     validate_model(model)
     C, D, KV, R, Q = _ti_matrices(model)
@@ -478,13 +327,8 @@ def nofeedback_capacity_q0(model: ChannelModel, cost_tol: float = COST_TOL) -> f
     if kappa <= 0.0:
         return 0.0
     kv_eff, _ = model.noise_for_inversion(0)
-
-    def used_power(lam):
-        KZ, _ = waterfill.solve(waterfill.WaterfillProblem(D=D, KV=kv_eff, weight=lam * R))
-        return float(np.trace(R @ KZ))
-
-    tol = cost_tol * (1.0 + kappa)
-    lam, _ = _find_multiplier(used_power, kappa, tol, "nofeedback_capacity_q0")
-    KZ, _ = waterfill.solve(waterfill.WaterfillProblem(D=D, KV=kv_eff, weight=lam * R))
+    mu = waterfill.water_level(
+        waterfill.subchannel_gains(waterfill.WaterfillProblem(D=D, KV=kv_eff, weight=R)), kappa)
+    KZ, _ = waterfill.solve(waterfill.WaterfillProblem(D=D, KV=kv_eff, weight=R / (2.0 * mu)))
     M = D @ KZ @ D.T + kv_eff
     return 0.5 * (logdet_pd(M) - logdet_pd(kv_eff))

@@ -101,7 +101,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="JSON file with defaults for any flag")
         p.add_argument("--kappa", type=float, help="override the model's power budget")
         p.add_argument("--horizon", type=int, help="override the model's horizon")
-        p.add_argument("--s", type=float, help="fixed Lagrange multiplier (skip the search)")
+        p.add_argument("--s", type=float, help="fixed Lagrange multiplier instead of the budget-matched one")
         p.add_argument("--steps", type=int, help="simulation steps per trace")
         p.add_argument("--seeds", type=int, help="number of simulation seeds")
         p.add_argument("--units", choices=["nats", "bits"])

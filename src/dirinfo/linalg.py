@@ -18,15 +18,6 @@ def sym_sqrt(a: np.ndarray) -> np.ndarray:
     return (U * np.sqrt(w)) @ U.T
 
 
-def psd_project(a: np.ndarray) -> np.ndarray:
-    """Nearest PSD matrix in Frobenius norm (eigenvalue clipping)."""
-    w, U = np.linalg.eigh(sym(a))
-    if w[0] >= 0.0:
-        return sym(a)
-    w = np.clip(w, 0.0, None)
-    return (U * w) @ U.T
-
-
 def logdet_pd(a: np.ndarray) -> float:
     sign, ld = np.linalg.slogdet(a)
     if sign <= 0:

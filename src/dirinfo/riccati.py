@@ -80,31 +80,48 @@ def optimal_gain(blocks: RiccatiStepBlocks) -> np.ndarray:
 
 
 def _iterate(P0, C, D, Q, R, s, tol, max_iter):
+    """Value iteration until a step moves P by at most tol relative to 1 + |P|.
+
+    Returns (P, blocks, residual, steps): the iterate the last step started
+    from, that step's blocks, and its move, which is the ARE residual of P.
+    """
     P = sym(P0)
-    scale_floor = 1.0
     for k in range(1, max_iter + 1):
-        Pn, _ = riccati_backward_step(P, C, D, Q, R, s)
-        resid = np.linalg.norm(Pn - P) / (scale_floor + np.linalg.norm(Pn))
-        P = Pn
+        Pn, blocks = riccati_backward_step(P, C, D, Q, R, s)
+        resid = float(np.linalg.norm(Pn - P) / (1.0 + np.linalg.norm(P)))
         if resid <= tol:
-            return P, resid, k
+            return P, blocks, resid, k
+        P = Pn
     raise ConvergenceError(f"Riccati value iteration did not converge in {max_iter} steps")
 
 
-def _finish(P, C, D, Q, R, s, iterations):
-    Pn, blocks = riccati_backward_step(P, C, D, Q, R, s)
+def _finish(C, D, Q, R, s, P, blocks, resid, iterations):
+    """The solution at P; a stabilizing P first takes one Newton (Hewer) step.
+
+    Value iteration stops on the size of its last step, but its remaining
+    error is that step over 1 - rho(closed loop)^2, large near the unit
+    circle.  The Newton step replaces P by the exact cost of its gain, a
+    Lyapunov solve, which squares the error; one more backward step then
+    measures the residual of the new P and gives its gain.
+    """
     gain = optimal_gain(blocks)
     closed = C + D @ gain
-    resid = float(np.linalg.norm(Pn - P) / (1.0 + np.linalg.norm(P)))
+    if stability.spectral_radius(closed).stable:
+        P = stability.solve_lyapunov(closed.T, s * Q + gain.T @ (s * R) @ gain)
+        Pn, blocks = riccati_backward_step(P, C, D, Q, R, s)
+        resid = float(np.linalg.norm(Pn - P) / (1.0 + np.linalg.norm(P)))
+        gain = optimal_gain(blocks)
+        closed = C + D @ gain
     return AreSolution(
-        P=sym(P), gain=gain, closed_loop=closed,
+        P=P, gain=gain, closed_loop=closed,
         stabilizing=stability.spectral_radius(closed).stable,
         residual=resid, iterations=iterations,
     )
 
 
 def solve_are(C, D, Q, R, s: float, tol: float = TOL_ARE, max_iter: int = MAX_ITER) -> AreSolution:
-    """Stabilizing fixed point of the backward step, by value iteration from sQ.
+    """Stabilizing fixed point of the backward step, by value iteration from sQ
+    and one Newton step.
 
     Requires (C, D) stabilizable.  Under detectability of (G, C), Q = G^T G,
     the iteration from the terminal value sQ converges to the unique
@@ -126,15 +143,15 @@ def solve_are(C, D, Q, R, s: float, tol: float = TOL_ARE, max_iter: int = MAX_IT
     G = sym_sqrt(Q)
     detectable = stability.is_detectable(G, C)
 
-    P, resid, iters = _iterate(s * Q, C, D, Q, R, s, tol, max_iter)
-    sol = _finish(P, C, D, Q, R, s, iters)
+    P, blocks, resid, iters = _iterate(s * Q, C, D, Q, R, s, tol, max_iter)
+    sol = _finish(C, D, Q, R, s, P, blocks, resid, iters)
     if sol.stabilizing or detectable:
         return sol
 
     # detectability fails and the terminal branch does not stabilize:
     # search the stabilizing branch from the interior of the PSD cone
-    P, resid, iters2 = _iterate(np.eye(C.shape[0]), C, D, Q, R, s, tol, max_iter)
-    alt = _finish(P, C, D, Q, R, s, iters + iters2)
+    P, blocks, resid, iters2 = _iterate(np.eye(C.shape[0]), C, D, Q, R, s, tol, max_iter)
+    alt = _finish(C, D, Q, R, s, P, blocks, resid, iters + iters2)
     if alt.stabilizing:
         return alt
     raise PreconditionError(

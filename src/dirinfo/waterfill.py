@@ -4,8 +4,18 @@ Objective (nats):
 
     f(K_Z) = 0.5 logdet(D K_Z D^T + K_V) - 0.5 logdet(K_V) - trace(weight K_Z)
 
-maximized over K_Z >= 0 by projected gradient ascent with backtracking and
-eigenvalue clipping.  ``weight`` aggregates sR + D^T P D from the callers.
+``weight`` (W) aggregates sR + D^T P D from the callers.  The congruence
+K_Z = W^{-1/2} Y W^{-1/2}, on range(W) when W is singular, turns the penalty
+into trace(Y) and the log-det term into that of H = K_V^{-1/2} D W^{-1/2}.
+With H = U diag(sigma_j) V^T the problem splits into parallel subchannels of
+gain sigma_j^2, and the optimum is the water-fill
+
+    K_Z = W^{-1/2} V diag((mu - sigma_j^{-2})_+) V^T W^{-1/2},    mu = 1/2.
+
+Scaling the weight by s divides every sigma_j^2 by s, so a weight s W_1 has
+level mu = 1/(2s) over the gains of W_1, and spends
+trace(W_1 K_Z) = sum_j (mu - sigma_j^{-2})_+; ``water_level`` inverts that
+map for a power budget.
 """
 
 from __future__ import annotations
@@ -15,13 +25,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceError, DimensionError, PreconditionError, UnboundedError
-from .linalg import logdet_pd, psd_project, sym
+from .errors import DimensionError, PreconditionError, UnboundedError
+from .linalg import logdet_pd, sym
 from .model import is_symmetric, min_eigenvalue, psd_tolerance
 
-TOL_WF = 1e-9
-MAX_ITER = 50_000
-_ARMIJO = 1e-4
+TOL_WF = 1e-9       # subchannels with mu sigma_j^2 - 1 <= TOL_WF stay dry
 
 
 @dataclass(frozen=True)
@@ -63,143 +71,57 @@ def gradient(problem: WaterfillProblem, KZ) -> np.ndarray:
     return sym(0.5 * problem.D.T @ X - problem.weight)
 
 
-def _check_bounded(problem: WaterfillProblem) -> None:
-    # the supremum is +inf iff weight annihilates a direction that D does not
+def _check_bounded(problem: WaterfillProblem) -> np.ndarray:
+    """W^{-1/2} on range(W), a q x r matrix; raises UnboundedError if f has no maximum.
+
+    The supremum is +inf iff the weight annihilates a direction that D does not.
+    """
     w, U = np.linalg.eigh(sym(problem.weight))
-    tol = psd_tolerance(problem.weight)
-    null = U[:, w <= tol]
-    if null.size and np.linalg.norm(problem.D @ null) > 1e-12 * (1 + np.linalg.norm(problem.D)):
+    null = w <= psd_tolerance(problem.weight)
+    if null.any() and np.linalg.norm(problem.D @ U[:, null]) > 1e-12 * (1 + np.linalg.norm(problem.D)):
         raise UnboundedError(
             "objective unbounded: weight has a null direction the channel matrix does not kill")
+    return U[:, ~null] / np.sqrt(w[~null])
 
 
-def _kkt_measures(problem, KZ, g):
-    """Stationarity residuals at KZ: tangent-cone projected gradient norm
-    and the complementarity value trace(KZ (-g)).
+def _subchannels(problem: WaterfillProblem):
+    """(sigma, W^{-1/2} V): the nonzero singular values of H and their input directions."""
+    Wih = _check_bounded(problem)
+    H = np.linalg.solve(np.linalg.cholesky(problem.KV), problem.D @ Wih)
+    _, sigma, Vt = np.linalg.svd(H, full_matrices=False)
+    # singular values below the SVD's own rounding are zero
+    live = sigma > sigma.max(initial=0.0) * max(H.shape) * np.finfo(float).eps
+    return sigma[live], Wih @ Vt[live].T
 
-    The tangent projection keeps the full gradient on the positive
-    eigenspace and only the ascent-feasible (PSD) part on the null space;
-    unlike the unit-step gradient mapping it does not saturate at the cone
-    boundary, so it stays informative for overshoot control.
+
+def subchannel_gains(problem: WaterfillProblem) -> np.ndarray:
+    """The nonzero singular values sigma_j of H = K_V^{-1/2} D W^{-1/2}, largest first."""
+    return _subchannels(problem)[0]
+
+
+def water_level(gains, budget: float) -> float:
+    """The level mu with sum_j (mu - gains_j^{-2})_+ = budget, by sort and scan.
+
+    A zero budget gives the lowest level at which every subchannel is dry,
+    1 / max(gains)^2.
     """
-    w, U = np.linalg.eigh(sym(KZ))
-    cut = 1e-12 * max(1.0, float(w.max(initial=0.0)))
-    pos = w > cut
-    B = U.T @ g @ U
-    if pos.all():
-        pg = float(np.linalg.norm(g))
-    else:
-        T = B.copy()
-        null = ~pos
-        Bnn = B[np.ix_(null, null)]
-        wn, Un = np.linalg.eigh(sym(Bnn))
-        T[np.ix_(null, null)] = (Un * np.clip(wn, 0.0, None)) @ Un.T
-        pg = float(np.linalg.norm(T))
-    comp = abs(float(np.tensordot(KZ, g)))
-    return pg, comp
+    if budget < 0.0:
+        raise PreconditionError("negative water-fill budget")
+    floors = np.sort(np.asarray(gains, dtype=float) ** -2.0)
+    if floors.size == 0:
+        raise PreconditionError("no subchannel carries information: the budget cannot be spent")
+    levels = (budget + np.cumsum(floors)) / np.arange(1, floors.size + 1)
+    return float(levels[np.flatnonzero(levels >= floors)[-1]])
 
 
-def solve(problem: WaterfillProblem, tol: float = TOL_WF, max_iter: int = MAX_ITER):
-    """Maximize over the PSD cone; returns (KZ, value).
-
-    A comfortably positive-definite weight is preconditioned away first:
-    the congruence K = W^{-1/2} Y W^{-1/2} maps the cone to itself and
-    turns the penalty into trace(Y), so the ascent runs on a well
-    conditioned problem regardless of the weight's eigenvalue spread.
-    Plain gradient ascent would otherwise need iterations proportional to
-    that spread.
-    """
-    _check_bounded(problem)
-    w, U = np.linalg.eigh(sym(problem.weight))
-    wmax = float(w.max(initial=0.0))
-    if wmax > 0.0 and float(w.min()) > 1e-10 * wmax:
-        root = np.sqrt(w)
-        Wih = (U / root) @ U.T          # W^{-1/2}
-        inner = WaterfillProblem(D=problem.D @ Wih, KV=problem.KV,
-                                 weight=np.eye(problem.q))
-        Y, _ = _solve_core(inner, tol, max_iter)
-        KZ = psd_project(Wih @ Y @ Wih)
-        q = problem.q
-        if np.linalg.norm(KZ) <= 1e2 * tol / max(wmax, 1.0):
-            zero = np.zeros((q, q))
-            if objective(problem, zero) >= objective(problem, KZ) - tol:
-                return zero, 0.0
-        return KZ, objective(problem, KZ)
-    # singular-but-bounded weights have flat don't-care directions; the
-    # plain iteration leaves them at zero
-    return _solve_core(problem, tol, max_iter)
-
-
-def _solve_core(problem: WaterfillProblem, tol: float, max_iter: int):
-    """Projected gradient ascent with backtracking and eigenvalue clipping.
-
-    Converged when the tangent-cone projected gradient has norm <= tol and
-    the KKT complementarity trace(KZ (weight - 0.5 D^T M^{-1} D)) <= tol.
-    Near the optimum the objective is flat to machine precision, so the
-    line search accepts a candidate either on the Armijo condition or when
-    it shrinks the projected gradient; polishing continues until the
-    residual stops improving, which brings the optimizer to the float
-    resolution of the stationarity condition rather than of the objective.
-    """
-    q = problem.q
-    wnorm = float(np.linalg.norm(problem.weight, 2))
-    if wnorm == 0.0:
-        # bounded + zero weight means D = 0 on every direction: flat objective
-        return np.zeros((q, q)), 0.0
-    KZ = np.eye(q) / (2.0 * wnorm)
-    f = objective(problem, KZ)
-    step = 1.0 / (2.0 * wnorm)
-    converged = False
-    polish = 0
-    floor = 1e-15 * (1.0 + wnorm)
-    for _ in range(max_iter):
-        g = gradient(problem, KZ)
-        pgn, comp = _kkt_measures(problem, KZ, g)
-        if pgn <= tol and comp <= tol:
-            converged = True
-            polish += 1
-            if pgn <= floor or polish > 200:
-                break
-        accepted = False
-        trial = step
-        for _ in range(60):
-            cand = psd_project(KZ + trial * g)
-            if float(np.linalg.norm(cand - KZ)) == 0.0:
-                break
-            fc = objective(problem, cand)
-            gap = float(np.tensordot(g, cand - KZ))
-            if fc >= f + _ARMIJO * gap:
-                accepted = True
-                break
-            # near the optimum the objective is flat to float noise and the
-            # Armijo test can never pass; accept on stationarity progress
-            # instead, gated so the objective does not measurably drop
-            if fc >= f - 1e-13 * (1.0 + abs(f)):
-                pgc, _ = _kkt_measures(problem, cand, gradient(problem, cand))
-                if pgc <= (1.0 - 1e-3) * pgn:
-                    accepted = True
-                    break
-            trial *= 0.5
-        if not accepted:
-            break    # no objective or stationarity progress at float resolution
-        KZ, f = cand, fc
-        # growing the step keeps progress fast far out (very flat problems
-        # need steps ~ 1/curvature, which can be enormous; backtracking is
-        # the guard, not a cap); once converged the step must not regrow or
-        # the iterate bounces around the optimum
-        step = trial if converged else min(trial * 1.3, 1e300)
-    if not converged:
-        pgn, comp = _kkt_measures(problem, KZ, gradient(problem, KZ))
-        converged = pgn <= tol and comp <= tol
-    if not converged:
-        raise ConvergenceError("projected gradient ascent did not reach tolerance")
-    KZ = psd_project(KZ)
-    # snap a numerically-dead optimizer to the exact cone vertex
-    if np.linalg.norm(KZ) <= 1e2 * tol / max(wnorm, 1.0):
-        zero = np.zeros((q, q))
-        if objective(problem, zero) >= f - tol:
-            return zero, objective(problem, zero)
-    return KZ, objective(problem, KZ)
+def solve(problem: WaterfillProblem):
+    """Maximize over the PSD cone; returns (KZ, value), the water-fill at level 1/2."""
+    sigma, V = _subchannels(problem)
+    depth = np.where(0.5 * sigma * sigma - 1.0 > TOL_WF, 0.5 - sigma ** -2.0, 0.0)
+    if not depth.any():
+        return np.zeros((problem.q, problem.q)), 0.0
+    KZ = sym((V * depth) @ V.T)
+    return KZ, 0.5 * float(np.log1p(sigma * sigma * depth).sum()) - float(depth.sum())
 
 
 def scalar_solve(D: float, KV: float, weight: float):
