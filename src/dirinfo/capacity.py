@@ -26,7 +26,7 @@ import numpy as np
 from . import riccati, stability, waterfill
 from .errors import InfeasibleError, PreconditionError
 from .linalg import logdet_pd, sym
-from .model import ChannelModel, Strategy, strategy, validate_model
+from .model import ChannelModel, Strategy, _freeze, validate_model
 from .stability import lyapunov_step, solve_lyapunov
 
 REGIME_STABLE_NO_FEEDBACK = "stable_no_feedback"
@@ -124,7 +124,8 @@ def finite_horizon_dp(model: ChannelModel, s: float) -> FiniteHorizonSolution:
         r[i] = r[i + 1] + val_i - float(np.trace(P[i + 1] @ model.KV(i)))
     regularized = any(model.noise_for_inversion(i)[1] for i in range(n + 1))
 
-    strat = strategy(gains, KZ)
+    # built here, PSD by construction: wrapped without the caller-input checks
+    strat = Strategy(gains=tuple(map(_freeze, gains)), innovations=tuple(map(_freeze, KZ)))
     KB = [model.initial_second_moment()]
     total_cost = 0.0
     for i in range(n + 1):
@@ -222,19 +223,28 @@ def stationary_solve(model: ChannelModel, s: float) -> StationarySolution:
     )
 
 
+def cost_floor(model: ChannelModel, P, gain, s: float = 1.0) -> float:
+    """kappa_min from a stationary ARE solution (P, gain) at multiplier s.
+
+    P = s P_1 by homogeneity, so the floor is trace(P K_V) / s.  Zero when
+    the channel needs no feedback (gain 0) and carries no output cost.
+    """
+    C, _, KV, _, Q = _ti_matrices(model)
+    if _gain_is_zero(gain, C) and not Q.any():
+        return 0.0
+    return float(np.trace(P @ KV)) / s
+
+
 def kappa_min(model: ChannelModel) -> float:
     """Minimum average power: trace(P_1 K_V), the cost of the stabilizing
     strategy with K_Z = 0, where P_1 solves the ARE at s = 1.
 
-    Zero when the channel needs no feedback (gain 0) and carries no output
-    cost.  Reproduces (C^2-1) K_V / D^2 on scalar models.
+    Reproduces (C^2-1) K_V / D^2 on scalar models.
     """
     validate_model(model)
     C, D, KV, R, Q = _ti_matrices(model)
     are = riccati.solve_are(C, D, Q, R, 1.0)
-    if _gain_is_zero(are.gain, C) and not Q.any():
-        return 0.0
-    return float(np.trace(are.P @ KV))
+    return cost_floor(model, are.P, are.gain)
 
 
 def feedback_capacity(model: ChannelModel):
@@ -248,10 +258,10 @@ def feedback_capacity(model: ChannelModel):
     are infeasible and the floor is reported as the stabilization cost.
     """
     validate_model(model)
-    C, D, KV, R, Q = _ti_matrices(model)
+    C, D, _, R, Q = _ti_matrices(model)
     kappa = model.kappa
     are = riccati.solve_are(C, D, Q, R, 1.0)
-    floor = float(np.trace(are.P @ KV))
+    floor = cost_floor(model, are.P, are.gain)
     if Q.any() and kappa < floor - COST_TOL * (1.0 + kappa):
         raise InfeasibleError(
             f"power budget {kappa} below minimum stabilization cost {floor:.12g}",

@@ -6,6 +6,11 @@ The control part of the optimal strategy comes from
 
 iterated backward from the terminal weight, and its fixed point for the
 stationary problem.  The gain is Gamma = -(D^T P D + sR)^{-1} D^T P C.
+
+The fixed point is found by Newton's method (Kleinman 1968, Hewer 1971) from a
+stabilizing gain.  With R > 0 and (C, D) stabilizable the iterates stay stabilizing
+and fall monotonically, quadratically at the end, to the stabilizing solution, which
+exists unless (Q^{1/2}, C) has an unobservable unit-circle mode (Q = 0: |eig C| = 1).
 """
 
 from __future__ import annotations
@@ -20,7 +25,7 @@ from .linalg import sym, sym_sqrt
 from .model import min_eigenvalue, psd_tolerance
 
 TOL_ARE = 1e-11
-MAX_ITER = 100_000
+_MAX_ITER = 100         # Newton steps, and backward steps of the start
 
 
 @dataclass(frozen=True)
@@ -79,56 +84,27 @@ def optimal_gain(blocks: RiccatiStepBlocks) -> np.ndarray:
         raise PreconditionError("H22 numerically singular") from exc
 
 
-def _iterate(P0, C, D, Q, R, s, tol, max_iter):
-    """Value iteration until a step moves P by at most tol relative to 1 + |P|.
-
-    Returns (P, blocks, residual, steps): the iterate the last step started
-    from, that step's blocks, and its move, which is the ARE residual of P.
-    """
-    P = sym(P0)
-    for k in range(1, max_iter + 1):
-        Pn, blocks = riccati_backward_step(P, C, D, Q, R, s)
-        resid = float(np.linalg.norm(Pn - P) / (1.0 + np.linalg.norm(P)))
-        if resid <= tol:
-            return P, blocks, resid, k
-        P = Pn
-    raise ConvergenceError(f"Riccati value iteration did not converge in {max_iter} steps")
-
-
-def _finish(C, D, Q, R, s, P, blocks, resid, iterations):
-    """The solution at P; a stabilizing P first takes one Newton (Hewer) step.
-
-    Value iteration stops on the size of its last step, but its remaining
-    error is that step over 1 - rho(closed loop)^2, large near the unit
-    circle.  The Newton step replaces P by the exact cost of its gain, a
-    Lyapunov solve, which squares the error; one more backward step then
-    measures the residual of the new P and gives its gain.
-    """
-    gain = optimal_gain(blocks)
-    closed = C + D @ gain
-    if stability.spectral_radius(closed).stable:
-        P = stability.solve_lyapunov(closed.T, s * Q + gain.T @ (s * R) @ gain)
-        Pn, blocks = riccati_backward_step(P, C, D, Q, R, s)
-        resid = float(np.linalg.norm(Pn - P) / (1.0 + np.linalg.norm(P)))
+def _stabilizing_gain(C, D, R, s):
+    """(gain, backward steps): zero for a stable C, else the first stabilizing gain of
+    value iteration from P = 0 on Q = cI, c = |R| / |D|^2 (free of the scale of R)."""
+    Q0 = np.linalg.norm(R, 2) / np.linalg.norm(D, 2) ** 2 * np.eye(C.shape[0])
+    gain = np.zeros((D.shape[1], C.shape[0]))
+    P = np.zeros_like(C)
+    for steps in range(_MAX_ITER + 1):
+        if stability.spectral_radius(C + D @ gain).stable:
+            return gain, steps
+        P, blocks = riccati_backward_step(P, C, D, Q0, R, s)
         gain = optimal_gain(blocks)
-        closed = C + D @ gain
-    return AreSolution(
-        P=P, gain=gain, closed_loop=closed,
-        stabilizing=stability.spectral_radius(closed).stable,
-        residual=resid, iterations=iterations,
-    )
+    raise ConvergenceError(f"no stabilizing gain in {_MAX_ITER} steps of Q = cI value iteration")
 
 
-def solve_are(C, D, Q, R, s: float, tol: float = TOL_ARE, max_iter: int = MAX_ITER) -> AreSolution:
-    """Stabilizing fixed point of the backward step, by value iteration from sQ
-    and one Newton step.
-
-    Requires (C, D) stabilizable.  Under detectability of (G, C), Q = G^T G,
-    the iteration from the terminal value sQ converges to the unique
-    stabilizing PSD solution.  When detectability fails (Q = 0 with an
-    unstable channel is the canonical case) and the terminal branch is not
-    stabilizing, the stabilizing branch is searched by iterating from the
-    identity; the fixed point is accepted only if the closed loop is stable.
+def solve_are(C, D, Q, R, s: float) -> AreSolution:
+    """Stabilizing fixed point by Newton's method from `_stabilizing_gain`;
+    requires R > 0 and (C, D) stabilizable.  P_k is the cost of the current gain
+    (a Lyapunov solve).  Stops when its residual (the move of one backward step)
+    is within TOL_ARE and the Newton step |P_k - P_{k-1}| is below TOL_ARE |P_k|
+    or has stopped shrinking; returns P_k with that step's gain and residual.
+    A closed loop on the unit circle raises PreconditionError.
     """
     C = np.atleast_2d(np.asarray(C, dtype=float))
     D = np.atleast_2d(np.asarray(D, dtype=float))
@@ -140,22 +116,28 @@ def solve_are(C, D, Q, R, s: float, tol: float = TOL_ARE, max_iter: int = MAX_IT
         raise PreconditionError("R not positive definite")
     if not stability.is_stabilizable(C, D):
         raise PreconditionError("stabilizability test failed for (C, D)")
-    G = sym_sqrt(Q)
-    detectable = stability.is_detectable(G, C)
 
-    P, blocks, resid, iters = _iterate(s * Q, C, D, Q, R, s, tol, max_iter)
-    sol = _finish(C, D, Q, R, s, P, blocks, resid, iters)
-    if sol.stabilizing or detectable:
-        return sol
-
-    # detectability fails and the terminal branch does not stabilize:
-    # search the stabilizing branch from the interior of the PSD cone
-    P, blocks, resid, iters2 = _iterate(np.eye(C.shape[0]), C, D, Q, R, s, tol, max_iter)
-    alt = _finish(C, D, Q, R, s, P, blocks, resid, iters + iters2)
-    if alt.stabilizing:
-        return alt
-    raise PreconditionError(
-        "detectability test failed for (G, C) and no stabilizing fixed point was found")
+    gain, start = _stabilizing_gain(C, D, R, s)
+    P, move, resid = np.full_like(C, np.nan), np.nan, np.inf   # no step yet: nan fails both tests
+    for k in range(1, _MAX_ITER + 1):
+        P_prev, move_prev = P, move
+        try:
+            P = stability.solve_lyapunov((C + D @ gain).T, s * Q + gain.T @ (s * R) @ gain)
+        except PreconditionError as exc:
+            raise PreconditionError(
+                f"Newton step {k}: {exc}; last ARE residual {resid:.3e}") from exc
+        Pn, blocks = riccati_backward_step(P, C, D, Q, R, s)
+        resid = float(np.linalg.norm(Pn - P) / (1.0 + np.linalg.norm(P)))
+        gain = optimal_gain(blocks)
+        move = float(np.linalg.norm(P - P_prev))
+        if resid <= TOL_ARE and (move <= TOL_ARE * np.linalg.norm(P) or move >= move_prev):
+            closed = C + D @ gain
+            return AreSolution(
+                P=P, gain=gain, closed_loop=closed,
+                stabilizing=stability.spectral_radius(closed).stable,
+                residual=resid, iterations=start + k,
+            )
+    raise ConvergenceError(f"{_MAX_ITER} Newton steps did not converge (last residual {resid:.3e})")
 
 
 def classify_are(solution: AreSolution, C, D, Q, R, s: float, KV) -> AreClassification:

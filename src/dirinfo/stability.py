@@ -11,6 +11,8 @@ from .errors import DimensionError, PreconditionError
 TOL_SPEC = 1e-9          # stability margin on the unit circle
 TOL_RANK = 1e-9          # relative (to largest singular value) rank cutoff
 TOL_LYAP = 1e-10         # residual tolerance for the algebraic Lyapunov solve
+_MAX_DOUBLINGS = 64      # Smith doublings: 2^64 terms of the Lyapunov series
+_MAX_PASSES = 3          # Smith passes: the solve, then refinements on its residual
 
 
 @dataclass(frozen=True)
@@ -104,41 +106,32 @@ def lyapunov_step(Kprev, Acl, W) -> np.ndarray:
     return 0.5 * (K + K.T)
 
 
-def _vech_indices(p):
-    return np.triu_indices(p)
-
-
 def solve_lyapunov(Acl, W) -> np.ndarray:
     """Unique solution of Sigma = Acl Sigma Acl^T + W for exponentially stable Acl.
 
-    Solves the equivalent linear system over the p(p+1)/2 independent entries
-    of the symmetric unknown.  Raises PreconditionError when Acl is not
-    exponentially stable (the limit need not exist otherwise).
+    Smith doubling, O(p^3) per step: Sigma <- Sigma + A Sigma A^T, A <- A^2
+    from Sigma = W, A = Acl, until |A|^2 < eps; repeated on the residual while
+    it exceeds TOL_LYAP (squaring loses accuracy on non-normal Acl).  Raises
+    PreconditionError when Acl is not exponentially stable or it stays above.
     """
     Acl = _square(Acl)
     W = np.atleast_2d(np.asarray(W, dtype=float))
-    p = Acl.shape[0]
-    if W.shape != (p, p):
+    if W.shape != Acl.shape:
         raise DimensionError("W shape mismatch")
     rep = spectral_radius(Acl)
     if not rep.stable:
         raise PreconditionError(
             f"closed loop not exponentially stable (spectral radius {rep.spectral_radius:.6g})")
-    rows, cols = _vech_indices(p)
-    m = rows.size
-    M = np.empty((m, m))
-    for k in range(m):
-        E = np.zeros((p, p))
-        E[rows[k], cols[k]] = 1.0
-        E[cols[k], rows[k]] = 1.0
-        img = E - Acl @ E @ Acl.T
-        M[:, k] = img[rows, cols]
     Wsym = 0.5 * (W + W.T)
-    x = np.linalg.solve(M, Wsym[rows, cols])
-    Sigma = np.zeros((p, p))
-    Sigma[rows, cols] = x
-    Sigma[cols, rows] = x
-    resid = np.linalg.norm(Sigma - Acl @ Sigma @ Acl.T - Wsym)
-    if resid > TOL_LYAP * (1.0 + np.linalg.norm(Wsym)):
-        raise PreconditionError(f"Lyapunov solve residual too large ({resid:.3e})")
-    return Sigma
+    powers = [Acl]
+    while len(powers) < _MAX_DOUBLINGS and np.linalg.norm(powers[-1]) ** 2 > np.finfo(float).eps:
+        powers.append(powers[-1] @ powers[-1])
+    Sigma, E = np.zeros_like(Wsym), Wsym
+    for _ in range(_MAX_PASSES):
+        for A in powers:
+            E = E + A @ E @ A.T
+        Sigma = Sigma + 0.5 * (E + E.T)
+        E = Wsym - Sigma + Acl @ Sigma @ Acl.T
+        if np.linalg.norm(E) <= TOL_LYAP * (1.0 + np.linalg.norm(Wsym)):
+            return Sigma
+    raise PreconditionError(f"Lyapunov solve residual too large ({np.linalg.norm(E):.3e})")
