@@ -8,9 +8,10 @@ iterated backward from the terminal weight, and its fixed point for the
 stationary problem.  The gain is Gamma = -(D^T P D + sR)^{-1} D^T P C.
 
 The fixed point is found by Newton's method (Kleinman 1968, Hewer 1971) from a
-stabilizing gain.  With R > 0 and (C, D) stabilizable the iterates stay stabilizing
-and fall monotonically, quadratically at the end, to the stabilizing solution, which
-exists unless (Q^{1/2}, C) has an unobservable unit-circle mode (Q = 0: |eig C| = 1).
+stabilizing gain, found by doubling value iteration on a Q = cI equation.  With R > 0
+and (C, D) stabilizable the iterates stay stabilizing and fall monotonically,
+quadratically at the end, to the stabilizing solution, which exists unless
+(Q^{1/2}, C) has an unobservable unit-circle mode (Q = 0: |eig C| = 1).
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from .linalg import sym, sym_sqrt
 from .model import min_eigenvalue, psd_tolerance
 
 TOL_ARE = 1e-11
-_MAX_ITER = 100         # Newton steps, and backward steps of the start
+_MAX_ITER = 100         # Newton steps, and doublings of the start
 
 
 @dataclass(frozen=True)
@@ -85,26 +86,31 @@ def optimal_gain(blocks: RiccatiStepBlocks) -> np.ndarray:
 
 
 def _stabilizing_gain(C, D, R, s):
-    """(gain, backward steps): zero for a stable C, else the first stabilizing gain of
-    value iteration from P = 0 on Q = cI, c = |R| / |D|^2 (free of the scale of R)."""
-    Q0 = np.linalg.norm(R, 2) / np.linalg.norm(D, 2) ** 2 * np.eye(C.shape[0])
-    gain = np.zeros((D.shape[1], C.shape[0]))
-    P = np.zeros_like(C)
-    for steps in range(_MAX_ITER + 1):
+    """(gain, doublings): the first stabilizing gain of value iteration from P = 0 on
+    Q = cI, c = |R| / |D|^2, among its steps 1, 2, 3, 5, 9, ..., 2^k + 1.  The doubling of
+    Chu, Fan and Lin (2005) maps H = P_N to P_2N, so a weakly actuated or nearly
+    uncontrollable mode that needs N steps costs log2 N doublings."""
+    c = np.linalg.norm(R, 2) / np.linalg.norm(D, 2) ** 2
+    A, G, H = C, D @ np.linalg.solve(s * R, D.T), s * c * np.eye(C.shape[0])   # H = P_1
+    gain = np.zeros((D.shape[1], C.shape[0]))                                 # step 1's gain
+    for k in range(_MAX_ITER):
         if stability.spectral_radius(C + D @ gain).stable:
-            return gain, steps
-        P, blocks = riccati_backward_step(P, C, D, Q0, R, s)
-        gain = optimal_gain(blocks)
-    raise ConvergenceError(f"no stabilizing gain in {_MAX_ITER} steps of Q = cI value iteration")
+            return gain, k
+        gain = optimal_gain(riccati_backward_step(H, C, D, np.zeros_like(C), R, s)[1])
+        W = np.eye(C.shape[0]) + G @ H
+        WA, WG = np.linalg.solve(W, A), np.linalg.solve(W, G)
+        A, G, H = A @ WA, sym(G + A @ WG @ A.T), sym(H + A.T @ H @ WA)
+    raise ConvergenceError(f"no stabilizing gain in {_MAX_ITER} doublings of Q = cI value iteration")
 
 
 def solve_are(C, D, Q, R, s: float) -> AreSolution:
     """Stabilizing fixed point by Newton's method from `_stabilizing_gain`;
-    requires R > 0 and (C, D) stabilizable.  P_k is the cost of the current gain
-    (a Lyapunov solve).  Stops when its residual (the move of one backward step)
-    is within TOL_ARE and the Newton step |P_k - P_{k-1}| is below TOL_ARE |P_k|
-    or has stopped shrinking; returns P_k with that step's gain and residual.
-    A closed loop on the unit circle raises PreconditionError.
+    requires R > 0 and (C, D) stabilizable.  P_k is the cost of the current gain,
+    a Smith-doubling Lyapunov solve that the ARE residual gates instead of TOL_LYAP.
+    Stops when its residual (the move of one backward step) is within TOL_ARE and
+    the Newton step |P_k - P_{k-1}| is below TOL_ARE |P_k| or has stopped shrinking;
+    returns P_k with that step's gain and residual.  A closed loop on the unit
+    circle raises PreconditionError.
     """
     C = np.atleast_2d(np.asarray(C, dtype=float))
     D = np.atleast_2d(np.asarray(D, dtype=float))
@@ -122,7 +128,7 @@ def solve_are(C, D, Q, R, s: float) -> AreSolution:
     for k in range(1, _MAX_ITER + 1):
         P_prev, move_prev = P, move
         try:
-            P = stability.solve_lyapunov((C + D @ gain).T, s * Q + gain.T @ (s * R) @ gain)
+            P = stability.smith_doubling((C + D @ gain).T, s * Q + gain.T @ (s * R) @ gain)[0]
         except PreconditionError as exc:
             raise PreconditionError(
                 f"Newton step {k}: {exc}; last ARE residual {resid:.3e}") from exc
@@ -147,10 +153,6 @@ def classify_are(solution: AreSolution, C, D, Q, R, s: float, KV) -> AreClassifi
     "conditional" when the solution is stabilizing and the inner block is
     positive definite (at most one such solution exists); "none" otherwise.
     """
-    C = np.atleast_2d(np.asarray(C, dtype=float))
-    D = np.atleast_2d(np.asarray(D, dtype=float))
-    Q = np.atleast_2d(np.asarray(Q, dtype=float))
-    KV = np.atleast_2d(np.asarray(KV, dtype=float))
     P = sym(np.atleast_2d(np.asarray(solution.P, dtype=float)))
     lo = min_eigenvalue(P)
     psd = lo >= -psd_tolerance(P)

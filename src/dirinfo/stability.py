@@ -114,6 +114,15 @@ def solve_lyapunov(Acl, W) -> np.ndarray:
     it exceeds TOL_LYAP (squaring loses accuracy on non-normal Acl).  Raises
     PreconditionError when Acl is not exponentially stable or it stays above.
     """
+    Sigma, resid = smith_doubling(Acl, W)
+    if resid > TOL_LYAP:
+        raise PreconditionError(f"Lyapunov solve residual too large ({resid:.3e} relative to 1 + |W|)")
+    return Sigma
+
+
+def smith_doubling(Acl, W):
+    """(Sigma, |W - Sigma + Acl Sigma Acl^T| / (1 + |W|)): `solve_lyapunov` without its
+    residual gate, for iterations that gate their own result (`riccati.solve_are`)."""
     Acl = _square(Acl)
     W = np.atleast_2d(np.asarray(W, dtype=float))
     if W.shape != Acl.shape:
@@ -133,5 +142,5 @@ def solve_lyapunov(Acl, W) -> np.ndarray:
         Sigma = Sigma + 0.5 * (E + E.T)
         E = Wsym - Sigma + Acl @ Sigma @ Acl.T
         if np.linalg.norm(E) <= TOL_LYAP * (1.0 + np.linalg.norm(Wsym)):
-            return Sigma
-    raise PreconditionError(f"Lyapunov solve residual too large ({np.linalg.norm(E):.3e})")
+            break
+    return Sigma, float(np.linalg.norm(E) / (1.0 + np.linalg.norm(Wsym)))

@@ -1,7 +1,8 @@
 """Newton's method for the ARE and Smith doubling for the Lyapunov equation.
 
 Near-marginal scalar channels are checked against the closed forms,
-random stabilizable MIMO models against scipy's ARE solver, and the
+random stabilizable MIMO models (also with modes near the unit circle and
+weakly actuated input directions) against scipy's ARE solver, and the
 Lyapunov solve against scipy's at p = 32 and at spectral radius 1 - 1e-6.
 """
 
@@ -14,7 +15,7 @@ from hypothesis import strategies as st
 from scipy.linalg import solve_discrete_are, solve_discrete_lyapunov
 
 import dirinfo as di
-from dirinfo import capacity, cli, riccati
+from dirinfo import capacity, cli, riccati, stability
 from dirinfo.errors import ConvergenceError, PreconditionError
 from conftest import random_spd, random_stable
 
@@ -96,6 +97,82 @@ def test_solve_are_matches_scipy_on_random_stabilizable_models(seed, p, q_frac, 
     assert sol.stabilizing
     assert sol.residual <= riccati.TOL_ARE
     np.testing.assert_allclose(sol.P, ref, rtol=0, atol=1e-8 * (1.0 + np.linalg.norm(ref)))
+
+
+@pytest.mark.parametrize("weak", [1e-3, 1e-5])
+@pytest.mark.parametrize("output_cost", [0.0, 1.0])
+def test_solve_are_weakly_actuated_direction_matches_scipy(weak, output_cost):
+    # value iteration from P = 0 takes about 170 steps (weak = 1e-3) and 400
+    # (weak = 1e-5) before its gain stabilizes the second mode
+    C = 1.02 * np.eye(2)
+    D = np.diag([1.0, weak])
+    Q = output_cost * np.eye(2)
+    R = np.eye(2)
+    sol = di.solve_are(C, D, Q, R, 1.0)
+    ref = solve_discrete_are(C, D, Q, R)
+    assert sol.stabilizing
+    assert sol.residual <= riccati.TOL_ARE
+    assert sol.iterations <= 40
+    np.testing.assert_allclose(sol.P, ref, rtol=0, atol=1e-9 * (1.0 + np.linalg.norm(ref)))
+
+
+def _near_marginal_model(seed, p, q, output_cost):
+    """Modes 1e-4 to 0.5 from the unit circle in a random orthonormal basis; D with
+    singular values down to 1e-3 of its largest, in random input and output bases."""
+    rng = np.random.default_rng(seed)
+
+    def orthonormal(n):
+        return np.linalg.qr(rng.normal(size=(n, n)))[0]
+
+    T = orthonormal(p)
+    sign, side = rng.choice([-1.0, 1.0], size=(2, p))
+    C = (T * sign * (1.0 + side * 10 ** rng.uniform(-4, -0.3, p))) @ T.T
+    sv = np.sort(10 ** rng.uniform(-3, 0, q))[::-1]
+    sv[0] = 1.0
+    D = (orthonormal(p)[:, :q] * sv) @ orthonormal(q) * 10 ** rng.uniform(-1, 1)
+    R = random_spd(rng, q, floor=0.3)
+    Q = random_spd(rng, p, floor=0.1) if output_cost else np.zeros((p, p))
+    return C, D, Q, R
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1), p=st.integers(1, 6), q_frac=st.floats(0.0, 1.0),
+       output_cost=st.booleans(), s=st.floats(0.05, 5.0))
+def test_solve_are_matches_scipy_near_the_unit_circle(seed, p, q_frac, output_cost, s):
+    q = 1 + int(q_frac * (p - 1))
+    C, D, Q, R = _near_marginal_model(seed, p, q, output_cost)
+    assume(di.is_stabilizable(C, D))
+    sol = di.solve_are(C, D, Q, R, s)
+    ref = solve_discrete_are(C, D, s * Q, s * R)
+    assert sol.stabilizing
+    assert sol.residual <= riccati.TOL_ARE
+    np.testing.assert_allclose(sol.P, ref, rtol=0, atol=1e-6 * (1.0 + np.linalg.norm(ref)))
+
+
+def test_newton_steps_are_gated_by_the_are_residual_not_by_tol_lyap():
+    # modes at 0.9998 and 1.0054, one input: the closed loop of the start gain is
+    # so far from normal that the residual of its cost misses TOL_LYAP relative
+    # to 1 + |W|, yet Newton reaches an ARE residual within TOL_ARE
+    C, D, Q, R = _near_marginal_model(973002648, 2, 1, True)
+    sol = di.solve_are(C, D, Q, R, 1.0)
+    ref = solve_discrete_are(C, D, Q, R)
+    assert sol.stabilizing
+    assert sol.residual <= riccati.TOL_ARE
+    np.testing.assert_allclose(sol.P, ref, rtol=0, atol=1e-7 * (1.0 + np.linalg.norm(ref)))
+
+
+def test_smith_doubling_reports_the_residual_that_solve_lyapunov_gates():
+    # |A^k| grows to about 2e5 before it decays and |Sigma| reaches 1.6e12 against
+    # |W| = 2: the solution is accurate to rounding, but its residual, measured
+    # against 1 + |W|, misses TOL_LYAP
+    A = 0.9 * np.eye(4) + 10.0 * np.eye(4, k=1)
+    W = np.eye(4)
+    ref = solve_discrete_lyapunov(A, W)
+    Sigma, resid = stability.smith_doubling(A, W)
+    np.testing.assert_allclose(Sigma, ref, rtol=0, atol=1e-12 * np.abs(ref).max())
+    assert resid > stability.TOL_LYAP
+    with pytest.raises(PreconditionError, match=r"residual too large \(8\.\d+e-05"):
+        di.solve_lyapunov(A, W)
 
 
 @pytest.mark.parametrize("radius", [0.5, 0.9, 0.99, 0.999])
