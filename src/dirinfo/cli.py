@@ -545,14 +545,7 @@ def _run_sweep(config: RunConfig, m: ChannelModel) -> dict:
         except DirinfoError as exc:
             return {"param": config.param, "value": float(value), "error": str(exc)}
 
-    workers = min(simulate.max_threads(), max(1, len(config.grid)))
-    if workers == 1 or len(config.grid) == 1:
-        rows = [cell(v) for v in config.grid]
-    else:
-        import concurrent.futures
-        with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(cell, config.grid))
-    report["rows"] = rows
+    report["rows"] = [cell(v) for v in config.grid]
     return report
 
 

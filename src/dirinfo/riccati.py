@@ -34,6 +34,7 @@ class RiccatiStepBlocks:
     H11: np.ndarray   # C^T P+ C + sQ
     H12: np.ndarray   # C^T P+ D
     H22: np.ndarray   # D^T P+ D + sR
+    X: np.ndarray     # H22^{-1} H12^T
 
 
 @dataclass(frozen=True)
@@ -74,15 +75,12 @@ def riccati_backward_step(Pnext, C, D, Q, R, s: float):
     except np.linalg.LinAlgError as exc:
         raise PreconditionError("H22 numerically singular") from exc
     P = sym(H11 - H12 @ X)
-    return P, RiccatiStepBlocks(H11=H11, H12=H12, H22=H22)
+    return P, RiccatiStepBlocks(H11=H11, H12=H12, H22=H22, X=X)
 
 
 def optimal_gain(blocks: RiccatiStepBlocks) -> np.ndarray:
-    """Gamma = -H22^{-1} H12^T."""
-    try:
-        return -np.linalg.solve(blocks.H22, blocks.H12.T)
-    except np.linalg.LinAlgError as exc:
-        raise PreconditionError("H22 numerically singular") from exc
+    """Gamma = -H22^{-1} H12^T, from the solve the backward step already made."""
+    return -blocks.X
 
 
 def _stabilizing_gain(C, D, R, s):

@@ -3,19 +3,25 @@
 Closed-loop sampling uses a counter-based generator (numpy's Philox keyed by
 the trace seed) producing uniforms that are pushed through the inverse normal
 CDF and the symmetric square root of the covariance, so the uniform-variable
-realization of the innovations is literally the sampling path.
+realization of the innovations is literally the sampling path.  The inverse
+CDF is Wichura's AS241 (PPND16), evaluated elementwise on whole blocks.
 
 Draw order per trace (fixed, part of the determinism contract): the initial
 output (only if its covariance is nonzero), then all innovation uniforms as a
 (steps, q) block, then all noise uniforms as a (steps, p) block.
+
+`simulate_batch` draws each seed in that order and then steps all seeds
+together, with state of shape (seeds, p).  A trace with p = q = 1 is the
+same bits in any batch.  Otherwise the BLAS product of a batch may block its
+sums differently from that of a single row, so a trace can differ in its last
+bits depending on the batch it ran in; along a stable closed loop the
+difference does not grow.  Reports are byte-stable for a given seed list.
 """
 
 from __future__ import annotations
 
-import concurrent.futures
 import io
-import math
-import os
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -24,54 +30,58 @@ from .errors import DimensionError, PreconditionError
 from .linalg import sym_sqrt
 from .model import ChannelModel, Strategy, validate_model
 
-_SQRT2 = math.sqrt(2.0)
-_SQRT_2PI = math.sqrt(2.0 * math.pi)
-
-# Acklam's rational approximation of the standard normal quantile,
-# refined by one Newton step on Phi(x) = 0.5*erfc(-x/sqrt(2)).
-_A = (-3.969683028665376e+01, 2.209460984245205e+02, -2.759285104469687e+02,
-      1.383577518672690e+02, -3.066479806614716e+01, 2.506628277459239e+00)
-_B = (-5.447609879822406e+01, 1.615858368580409e+02, -1.556989798598866e+02,
-      6.680131188771972e+01, -1.328068155288572e+01)
-_C = (-7.784894002430293e-03, -3.223964580411365e-01, -2.400758277161838e+00,
-      -2.549732539343734e+00, 4.374664141464968e+00, 2.938163982698783e+00)
-_D = (7.784695709041462e-03, 3.224671290700398e-01, 2.445134137142996e+00,
-      3.754408661907416e+00)
-_P_LOW = 0.02425
-
-
-def _quantile_scalar(p: float) -> float:
-    if not 0.0 < p < 1.0:
-        raise PreconditionError("uniform sample on the boundary of (0, 1)")
-    if p > 0.5:
-        return -_quantile_scalar(1.0 - p)
-    if p < _P_LOW:
-        z = math.sqrt(-2.0 * math.log(p))
-        x = ((((((_C[0] * z + _C[1]) * z + _C[2]) * z + _C[3]) * z + _C[4]) * z + _C[5])
-             / ((((_D[0] * z + _D[1]) * z + _D[2]) * z + _D[3]) * z + 1.0))
-    else:
-        z = p - 0.5
-        r = z * z
-        x = (((((_A[0] * r + _A[1]) * r + _A[2]) * r + _A[3]) * r + _A[4]) * r + _A[5]) * z \
-            / (((((_B[0] * r + _B[1]) * r + _B[2]) * r + _B[3]) * r + _B[4]) * r + 1.0)
-    err = 0.5 * math.erfc(-x / _SQRT2) - p
-    return x - err * _SQRT_2PI * math.exp(0.5 * x * x)
-
-
-_quantile_vec = np.vectorize(_quantile_scalar, otypes=[float])
+# Wichura (1988), algorithm AS241 (PPND16): rational approximations of the
+# standard normal quantile, relative error about 1e-16.  Coefficients run from
+# the highest power down, as np.polyval takes them.  _A/_B hold the central
+# region |u - 0.5| <= 0.425 in r = 0.180625 - (u - 0.5)^2; _C/_D and _E/_F the
+# tails in r = sqrt(-log min(u, 1 - u)), shifted by 1.6 for r <= 5, else by 5.
+_A = (2.5090809287301226727e+3, 3.3430575583588128105e+4, 6.7265770927008700853e+4,
+      4.5921953931549871457e+4, 1.3731693765509461125e+4, 1.9715909503065514427e+3,
+      1.3314166789178437745e+2, 3.3871328727963666080e+0)
+_B = (5.2264952788528545610e+3, 2.8729085735721942674e+4, 3.9307895800092710610e+4,
+      2.1213794301586595867e+4, 5.3941960214247511077e+3, 6.8718700749205790830e+2,
+      4.2313330701600911252e+1, 1.0)
+_C = (7.74545014278341407640e-4, 2.27238449892691845833e-2, 2.41780725177450611770e-1,
+      1.27045825245236838258e+0, 3.64784832476320460504e+0, 5.76949722146069140550e+0,
+      4.63033784615654529590e+0, 1.42343711074968357734e+0)
+_D = (1.05075007164441684324e-9, 5.47593808499534494600e-4, 1.51986665636164571966e-2,
+      1.48103976427480074590e-1, 6.89767334985100004550e-1, 1.67638483018380384940e+0,
+      2.05319162663775882187e+0, 1.0)
+_E = (2.01033439929228813265e-7, 2.71155556874348757815e-5, 1.24266094738807843860e-3,
+      2.65321895265761230930e-2, 2.96560571828504891230e-1, 1.78482653991729133580e+0,
+      5.46378491116411436990e+0, 6.65790464350110377720e+0)
+_F = (2.04426310338993978564e-15, 1.42151175831644588870e-7, 1.84631831751005468180e-5,
+      7.86869131145613259100e-4, 1.48753612908506148525e-2, 1.36929880922735805310e-1,
+      5.99832206555887937690e-1, 1.0)
 
 
 def normal_quantile(u):
-    """Inverse standard normal CDF, |abs error| well below 1e-9.
+    """Inverse standard normal CDF (AS241), relative error about 1e-16.
 
-    Accepts scalars or arrays strictly inside (0, 1).
+    Accepts scalars or arrays strictly inside (0, 1); elementwise, so a value
+    maps to the same bits whatever array holds it.  Computed on min(u, 1 - u),
+    which is exact, and negated above 0.5: q(u) == -q(1 - u) whenever 1 - u is
+    exact.
     """
-    if np.isscalar(u):
-        return _quantile_scalar(float(u))
     u = np.asarray(u, dtype=float)
-    if u.size and (u.min() <= 0.0 or u.max() >= 1.0):
+    if u.size and not (u.min() > 0.0 and u.max() < 1.0):
         raise PreconditionError("uniform sample on the boundary of (0, 1)")
-    return _quantile_vec(u)
+    flat = u.reshape(-1)
+    upper = flat > 0.5
+    w = np.where(upper, 1.0 - flat, flat)
+    x = w - 0.5
+    mid = x >= -0.425
+    tail = ~mid
+    c = x[mid]
+    r = 0.180625 - c * c
+    x[mid] = c * np.polyval(_A, r) / np.polyval(_B, r)
+    r = np.sqrt(-np.log(w[tail]))
+    near = r <= 5.0
+    t = np.where(near, r - 1.6, r - 5.0)
+    x[tail] = -np.where(near, np.polyval(_C, t) / np.polyval(_D, t),
+                         np.polyval(_E, t) / np.polyval(_F, t))
+    np.negative(x, out=x, where=upper)
+    return x.reshape(u.shape)[()]
 
 
 def innovation_from_uniform(u, KZ) -> np.ndarray:
@@ -144,70 +154,23 @@ def _draw_noise(model: ChannelModel, strat: Strategy, steps: int, seed: int):
         b0 = model.initial_mean + innovation_from_uniform(u0, model.initial_cov)
     else:
         b0 = model.initial_mean.copy()
-    Uz = gen.random((steps, q))
-    Uv = gen.random((steps, p))
+    Nz = normal_quantile(gen.random((steps, q)))
+    Nv = normal_quantile(gen.random((steps, p)))
     if len(strat.innovations) == 1:
-        Z = normal_quantile(Uz) @ sym_sqrt(strat.KZ(0)).T
+        Z = Nz @ sym_sqrt(strat.KZ(0)).T
     else:
-        Z = np.empty((steps, q))
-        for i in range(steps):
-            Z[i] = innovation_from_uniform(Uz[i], strat.KZ(i))
+        Z = np.stack([sym_sqrt(strat.KZ(i)) @ Nz[i] for i in range(steps)])
     if model.time_invariant:
-        V = normal_quantile(Uv) @ sym_sqrt(model.KV(0)).T
+        V = Nv @ sym_sqrt(model.KV(0)).T
     else:
-        V = np.empty((steps, p))
-        for i in range(steps):
-            V[i] = innovation_from_uniform(Uv[i], model.KV(i))
+        V = np.stack([sym_sqrt(model.KV(i)) @ Nv[i] for i in range(steps)])
     return b0, Z, V
 
 
-def sample_trajectory(model: ChannelModel, strat: Strategy, steps: int, seed: int) -> SimulationTrace:
-    """Simulate the closed loop for `steps` steps; deterministic given seed."""
-    validate_model(model)
-    if steps < 1:
-        raise PreconditionError("steps must be >= 1")
-    if not model.time_invariant and steps > model.horizon + 1:
-        raise PreconditionError("steps exceed the horizon of a time-varying model")
-    if len(strat.gains) > 1 and strat.steps < steps:
-        raise DimensionError("strategy shorter than requested steps")
-    p, q = model.output_dim, model.input_dim
-
-    b0, Z, V = _draw_noise(model, strat, steps, seed)
-    B = np.empty((steps, p))
-    A = np.empty((steps, q))
-    stationary = len(strat.gains) == 1 and model.time_invariant
-    if stationary and p == 1 and q == 1:
-        # plain-float recursion; each op is the same IEEE operation the 1x1
-        # matrix path performs, so the trace is identical either way
-        g = float(strat.gain(0)[0, 0])
-        Cs = float(model.C(0)[0, 0])
-        Ds = float(model.D(0)[0, 0])
-        b = float(b0[0])
-        Zs = Z[:, 0].tolist()
-        Vs = V[:, 0].tolist()
-        Al = A[:, 0]
-        Bl = B[:, 0]
-        for i in range(steps):
-            a = g * b + Zs[i]
-            b = Cs * b + Ds * a + Vs[i]
-            Al[i] = a
-            Bl[i] = b
-    elif stationary:
-        g, C, D = strat.gain(0), model.C(0), model.D(0)
-        b = b0
-        for i in range(steps):
-            a = g @ b + Z[i]
-            b = C @ b + D @ a + V[i]
-            A[i] = a
-            B[i] = b
-    else:
-        b = b0
-        for i in range(steps):
-            a = strat.gain(i) @ b + Z[i]
-            b = model.C(i) @ b + model.D(i) @ a + V[i]
-            A[i] = a
-            B[i] = b
-
+def _trace(model: ChannelModel, strat: Strategy, seed: int, b0, B, A,
+           stationary: bool) -> SimulationTrace:
+    """Information density and cost along one closed-loop path."""
+    steps = B.shape[0]
     Bprev = np.vstack([b0, B[:-1]])
     info = np.empty(steps)
     cost = np.empty(steps)
@@ -242,23 +205,71 @@ def sample_trajectory(model: ChannelModel, strat: Strategy, steps: int, seed: in
     )
 
 
-def max_threads() -> int:
-    value = os.environ.get("DIRINFO_THREADS", "")
-    try:
-        n = int(value)
-    except ValueError:
-        n = 0
-    return max(1, n) if n else max(1, os.cpu_count() or 1)
+def sample_trajectory(model: ChannelModel, strat: Strategy, steps: int, seed: int) -> SimulationTrace:
+    """Simulate the closed loop for `steps` steps; deterministic given seed."""
+    return simulate_batch(model, strat, steps, [seed])[0]
 
 
 def simulate_batch(model: ChannelModel, strat: Strategy, steps: int, seeds) -> list:
-    """Independent traces for each seed; fan-out capped by DIRINFO_THREADS."""
+    """Independent traces for each seed, stepped together as an (S, p) state.
+
+    Each seed's noise is drawn exactly as for a single trace.  A stationary
+    scalar loop runs per seed on plain floats; otherwise
+    a = b g^T + Z[i], b = b C^T + a D^T + V[i] steps all seeds at once.
+    """
+    validate_model(model)
+    if steps < 1:
+        raise PreconditionError("steps must be >= 1")
+    if not model.time_invariant and steps > model.horizon + 1:
+        raise PreconditionError("steps exceed the horizon of a time-varying model")
+    if len(strat.gains) > 1 and strat.steps < steps:
+        raise DimensionError("strategy shorter than requested steps")
     seeds = list(seeds)
-    workers = min(max_threads(), max(1, len(seeds)))
-    if workers == 1 or len(seeds) == 1:
-        return [sample_trajectory(model, strat, steps, s) for s in seeds]
-    with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(lambda s: sample_trajectory(model, strat, steps, s), seeds))
+    if not seeds:
+        return []
+    S, p, q = len(seeds), model.output_dim, model.input_dim
+
+    b0 = np.empty((S, p))
+    Z = np.empty((steps, S, q))
+    V = np.empty((steps, S, p))
+    for k, seed in enumerate(seeds):
+        b0[k], Z[:, k], V[:, k] = _draw_noise(model, strat, steps, seed)
+    B = np.empty((S, steps, p))
+    A = np.empty((S, steps, q))
+    stationary = len(strat.gains) == 1 and model.time_invariant
+    if stationary and p == 1 and q == 1:
+        # plain-float recursion per seed; each op is the same IEEE operation
+        # the matrix path performs, so the trace is identical either way
+        g = float(strat.gain(0)[0, 0])
+        Cs = float(model.C(0)[0, 0])
+        Ds = float(model.D(0)[0, 0])
+        for k in range(S):
+            b = float(b0[k, 0])
+            Zs = Z[:, k, 0].tolist()
+            Vs = V[:, k, 0].tolist()
+            Al = A[k, :, 0]
+            Bl = B[k, :, 0]
+            for i in range(steps):
+                a = g * b + Zs[i]
+                b = Cs * b + Ds * a + Vs[i]
+                Al[i] = a
+                Bl[i] = b
+    else:
+        # a (1, p) row times g^T rounds as g @ b does; for S > 1 the product
+        # may block differently, which moves a MIMO trace in its last bits
+        if stationary:
+            mats = itertools.repeat((strat.gain(0).T, model.C(0).T, model.D(0).T), steps)
+        else:
+            mats = ((strat.gain(i).T, model.C(i).T, model.D(i).T) for i in range(steps))
+        b = b0
+        for i, (gT, CT, DT) in enumerate(mats):
+            a = b @ gT + Z[i]
+            b = b @ CT + a @ DT + V[i]
+            A[:, i] = a
+            B[:, i] = b
+    del Z, V    # the traces keep views of B and A only
+    return [_trace(model, strat, seed, b0[k], B[k], A[k], stationary)
+            for k, seed in enumerate(seeds)]
 
 
 @dataclass(frozen=True)

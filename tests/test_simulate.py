@@ -6,7 +6,8 @@ from scipy.special import ndtri
 
 import dirinfo as di
 from dirinfo import simulate as sim
-from dirinfo.errors import PreconditionError
+from dirinfo.errors import DimensionError, PreconditionError
+from conftest import random_spd, random_stable
 
 HALF_LN25 = 0.5 * math.log(2.5)
 
@@ -31,6 +32,27 @@ def test_quantile_against_scipy_grid():
                         10.0 ** -np.arange(2, 300, dtype=float)])
     err = np.abs(di.normal_quantile(u) - ndtri(u)).max()
     assert err < 1e-9
+
+
+def test_quantile_upper_tail_against_scipy():
+    u = 1.0 - 10.0 ** -np.arange(2, 16, dtype=float)
+    np.testing.assert_allclose(di.normal_quantile(u), ndtri(u), rtol=1e-14, atol=0.0)
+
+
+def test_quantile_exact_antisymmetry_on_dyadic_uniforms():
+    u = np.arange(1, 2 ** 16) / 2.0 ** 16
+    np.testing.assert_array_equal(di.normal_quantile(u), -di.normal_quantile(1.0 - u))
+
+
+def test_quantile_scalar_and_array_paths_agree_bitwise():
+    gen = np.random.Generator(np.random.Philox(key=7))
+    u = np.concatenate([gen.random(3000), 10.0 ** -np.arange(1, 300, 7, dtype=float),
+                        1.0 - 10.0 ** -np.arange(1, 16, dtype=float)])
+    whole = di.normal_quantile(u)
+    np.testing.assert_array_equal([di.normal_quantile(float(x)) for x in u], whole)
+    block = di.normal_quantile(u[:3000].reshape(1000, 3))
+    for i in range(1000):
+        np.testing.assert_array_equal(di.normal_quantile(u[3 * i:3 * i + 3]), block[i])
 
 
 def test_quantile_boundary_rejected():
@@ -170,14 +192,85 @@ def test_ergodic_mean_concentration(scalar):
     assert bad <= 1
 
 
-def test_batch_matches_sequential_and_respects_thread_cap(monkeypatch):
+def test_batch_matches_sequential():
     m, st = kappa9_model(), kappa9_strategy()
-    monkeypatch.setenv("DIRINFO_THREADS", "2")
     batch = di.simulate_batch(m, st, 3000, range(4))
     for seed, tr in zip(range(4), batch):
         ref = di.sample_trajectory(m, st, 3000, seed=seed)
         np.testing.assert_array_equal(tr.B_path, ref.B_path)
-    assert sim.max_threads() == 2
+
+
+def _tv_model_and_strategy(n, rng, p=2, q=1):
+    Cs = [random_stable(rng, p, 0.7) for _ in range(n + 1)]
+    Ds = [rng.normal(size=(p, q)) for _ in range(n + 1)]
+    KVs = [random_spd(rng, p) for _ in range(n + 1)]
+    m = di.channel_model(Cs, Ds, KVs, [np.eye(q)] * (n + 1), [np.zeros((p, p))] * (n + 1),
+                         1.0, n, initial_cov=np.eye(p), time_invariant=False)
+    st = di.strategy([0.3 * rng.normal(size=(q, p)) for _ in range(n + 1)],
+                     [random_spd(rng, q) for _ in range(n + 1)])
+    return m, st
+
+
+def test_time_varying_noise_block_matches_per_step_innovations(rng):
+    m, st = _tv_model_and_strategy(12, rng)
+    steps, seed = 13, 4
+    _, Z, V = sim._draw_noise(m, st, steps, seed)
+    gen = np.random.Generator(np.random.Philox(key=seed))
+    gen.random(m.output_dim)
+    Uz, Uv = gen.random((steps, m.input_dim)), gen.random((steps, m.output_dim))
+    for i in range(steps):
+        np.testing.assert_array_equal(Z[i], di.innovation_from_uniform(Uz[i], st.KZ(i)))
+        np.testing.assert_array_equal(V[i], di.innovation_from_uniform(Uv[i], m.KV(i)))
+
+
+def test_time_varying_batch_matches_single(rng):
+    m, st = _tv_model_and_strategy(40, rng, p=1)
+    batch = di.simulate_batch(m, st, 41, range(5))
+    for seed, tr in enumerate(batch):
+        ref = di.sample_trajectory(m, st, 41, seed=seed)
+        np.testing.assert_array_equal(tr.B_path, ref.B_path)
+        np.testing.assert_array_equal(tr.info_density_path, ref.info_density_path)
+    m, st = _tv_model_and_strategy(40, rng)
+    batch = di.simulate_batch(m, st, 41, range(5))
+    for seed, tr in enumerate(batch):
+        ref = di.sample_trajectory(m, st, 41, seed=seed)
+        np.testing.assert_allclose(tr.B_path, ref.B_path, rtol=1e-12, atol=1e-14)
+
+
+def test_mimo_batch_matches_single_trace(rng):
+    # non-normal 3x3 channel with one unstable mode; a trace may round
+    # differently inside a batch, but the stable closed loop keeps it close
+    U = np.linalg.qr(rng.normal(size=(3, 3)))[0]
+    C = U @ np.array([[1.3, 4.0, -2.0], [0.0, 0.5, 3.0], [0.0, 0.0, -0.6]]) @ U.T
+    m = di.channel_model(C, rng.normal(size=(3, 2)), random_spd(rng, 3), np.eye(2),
+                         np.zeros((3, 3)), 20.0, 0)
+    sol, _ = di.feedback_capacity(m)
+    st = di.stationary_strategy(sol.gain, sol.KZ)
+    batch = di.simulate_batch(m, st, 2000, range(8))
+    for seed in (0, 3, 7):
+        ref = di.sample_trajectory(m, st, 2000, seed=seed)
+        scale = np.abs(ref.B_path).max()
+        np.testing.assert_allclose(batch[seed].B_path, ref.B_path, rtol=1e-12, atol=1e-12 * scale)
+        np.testing.assert_allclose(batch[seed].A_path, ref.A_path, rtol=1e-12, atol=1e-12 * scale)
+
+
+def test_batch_of_no_seeds_is_empty():
+    assert di.simulate_batch(kappa9_model(), kappa9_strategy(), 100, []) == []
+
+
+def test_batch_validates_before_any_draw(monkeypatch, rng):
+    def no_draw(*args):
+        raise AssertionError("noise drawn before validation")
+
+    monkeypatch.setattr(sim, "_draw_noise", no_draw)
+    with pytest.raises(PreconditionError):
+        di.simulate_batch(kappa9_model(), kappa9_strategy(), 0, range(4))
+    m, st = _tv_model_and_strategy(3, rng)
+    with pytest.raises(PreconditionError):
+        di.simulate_batch(m, st, 5, range(4))
+    short = di.strategy([[[-1.5]], [[-1.5]]], [[[1.5]], [[1.5]]])
+    with pytest.raises(DimensionError):
+        di.simulate_batch(kappa9_model(), short, 3, range(4))
 
 
 # -- stability report --------------------------------------------------------
