@@ -7,13 +7,16 @@ solvers; this module wires them together.
 
 The power budget is matched in closed form.  The Riccati map is positively
 homogeneous in the multiplier s, so P(s) = s P_1 and the gain does not
-depend on s.  At that gain P_1 solves the adjoint of the closed-loop
-Lyapunov equation, so a strategy with innovations K_Z costs
-trace(W_1 K_Z) + trace(P_1 K_V), with W_1 = R + D^T P_1 D (the finite
-horizon sums the same terms over the steps).  trace(P_1 K_V) is the cost
-floor, and the water-fill at multiplier s spends trace(W_1 K_Z) =
-sum_j (1/(2s) - sigma_j^{-2})_+ over the subchannel gains sigma_j of W_1.
-One water level mu for the budget above the floor gives s* = 1/(2 mu).
+depend on s: each entry point makes one ARE solve, or one backward pass, at
+s = 1, and the solution at a fixed s is a view of it, with innovations filled
+at level 1/(2s) by one stacked water-fill kernel call.  At that gain P_1
+solves the adjoint of the closed-loop Lyapunov equation, so a strategy with
+innovations K_Z costs trace(W_1 K_Z) + trace(P_1 K_V), with
+W_1 = R + D^T P_1 D (the finite horizon sums the same terms over the steps).
+trace(P_1 K_V) is the cost floor, and the water-fill at multiplier s spends
+trace(W_1 K_Z) = sum_j (1/(2s) - sigma_j^{-2})_+ over the subchannel gains
+sigma_j of W_1.  One water level mu for the budget above the floor gives
+s* = 1/(2 mu).
 """
 
 from __future__ import annotations
@@ -45,6 +48,7 @@ class FiniteHorizonSolution:
     KB_seq: tuple              # K_{B_{-1}}, ..., K_{B_n}
     achieved_cost: float       # per-unit-time average
     value_nats: float          # -E<b, P(0) b> + r(0)
+    rate_nats: float           # directed information of the strategy over the n + 1 steps
     meta: dict = field(default_factory=dict)
 
 
@@ -77,52 +81,44 @@ def information_rate(model: ChannelModel, strat: Strategy, steps: int) -> float:
 # finite horizon
 
 
-def _riccati_pass(model: ChannelModel, s: float):
-    """P(n) = s * terminal_Q, then backward Riccati steps; the terminal gain is zero."""
+def _riccati_pass(model: ChannelModel):
+    """(P_1, gains, sigma, V, kv_regularized): the backward pass at s = 1 from
+    P_1(n) = terminal_Q (terminal gain zero), and the subchannels of every step's
+    weight R(i) + D(i)^T P_1(i+1) D(i), its step's H22 block (R(n) at the last)."""
     n = model.horizon
-    P = [None] * (n + 1)
-    gains = [None] * (n + 1)
-    P[n] = sym(s * model.terminal_Q)
-    gains[n] = np.zeros((model.input_dim, model.output_dim))
+    P = [None] * n + [sym(model.terminal_Q)]
+    gains = [None] * n + [np.zeros((model.input_dim, model.output_dim))]
+    weights = [None] * n + [sym(model.R(n))]
     for i in range(n - 1, -1, -1):
         P[i], blocks = riccati.riccati_backward_step(
-            P[i + 1], model.C(i), model.D(i), model.Q(i), model.R(i), s)
-        gains[i] = riccati.optimal_gain(blocks)
-    return P, gains
-
-
-def _step_problem(model: ChannelModel, P, i: int, s: float) -> waterfill.WaterfillProblem:
-    """Water-fill of step i: weight sR(i) + D(i)^T P(i+1) D(i), just sR(n) at the last step."""
-    D = model.D(i)
-    weight = s * model.R(i)
-    if i < model.horizon:
-        weight = weight + D.T @ P[i + 1] @ D
-    kv_eff, _ = model.noise_for_inversion(i)
-    return waterfill.WaterfillProblem(D=D, KV=kv_eff, weight=sym(weight))
+            P[i + 1], model.C(i), model.D(i), model.Q(i), model.R(i), 1.0)
+        gains[i], weights[i] = riccati.optimal_gain(blocks), blocks.H22
+    kv = [model.noise_for_inversion(i) for i in range(n + 1)]
+    sigma, V = waterfill.subchannels(np.stack([model.D(i) for i in range(n + 1)]),
+                                     np.stack([k for k, _ in kv]), np.stack(weights))
+    return P, gains, sigma, V, any(reg for _, reg in kv)
 
 
 def finite_horizon_dp(model: ChannelModel, s: float) -> FiniteHorizonSolution:
     """Backward DP at a fixed multiplier, then the forward covariance pass.
 
-    Backward: P(n) = s * terminal_Q, Riccati steps and the optimal gains for
-    i < n (the terminal gain is zero); r(i) accumulates the per-step
-    water-fill values minus trace(P(i+1) K_V).  Forward: the output second
-    moments and the per-unit-time achieved cost.
+    Backward: the pass at s = 1 scaled, P(i) = s P_1(i) with the same gains
+    (zero at the terminal step); K_Z(i) fills step i at level 1/(2s), and r(i)
+    accumulates the per-step water-fill values minus trace(P(i+1) K_V).
+    Forward: the output second moments and the per-unit-time achieved cost.
     """
     validate_model(model)
     if s <= 0:
         raise PreconditionError("multiplier s must be positive")
     n = model.horizon
-    P, gains = _riccati_pass(model, s)
-
-    KZ = [None] * (n + 1)
+    P1, gains, sigma, V, regularized = _riccati_pass(model)
+    KZ, rates, spent = waterfill.fill(sigma, V, 0.5 / s)
+    values = rates - s * spent
+    P = [s * Pi for Pi in P1]
     r = [0.0] * (n + 1)
-    KZ[n], val_n = waterfill.solve(_step_problem(model, P, n, s))
-    r[n] = val_n + s * (n + 1) * model.kappa
+    r[n] = float(values[n]) + s * (n + 1) * model.kappa
     for i in range(n - 1, -1, -1):
-        KZ[i], val_i = waterfill.solve(_step_problem(model, P, i, s))
-        r[i] = r[i + 1] + val_i - float(np.trace(P[i + 1] @ model.KV(i)))
-    regularized = any(model.noise_for_inversion(i)[1] for i in range(n + 1))
+        r[i] = r[i + 1] + float(values[i]) - float(np.trace(P[i + 1] @ model.KV(i)))
 
     # built here, PSD by construction: wrapped without the caller-input checks
     strat = Strategy(gains=tuple(map(_freeze, gains)), innovations=tuple(map(_freeze, KZ)))
@@ -142,7 +138,7 @@ def finite_horizon_dp(model: ChannelModel, s: float) -> FiniteHorizonSolution:
     return FiniteHorizonSolution(
         s=float(s), P_seq=tuple(P), r_seq=tuple(r), strategy=strat,
         KB_seq=tuple(KB), achieved_cost=total_cost / (n + 1), value_nats=value,
-        meta={"kv_regularized": regularized},
+        rate_nats=float(rates.sum()), meta={"kv_regularized": regularized},
     )
 
 
@@ -157,7 +153,7 @@ def ftfi_capacity(model: ChannelModel):
     validate_model(model)
     n = model.horizon
     kappa = model.kappa
-    P1, _ = _riccati_pass(model, 1.0)
+    P1, _, sigma, _, _ = _riccati_pass(model)
     floor = float(np.trace(P1[0] @ model.initial_second_moment())) + sum(
         float(np.trace(P1[i + 1] @ model.KV(i))) for i in range(n))
     budget = (n + 1) * kappa - floor
@@ -165,11 +161,8 @@ def ftfi_capacity(model: ChannelModel):
         raise InfeasibleError(
             f"ftfi_capacity: power budget {kappa} below the achievable cost floor "
             f"{floor / (n + 1):.12g}", kappa_stab=floor / (n + 1))
-    gains = np.concatenate([waterfill.subchannel_gains(_step_problem(model, P1, i, 1.0))
-                            for i in range(n + 1)])
-    sol = finite_horizon_dp(model, 0.5 / waterfill.water_level(gains, max(budget, 0.0)))
-    capacity = information_rate(model, sol.strategy, n + 1) / (n + 1)
-    return sol, capacity
+    sol = finite_horizon_dp(model, 0.5 / waterfill.water_level(sigma, max(budget, 0.0)))
+    return sol, sol.rate_nats / (n + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -187,28 +180,34 @@ def _gain_is_zero(gain, C) -> bool:
     return float(np.abs(gain).max(initial=0.0)) <= 1e-9 * (1.0 + float(np.abs(C).max()))
 
 
-def stationary_solve(model: ChannelModel, s: float) -> StationarySolution:
-    """Stationary solution at a fixed multiplier.
-
-    ARE -> gain -> water-fill (weight sR + D^T P D) -> output covariance from
-    the algebraic Lyapunov equation -> achieved cost and rate.
-    """
+def _unit_solution(model: ChannelModel):
+    """The stationary solution at s = 1: (ARE solution, sigma, V), the subchannels
+    of W_1 = R + D^T P_1 D as a stack of one."""
     validate_model(model)
+    C, D, _, R, Q = _ti_matrices(model)
+    are = riccati.solve_are(C, D, Q, R, 1.0)
+    kv_eff, _ = model.noise_for_inversion(0)
+    return (are, *waterfill.subchannels(D, kv_eff, sym(R + D.T @ are.P @ D)[None]))
+
+
+def _view(model: ChannelModel, unit, s: float) -> StationarySolution:
+    """The stationary solution at multiplier s as a view of the one at s = 1: P = s P_1,
+    the same gain, K_Z filled at level 1/(2s), the output covariance from the
+    Lyapunov equation.  The ARE residual |Ric(P) - P| / (1 + |P|) is P_1's with
+    the move and |P| scaled by s."""
     C, D, KV, R, Q = _ti_matrices(model)
-    are = riccati.solve_are(C, D, Q, R, s)
-    weight = sym(s * R + D.T @ are.P @ D)
-    kv_eff, regularized = model.noise_for_inversion(0)
-    KZ, _ = waterfill.solve(waterfill.WaterfillProblem(D=D, KV=kv_eff, weight=weight))
+    are, sigma, V = unit
+    KZ, rate, _ = waterfill.fill(sigma, V, 0.5 / s)
+    KZ = KZ[0]
     Acl = are.closed_loop
     try:
         K = solve_lyapunov(Acl, D @ KZ @ D.T + KV)
     except PreconditionError as exc:
         raise PreconditionError(
-            f"internal error: stabilizing gain produced an unstable closed loop ({exc})") from exc
+            f"output-covariance Lyapunov equation: {exc}; closed-loop spectral radius "
+            f"{stability.spectral_radius(Acl).spectral_radius:.6g}") from exc
     g = are.gain
     cost = float(np.trace(R @ g @ K @ g.T) + np.trace(R @ KZ) + np.trace(Q @ K))
-    M = D @ KZ @ D.T + kv_eff
-    rate = 0.5 * (logdet_pd(M) - logdet_pd(kv_eff))
     kz_zero = float(np.abs(KZ).max(initial=0.0)) <= 1e-12
     if _gain_is_zero(g, C):
         regime = REGIME_STABLE_NO_FEEDBACK
@@ -216,11 +215,21 @@ def stationary_solve(model: ChannelModel, s: float) -> StationarySolution:
         regime = REGIME_ZERO_RATE
     else:
         regime = REGIME_UNSTABLE_STABILIZED
+    norm_P = float(np.linalg.norm(are.P))
     return StationarySolution(
-        s=float(s), P=are.P, gain=g, KZ=KZ, KB=K, rate_nats=float(rate),
-        achieved_cost=cost, regime=regime, are_residual=are.residual,
-        meta={"kv_regularized": regularized, "are_iterations": are.iterations},
+        s=float(s), P=s * are.P, gain=g, KZ=KZ, KB=K, rate_nats=float(rate[0]),
+        achieved_cost=cost, regime=regime,
+        are_residual=are.residual * s * (1.0 + norm_P) / (1.0 + s * norm_P),
+        meta={"kv_regularized": model.noise_for_inversion(0)[1],
+              "are_iterations": are.iterations},
     )
+
+
+def stationary_solve(model: ChannelModel, s: float) -> StationarySolution:
+    """Stationary solution at a fixed multiplier: one ARE solve at s = 1, viewed at s."""
+    if s <= 0:
+        raise PreconditionError("multiplier s must be positive (s=0 degenerates the Lagrangian)")
+    return _view(model, _unit_solution(model), s)
 
 
 def cost_floor(model: ChannelModel, P, gain, s: float = 1.0) -> float:
@@ -241,9 +250,7 @@ def kappa_min(model: ChannelModel) -> float:
 
     Reproduces (C^2-1) K_V / D^2 on scalar models.
     """
-    validate_model(model)
-    C, D, KV, R, Q = _ti_matrices(model)
-    are = riccati.solve_are(C, D, Q, R, 1.0)
+    are = _unit_solution(model)[0]
     return cost_floor(model, are.P, are.gain)
 
 
@@ -257,19 +264,15 @@ def feedback_capacity(model: ChannelModel):
     the smallest multiplier whose water-fill is empty); models with Q != 0
     are infeasible and the floor is reported as the stabilization cost.
     """
-    validate_model(model)
-    C, D, _, R, Q = _ti_matrices(model)
+    unit = _unit_solution(model)
+    are, sigma, _ = unit
     kappa = model.kappa
-    are = riccati.solve_are(C, D, Q, R, 1.0)
     floor = cost_floor(model, are.P, are.gain)
-    if Q.any() and kappa < floor - COST_TOL * (1.0 + kappa):
+    if model.Q_seq[0].any() and kappa < floor - COST_TOL * (1.0 + kappa):
         raise InfeasibleError(
             f"power budget {kappa} below minimum stabilization cost {floor:.12g}",
             kappa_stab=floor)
-    kv_eff, _ = model.noise_for_inversion(0)
-    gains = waterfill.subchannel_gains(waterfill.WaterfillProblem(
-        D=D, KV=kv_eff, weight=sym(R + D.T @ are.P @ D)))
-    sol = stationary_solve(model, 0.5 / waterfill.water_level(gains, max(kappa - floor, 0.0)))
+    sol = _view(model, unit, 0.5 / waterfill.water_level(sigma, max(kappa - floor, 0.0)))
     return sol, sol.rate_nats
 
 
@@ -328,7 +331,7 @@ def nofeedback_capacity_q0(model: ChannelModel) -> float:
     over the subchannel gains of the weight R).  Unstable channels: 0.
     """
     validate_model(model)
-    C, D, KV, R, Q = _ti_matrices(model)
+    C, D, _, R, Q = _ti_matrices(model)
     if Q.any():
         raise PreconditionError("no-feedback comparator defined for Q = 0 only")
     if not stability.spectral_radius(C).stable:
@@ -336,9 +339,5 @@ def nofeedback_capacity_q0(model: ChannelModel) -> float:
     kappa = model.kappa
     if kappa <= 0.0:
         return 0.0
-    kv_eff, _ = model.noise_for_inversion(0)
-    mu = waterfill.water_level(
-        waterfill.subchannel_gains(waterfill.WaterfillProblem(D=D, KV=kv_eff, weight=R)), kappa)
-    KZ, _ = waterfill.solve(waterfill.WaterfillProblem(D=D, KV=kv_eff, weight=R / (2.0 * mu)))
-    M = D @ KZ @ D.T + kv_eff
-    return 0.5 * (logdet_pd(M) - logdet_pd(kv_eff))
+    sigma, V = waterfill.subchannels(D, model.noise_for_inversion(0)[0], sym(R)[None])
+    return float(waterfill.fill(sigma, V, waterfill.water_level(sigma, kappa))[1][0])

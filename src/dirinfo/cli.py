@@ -455,7 +455,7 @@ def _run_ftfi(config: RunConfig, m: ChannelModel) -> dict:
     report = _base_report(config, m)
     if config.s is not None:
         sol = capacity.finite_horizon_dp(m, config.s)
-        cap = capacity.information_rate(m, sol.strategy, m.horizon + 1) / (m.horizon + 1)
+        cap = sol.rate_nats / (m.horizon + 1)
         report["multiplier_mode"] = "fixed"
     else:
         sol, cap = capacity.ftfi_capacity(m)

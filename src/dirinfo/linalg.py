@@ -8,7 +8,7 @@ from .errors import PreconditionError
 
 
 def sym(a: np.ndarray) -> np.ndarray:
-    return 0.5 * (a + a.T)
+    return 0.5 * (a + a.swapaxes(-1, -2))
 
 
 def sym_sqrt(a: np.ndarray) -> np.ndarray:

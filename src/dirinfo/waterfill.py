@@ -16,6 +16,10 @@ Scaling the weight by s divides every sigma_j^2 by s, so a weight s W_1 has
 level mu = 1/(2s) over the gains of W_1, and spends
 trace(W_1 K_Z) = sum_j (mu - sigma_j^{-2})_+; ``water_level`` inverts that
 map for a power budget.
+
+One kernel, ``subchannels`` then ``fill``, serves every caller on a stack
+of weights, one per step: ``solve`` runs it on one validated problem, and
+the capacity module on weights R + D^T P D, positive definite because R is.
 """
 
 from __future__ import annotations
@@ -27,7 +31,7 @@ import numpy as np
 
 from .errors import DimensionError, PreconditionError, UnboundedError
 from .linalg import logdet_pd, sym
-from .model import is_symmetric, min_eigenvalue, psd_tolerance
+from .model import TOL_PSD, is_symmetric, min_eigenvalue, psd_tolerance
 
 TOL_WF = 1e-9       # subchannels with mu sigma_j^2 - 1 <= TOL_WF stay dry
 
@@ -52,10 +56,6 @@ class WaterfillProblem:
         if min_eigenvalue(self.KV) <= 0:
             raise PreconditionError("KV must be positive definite")
 
-    @property
-    def q(self) -> int:
-        return self.D.shape[1]
-
 
 def objective(problem: WaterfillProblem, KZ) -> float:
     KZ = sym(np.atleast_2d(np.asarray(KZ, dtype=float)))
@@ -71,43 +71,40 @@ def gradient(problem: WaterfillProblem, KZ) -> np.ndarray:
     return sym(0.5 * problem.D.T @ X - problem.weight)
 
 
-def _check_bounded(problem: WaterfillProblem) -> np.ndarray:
-    """W^{-1/2} on range(W), a q x r matrix; raises UnboundedError if f has no maximum.
-
-    The supremum is +inf iff the weight annihilates a direction that D does not.
-    """
-    w, U = np.linalg.eigh(sym(problem.weight))
-    null = w <= psd_tolerance(problem.weight)
-    if null.any() and np.linalg.norm(problem.D @ U[:, null]) > 1e-12 * (1 + np.linalg.norm(problem.D)):
-        raise UnboundedError(
-            "objective unbounded: weight has a null direction the channel matrix does not kill")
-    return U[:, ~null] / np.sqrt(w[~null])
-
-
-def _subchannels(problem: WaterfillProblem):
-    """(sigma, W^{-1/2} V): the nonzero singular values of H and their input directions."""
-    Wih = _check_bounded(problem)
-    H = np.linalg.solve(np.linalg.cholesky(problem.KV), problem.D @ Wih)
+def subchannels(D, KV, weight):
+    """(sigma, W^{-1/2} V) for a (k, q, q) stack of symmetric PSD weights, unchecked:
+    sigma (k, r) are the singular values of H = K_V^{-1/2} D W^{-1/2} (W^{-1/2} on
+    range(W)), zero below the SVD's rounding, and W^{-1/2} V (k, q, r) their input
+    directions.  D and K_V (PD) are single matrices or stacks of k."""
+    w, U = np.linalg.eigh(weight)
+    null = w <= TOL_PSD * np.maximum(1.0, np.abs(w).max(axis=-1, keepdims=True))
+    Wih = U / np.sqrt(np.where(null, np.inf, w))[..., None, :]
+    H = np.linalg.solve(np.linalg.cholesky(KV), D @ Wih)
     _, sigma, Vt = np.linalg.svd(H, full_matrices=False)
-    # singular values below the SVD's own rounding are zero
-    live = sigma > sigma.max(initial=0.0) * max(H.shape) * np.finfo(float).eps
-    return sigma[live], Wih @ Vt[live].T
+    live = sigma > sigma.max(axis=-1, keepdims=True) * max(H.shape[-2:]) * np.finfo(float).eps
+    return np.where(live, sigma, 0.0), Wih @ Vt.swapaxes(-1, -2)
 
 
-def subchannel_gains(problem: WaterfillProblem) -> np.ndarray:
-    """The nonzero singular values sigma_j of H = K_V^{-1/2} D W^{-1/2}, largest first."""
-    return _subchannels(problem)[0]
+def fill(sigma, V, mu: float):
+    """(K_Z, rate, spent) per slice of `subchannels` at water level mu: K_Z (k, q, q),
+    the rate 0.5 sum_j log(1 + sigma_j^2 d_j) and the power trace(W K_Z) = sum_j d_j,
+    with depths d_j = (mu - sigma_j^{-2})_+."""
+    wet = mu * sigma * sigma - 1.0 > TOL_WF
+    depth = np.where(wet, mu - np.where(wet, sigma, 1.0) ** -2.0, 0.0)
+    KZ = sym((V * depth[..., None, :]) @ V.swapaxes(-1, -2))
+    return KZ, 0.5 * np.log1p(sigma * sigma * depth).sum(axis=-1), depth.sum(axis=-1)
 
 
 def water_level(gains, budget: float) -> float:
     """The level mu with sum_j (mu - gains_j^{-2})_+ = budget, by sort and scan.
 
-    A zero budget gives the lowest level at which every subchannel is dry,
-    1 / max(gains)^2.
+    Zero gains stay dry.  A zero budget gives the lowest level at which every
+    subchannel is dry, 1 / max(gains)^2.
     """
     if budget < 0.0:
         raise PreconditionError("negative water-fill budget")
-    floors = np.sort(np.asarray(gains, dtype=float) ** -2.0)
+    gains = np.asarray(gains, dtype=float)
+    floors = np.sort(gains[gains > 0] ** -2.0)
     if floors.size == 0:
         raise PreconditionError("no subchannel carries information: the budget cannot be spent")
     levels = (budget + np.cumsum(floors)) / np.arange(1, floors.size + 1)
@@ -115,13 +112,16 @@ def water_level(gains, budget: float) -> float:
 
 
 def solve(problem: WaterfillProblem):
-    """Maximize over the PSD cone; returns (KZ, value), the water-fill at level 1/2."""
-    sigma, V = _subchannels(problem)
-    depth = np.where(0.5 * sigma * sigma - 1.0 > TOL_WF, 0.5 - sigma ** -2.0, 0.0)
-    if not depth.any():
-        return np.zeros((problem.q, problem.q)), 0.0
-    KZ = sym((V * depth) @ V.T)
-    return KZ, 0.5 * float(np.log1p(sigma * sigma * depth).sum()) - float(depth.sum())
+    """Maximize over the PSD cone; returns (KZ, value), the water-fill at level 1/2.
+    UnboundedError iff the weight annihilates a direction that D does not."""
+    W = sym(problem.weight)
+    w, U = np.linalg.eigh(W)
+    null = w <= psd_tolerance(W)
+    if null.any() and np.linalg.norm(problem.D @ U[:, null]) > 1e-12 * (1 + np.linalg.norm(problem.D)):
+        raise UnboundedError(
+            "objective unbounded: weight has a null direction the channel matrix does not kill")
+    KZ, rate, spent = fill(*subchannels(problem.D, problem.KV, W[None]), 0.5)
+    return KZ[0], float(rate[0] - spent[0])
 
 
 def scalar_solve(D: float, KV: float, weight: float):

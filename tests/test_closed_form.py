@@ -17,6 +17,7 @@ import dirinfo as di
 from dirinfo import capacity as cap
 from dirinfo import riccati
 from dirinfo import waterfill as wf
+from dirinfo.linalg import sym
 from conftest import random_spd
 
 
@@ -85,7 +86,15 @@ def ftfi_cases():
                           initial_cov=random_spd(rng, 2, floor=0.1))
     ti = di.channel_model(np.diag([1.5, 0.4]), rng.normal(size=(2, 2)), random_spd(rng, 2),
                           random_spd(rng, 2), np.zeros((2, 2)), 0.0, 40, terminal_Q=np.eye(2))
-    return [tv, ti]
+    # memory J = 3 with 2 outputs lowered to first order: K_V is singular off the
+    # top block, so every step's water-fill inverts the EPS_REG-padded K_V
+    mem = di.memory_model([rng.normal(size=(2, 2)) * 0.4 for _ in range(3)],
+                          rng.normal(size=(2, 1)), random_spd(rng, 2), [[1.3]],
+                          random_spd(rng, 4, floor=0.1) * 0.2, 0.0, 8, cost_memory=2,
+                          initial_history=rng.normal(size=(3, 2)))
+    aug = di.augment_memory(mem)
+    assert np.linalg.matrix_rank(aug.KV(0)) == 2
+    return [tv, ti, aug]
 
 
 @pytest.mark.parametrize("m", ftfi_cases())
@@ -101,22 +110,70 @@ def test_ftfi_multiplier_matches_brent_root(m):
     assert abs(c - c_ref) <= 1e-9
 
 
+@pytest.mark.parametrize("m", ftfi_cases())
+@pytest.mark.parametrize("s", [1e-2, 1.0, 1e2])
+def test_finite_horizon_steps_match_the_per_step_water_fill(m, s):
+    # the stacked kernel at s = 1, filled at level 1/(2s), against one validated
+    # water-fill per step at weight sR(i) + D(i)^T P(i+1) D(i), the DP values
+    # r(i) it accumulates, and the log-det rate of the strategy
+    sol = cap.finite_horizon_dp(m, s)
+    assert sol.rate_nats == pytest.approx(cap.information_rate(m, sol.strategy, m.horizon + 1),
+                                          rel=1e-12, abs=1e-300)
+    n = m.horizon
+    r_ref = 0.0
+    for i in range(n, -1, -1):
+        D = m.D(i)
+        weight = s * m.R(i) + (D.T @ sol.P_seq[i + 1] @ D if i < n else 0.0)
+        KZ, value = wf.solve(wf.WaterfillProblem(D, m.noise_for_inversion(i)[0], sym(weight)))
+        assert np.linalg.norm(sol.strategy.KZ(i) - KZ) <= 1e-12 * np.linalg.norm(KZ)
+        if i == n:
+            r_ref = value + s * (n + 1) * m.kappa
+        else:
+            r_ref = r_ref + value - float(np.trace(sol.P_seq[i + 1] @ m.KV(i)))
+        assert sol.r_seq[i] == pytest.approx(r_ref, rel=1e-12, abs=0.0)
+
+
 def test_capacity_ends_in_one_fixed_multiplier_solve(monkeypatch):
     calls = []
 
-    def counted(name):
-        original = getattr(cap, name)
+    def counted(module, name):
+        original = getattr(module, name)
 
-        def wrapper(m, s):
+        def wrapper(*args):
             calls.append(name)
-            return original(m, s)
-        return wrapper
+            return original(*args)
+        monkeypatch.setattr(module, name, wrapper)
 
     for name in ("stationary_solve", "finite_horizon_dp"):
-        monkeypatch.setattr(cap, name, counted(name))
+        counted(cap, name)
+    counted(riccati, "solve_are")
     di.feedback_capacity(di.scalar_model(2.0, 1.0, 1.0, 1.0, 0.0, 9.0))
+    assert calls == ["solve_are"]
+    calls.clear()
     di.ftfi_capacity(di.scalar_model(2.0, 1.0, 1.0, 1.0, 0.0, 9.0, horizon=50, terminal_Q=1.0))
-    assert calls == ["stationary_solve", "finite_horizon_dp"]
+    assert calls == ["finite_horizon_dp"]
+
+
+def test_one_are_solve_and_no_per_step_water_fill(monkeypatch):
+    calls = []
+
+    def counted(module, name):
+        original = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *a, **k: calls.append(name) or original(*a, **k))
+
+    for module, name in ((riccati, "solve_are"), (wf, "solve"), (wf, "WaterfillProblem")):
+        counted(module, name)
+    m = di.channel_model(np.diag([1.5, 0.4]), [[1.0, 0.2], [0.3, 1.0]], np.eye(2), np.eye(2),
+                         np.zeros((2, 2)), 9.0, 30)
+    for run in (lambda: di.feedback_capacity(m), lambda: cap.stationary_solve(m, 0.3),
+                lambda: di.kappa_min(m)):
+        calls.clear()
+        run()
+        assert calls == ["solve_are"]
+    calls.clear()
+    cap.finite_horizon_dp(m, 0.3)
+    di.ftfi_capacity(m)
+    assert calls == []
 
 
 def kkt_residuals(prob, KZ):

@@ -15,8 +15,9 @@ from hypothesis import strategies as st
 from scipy.linalg import solve_discrete_are, solve_discrete_lyapunov
 
 import dirinfo as di
-from dirinfo import capacity, cli, riccati, stability
+from dirinfo import capacity, cli, riccati, stability, waterfill
 from dirinfo.errors import ConvergenceError, PreconditionError
+from dirinfo.linalg import sym
 from conftest import random_spd, random_stable
 
 MARGINS = (1e-2, 1e-4, 1e-5, 1e-6, 1e-8)
@@ -215,9 +216,47 @@ def test_capacity_report_takes_kappa_min_from_the_solution_in_hand(monkeypatch):
     model = Path(__file__).resolve().parents[1] / "docs" / "models" / "scalar_unstable.json"
     code, report = cli.run(cli.parse_config(["capacity", "--model", str(model)]))
     assert code == 0
-    # one solve at s = 1 for the floor, one at s* for the strategy
-    assert len(calls) == 2
+    # one solve at s = 1 gives the floor, and the strategy at s* is a view of it
+    assert len(calls) == 1
     assert report["result"]["kappa_min"] == pytest.approx(3.0, rel=1e-12)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1), p=st.integers(1, 6), q_frac=st.floats(0.0, 1.0),
+       radius=st.floats(0.2, 2.0), output_cost=st.booleans(), log_s=st.floats(-3.0, 3.0))
+def test_stationary_solve_is_the_unit_multiplier_solution_scaled(seed, p, q_frac, radius,
+                                                                 output_cost, log_s):
+    # one ARE solve at s = 1 serves every multiplier over six decades: P = s P_1,
+    # the water-fill at weight sR + D^T P D, and the residual of the returned P
+    q = 1 + int(q_frac * (p - 1))
+    C, D, Q, R = _stabilizable_model(seed, p, q, radius, output_cost)
+    assume(di.is_stabilizable(C, D))
+    if not output_cost:
+        assume(np.abs(np.abs(np.linalg.eigvals(C)) - 1.0).min() > 0.05)
+    KV = random_spd(np.random.default_rng(seed + 1), p, floor=0.3)
+    s = 10.0 ** log_s
+    sol = capacity.stationary_solve(di.channel_model(C, D, KV, R, Q, 1.0, 0), s)
+    ref = solve_discrete_are(C, D, s * Q, s * R)
+    np.testing.assert_allclose(sol.P, ref, rtol=0, atol=1e-8 * (1.0 + np.linalg.norm(ref)))
+    KZ, _ = waterfill.solve(waterfill.WaterfillProblem(D, KV, sym(s * R + D.T @ sol.P @ D)))
+    assert np.linalg.norm(sol.KZ - KZ) <= 1e-12 * (1.0 + np.linalg.norm(KZ))
+    Pn, _ = riccati.riccati_backward_step(sol.P, C, D, Q, R, s)
+    resid = float(np.linalg.norm(Pn - sol.P) / (1.0 + np.linalg.norm(sol.P)))
+    assert sol.are_residual <= riccati.TOL_ARE
+    assert resid <= riccati.TOL_ARE
+    assert abs(sol.are_residual - resid) <= 1e-13
+
+
+def test_output_covariance_failure_names_the_lyapunov_residual():
+    # the gain is zero and the closed loop C has spectral radius 0.9, but
+    # |Sigma| >> |W| puts the Lyapunov residual above TOL_LYAP (see above)
+    C = 0.9 * np.eye(4) + 10.0 * np.eye(4, k=1)
+    m = di.channel_model(C, np.eye(4), np.eye(4), np.eye(4), np.zeros((4, 4)), 4.0, 0)
+    assert di.nofeedback_capacity_q0(m) == pytest.approx(4 * np.log(2.0) / 2, rel=1e-12)
+    with pytest.raises(PreconditionError, match="Lyapunov") as info:
+        di.feedback_capacity(m)
+    assert "unstable closed loop" not in str(info.value)
+    assert "spectral radius 0.9" in str(info.value)
 
 
 @pytest.mark.parametrize("C,Q", [(0.5, 0.0), (2.0, 0.0), (0.5, 0.3), (1.5, 0.2)])
