@@ -11,17 +11,27 @@ output (only if its covariance is nonzero), then all innovation uniforms as a
 (steps, q) block, then all noise uniforms as a (steps, p) block.
 
 `simulate_batch` draws each seed in that order and then steps all seeds
-together, with state of shape (seeds, p).  A trace with p = q = 1 is the
-same bits in any batch.  Otherwise the BLAS product of a batch may block its
-sums differently from that of a single row, so a trace can differ in its last
-bits depending on the batch it ran in; along a stable closed loop the
-difference does not grow.  Reports are byte-stable for a given seed list.
+together.  A time-invariant model under one gain is a linear time-invariant
+closed loop, b_i = (C + D g) b_{i-1} + D Z_i + V_i, which it runs as a
+two-pass scan over chunks of CHUNK steps (Blelloch, "Prefix Sums and Their
+Applications", 1990): every chunk of every seed is one row of a 2-D state,
+so the interpreter steps CHUNK times per pass instead of once per step.
+
+Bit contract.  A trace of at most CHUNK steps is the per-step recursion on
+the (S, p) state of its batch.  In a longer trace the first two chunks run
+the same recursion on more rows; each later chunk starts from a state
+carried through (C + D g)^CHUNK, so it may move in the last bits against a
+per-step run, and along a stable closed loop the difference does not grow.
+With p = q = 1 every product is a single multiply, so a trace is the same
+bits in any batch.  Otherwise the BLAS product of one row may round
+differently from that of several, so a trace can differ in its last bits
+with the batch (and the number of chunks) it ran in.  Reports are
+byte-stable for a given seed list.
 """
 
 from __future__ import annotations
 
 import io
-import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -29,6 +39,8 @@ import numpy as np
 from .errors import DimensionError, PreconditionError
 from .linalg import sym_sqrt
 from .model import ChannelModel, Strategy, validate_model
+
+CHUNK = 256     # steps per chunk of the stationary scan in `simulate_batch`
 
 # Wichura (1988), algorithm AS241 (PPND16): rational approximations of the
 # standard normal quantile, relative error about 1e-16.  Coefficients run from
@@ -211,11 +223,13 @@ def sample_trajectory(model: ChannelModel, strat: Strategy, steps: int, seed: in
 
 
 def simulate_batch(model: ChannelModel, strat: Strategy, steps: int, seeds) -> list:
-    """Independent traces for each seed, stepped together as an (S, p) state.
+    """Independent traces for each seed, stepped together.
 
-    Each seed's noise is drawn exactly as for a single trace.  A stationary
-    scalar loop runs per seed on plain floats; otherwise
-    a = b g^T + Z[i], b = b C^T + a D^T + V[i] steps all seeds at once.
+    Each seed's noise is drawn exactly as for a single trace.  Every step is
+    a = b g^T + Z[i], b = b C^T + a D^T + V[i] on the rows of all seeds.  A
+    stationary loop (time-invariant model, one gain) runs as the chunked
+    scan of `_scan`; a time-varying one steps per step on an (S, p) state.
+    See the module docstring for which bits are exact.
     """
     validate_model(model)
     if steps < 1:
@@ -228,48 +242,77 @@ def simulate_batch(model: ChannelModel, strat: Strategy, steps: int, seeds) -> l
     if not seeds:
         return []
     S, p, q = len(seeds), model.output_dim, model.input_dim
+    stationary = len(strat.gains) == 1 and model.time_invariant
+    # the scan pads each trace to whole chunks with zero noise
+    n = -(-steps // CHUNK) * CHUNK if stationary else steps
 
     b0 = np.empty((S, p))
-    Z = np.empty((steps, S, q))
-    V = np.empty((steps, S, p))
+    Z = np.zeros((S, n, q))
+    V = np.zeros((S, n, p))
     for k, seed in enumerate(seeds):
-        b0[k], Z[:, k], V[:, k] = _draw_noise(model, strat, steps, seed)
-    B = np.empty((S, steps, p))
-    A = np.empty((S, steps, q))
-    stationary = len(strat.gains) == 1 and model.time_invariant
-    if stationary and p == 1 and q == 1:
-        # plain-float recursion per seed; each op is the same IEEE operation
-        # the matrix path performs, so the trace is identical either way
-        g = float(strat.gain(0)[0, 0])
-        Cs = float(model.C(0)[0, 0])
-        Ds = float(model.D(0)[0, 0])
-        for k in range(S):
-            b = float(b0[k, 0])
-            Zs = Z[:, k, 0].tolist()
-            Vs = V[:, k, 0].tolist()
-            Al = A[k, :, 0]
-            Bl = B[k, :, 0]
-            for i in range(steps):
-                a = g * b + Zs[i]
-                b = Cs * b + Ds * a + Vs[i]
-                Al[i] = a
-                Bl[i] = b
+        b0[k], Z[k, :steps], V[k, :steps] = _draw_noise(model, strat, steps, seed)
+    B = np.empty((S, n, p))
+    A = np.empty((S, n, q))
+    if stationary:
+        _scan(model.C(0), model.D(0), strat.gain(0), b0, Z, V, A, B, steps)
     else:
-        # a (1, p) row times g^T rounds as g @ b does; for S > 1 the product
-        # may block differently, which moves a MIMO trace in its last bits
-        if stationary:
-            mats = itertools.repeat((strat.gain(0).T, model.C(0).T, model.D(0).T), steps)
-        else:
-            mats = ((strat.gain(i).T, model.C(i).T, model.D(i).T) for i in range(steps))
         b = b0
-        for i, (gT, CT, DT) in enumerate(mats):
-            a = b @ gT + Z[i]
-            b = b @ CT + a @ DT + V[i]
+        for i in range(steps):
+            a = b @ strat.gain(i).T + Z[:, i]
+            b = b @ model.C(i).T + a @ model.D(i).T + V[:, i]
             A[:, i] = a
             B[:, i] = b
     del Z, V    # the traces keep views of B and A only
-    return [_trace(model, strat, seed, b0[k], B[k], A[k], stationary)
+    return [_trace(model, strat, seed, b0[k], B[k, :steps], A[k, :steps], stationary)
             for k, seed in enumerate(seeds)]
+
+
+def _scan(C, D, g, b0, Z, V, A, B, steps: int) -> None:
+    """Fill A and B along the stationary closed loop, CHUNK steps at a time.
+
+    Z, V, A and B are (S, K*CHUNK, .) with zero noise past `steps`; row
+    s*K + k of the (S*K, p) state is chunk k of seed s.  Pass 1 steps every
+    chunk from rest, chunk 0 from b0, and keeps its end state y_k.  Chunk k
+    starts at x_k = x_{k-1} (Acl^CHUNK)^T + y_{k-1} for k >= 2, with x_0 = b0
+    and x_1 = y_0.  Pass 2 steps every chunk from its start and stores the
+    path.  Each pass loops CHUNK times and the carry K - 2 times, whatever
+    the number of seeds; with K = 1 only pass 2 runs, `steps` times.
+    """
+    S, n, p = B.shape
+    K = n // CHUNK
+    last = steps - (K - 1) * CHUNK      # real steps in the last chunk
+    gT, CT, DT = g.T, C.T, D.T
+
+    def rows(X):
+        return X.reshape(S * K, CHUNK, X.shape[2])
+
+    Zr, Vr = rows(Z), rows(V)
+
+    def run(b, Ar=None, Br=None):
+        for j in range(min(CHUNK, steps)):
+            if j == last:
+                # the last chunk is past `steps`: hold its rows at zero so a
+                # divergent loop cannot overflow in the padding
+                b.reshape(S, K, p)[:, -1] = 0.0
+            a = b @ gT
+            a += Zr[:, j]
+            b = b @ CT
+            b += a @ DT
+            b += Vr[:, j]
+            if Ar is not None:
+                Ar[:, j] = a
+                Br[:, j] = b
+        return b
+
+    x = np.zeros((S, K, p))
+    x[:, 0] = b0
+    if K > 1:
+        y = run(x.reshape(S * K, p)).reshape(S, K, p)
+        x[:, 1] = y[:, 0]
+        ALT = np.linalg.matrix_power(C + D @ g, CHUNK).T
+        for k in range(2, K):
+            x[:, k] = x[:, k - 1] @ ALT + y[:, k - 1]
+    run(x.reshape(S * K, p), rows(A), rows(B))
 
 
 @dataclass(frozen=True)

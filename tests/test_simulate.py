@@ -7,6 +7,7 @@ from scipy.special import ndtri
 import dirinfo as di
 from dirinfo import simulate as sim
 from dirinfo.errors import DimensionError, PreconditionError
+from dirinfo.model import lift_strategy
 from conftest import random_spd, random_stable
 
 HALF_LN25 = 0.5 * math.log(2.5)
@@ -252,6 +253,97 @@ def test_mimo_batch_matches_single_trace(rng):
         scale = np.abs(ref.B_path).max()
         np.testing.assert_allclose(batch[seed].B_path, ref.B_path, rtol=1e-12, atol=1e-12 * scale)
         np.testing.assert_allclose(batch[seed].A_path, ref.A_path, rtol=1e-12, atol=1e-12 * scale)
+
+
+def _nonnormal_3x3(rng):
+    # the model of test_mimo_batch_matches_single_trace
+    U = np.linalg.qr(rng.normal(size=(3, 3)))[0]
+    C = U @ np.array([[1.3, 4.0, -2.0], [0.0, 0.5, 3.0], [0.0, 0.0, -0.6]]) @ U.T
+    m = di.channel_model(C, rng.normal(size=(3, 2)), random_spd(rng, 3), np.eye(2),
+                         np.zeros((3, 3)), 20.0, 0)
+    sol, _ = di.feedback_capacity(m)
+    return m, di.stationary_strategy(sol.gain, sol.KZ)
+
+
+def _memory2(rng):
+    mem = di.memory_model([0.6, 0.2], 1.0, 1.0, 1.0, None, 1.0, 10, cost_memory=1,
+                          initial_history=[[0.25], [-0.15]])
+    st = di.stationary_strategy([[-0.4, 0.05]], [[0.7]])
+    return di.augment_memory(mem), lift_strategy(st, 1, 2)
+
+
+def _near_marginal(rng):
+    # |C| = 1 + 1e-3 just above kappa_min: the closed loop sits at 0.999
+    m = di.scalar_model(-1.001, 1.0, 1.0, 1.0, 0.0, 1.0)
+    m = di.scalar_model(-1.001, 1.0, 1.0, 1.0, 0.0, 1.0001 * di.kappa_min(m))
+    sol, _ = di.feedback_capacity(m)
+    return m, di.stationary_strategy(sol.gain, sol.KZ)
+
+
+SCAN_MODELS = {
+    "kappa9": lambda rng: (kappa9_model(), kappa9_strategy()),
+    "nonnormal3x3": _nonnormal_3x3,
+    "memory2": _memory2,
+    "near_marginal": _near_marginal,
+}
+
+
+def _reference_paths(m, st, steps, seeds):
+    """The per-step recursion on an (S, p) state, from the same draws."""
+    draws = [sim._draw_noise(m, st, steps, seed) for seed in seeds]
+    b = np.array([d[0] for d in draws])
+    Z = np.stack([d[1] for d in draws], axis=1)
+    V = np.stack([d[2] for d in draws], axis=1)
+    gT, CT, DT = st.gain(0).T, m.C(0).T, m.D(0).T
+    A = np.empty((len(seeds), steps, m.input_dim))
+    B = np.empty((len(seeds), steps, m.output_dim))
+    for i in range(steps):
+        a = b @ gT + Z[i]
+        b = b @ CT + a @ DT + V[i]
+        A[:, i] = a
+        B[:, i] = b
+    return A, B
+
+
+@pytest.mark.parametrize("steps", [1, 255, 256, 257, 512, 3 * 256 + 17])
+@pytest.mark.parametrize("name", sorted(SCAN_MODELS))
+def test_chunked_scan_matches_per_step_recursion(name, steps, rng):
+    # the first chunk is the per-step recursion itself; later chunks start
+    # from a carried state and may move in their last bits
+    m, st = SCAN_MODELS[name](rng)
+    seeds = [0, 5, 9]
+    batch = di.simulate_batch(m, st, steps, seeds)
+    A = np.stack([tr.A_path for tr in batch])
+    B = np.stack([tr.B_path for tr in batch])
+    Aref, Bref = _reference_paths(m, st, steps, seeds)
+    exact = min(steps, sim.CHUNK)
+    np.testing.assert_array_equal(B[:, :exact], Bref[:, :exact])
+    np.testing.assert_array_equal(A[:, :exact], Aref[:, :exact])
+    scale = np.abs(Bref).max()
+    np.testing.assert_allclose(B, Bref, rtol=1e-12, atol=1e-12 * scale)
+    np.testing.assert_allclose(A, Aref, rtol=1e-12, atol=1e-12 * scale)
+
+
+def test_chunked_scan_follows_a_divergent_loop():
+    # C = 2 under g = 0 grows as 2^1000 over four chunks; the padding of the
+    # last chunk must not overflow
+    m = kappa9_model()
+    st = di.stationary_strategy([[0.0]], [[1.5]])
+    batch = di.simulate_batch(m, st, 1000, range(3))
+    _, Bref = _reference_paths(m, st, 1000, range(3))
+    for tr, ref in zip(batch, Bref):
+        np.testing.assert_allclose(tr.B_path[-1], ref[-1], rtol=1e-12)
+
+
+def test_scalar_batch_of_64_matches_single_traces():
+    # 2,000 steps end in a partial chunk
+    m, st = kappa9_model(), kappa9_strategy()
+    batch = di.simulate_batch(m, st, 2000, range(64))
+    for seed, tr in enumerate(batch):
+        ref = di.sample_trajectory(m, st, 2000, seed=seed)
+        np.testing.assert_array_equal(tr.B_path, ref.B_path)
+        np.testing.assert_array_equal(tr.A_path, ref.A_path)
+        np.testing.assert_array_equal(tr.info_density_path, ref.info_density_path)
 
 
 def test_batch_of_no_seeds_is_empty():
