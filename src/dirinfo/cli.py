@@ -49,18 +49,6 @@ from .model import (ChannelModel, augment_memory, channel_model, memory_model,
 
 LN2 = math.log(2.0)
 
-_DEFAULTS = {
-    "kappa": None,       # None: use the model file's kappa
-    "horizon": None,
-    "s": None,           # fixed-multiplier mode when set
-    "steps": 10000,
-    "seeds": 8,
-    "units": "nats",
-    "output": None,
-    "format": "json",
-    "param": None,
-    "grid": None,
-}
 _COMMANDS = ("check", "ftfi", "capacity", "nofeedback", "simulate", "sweep")
 
 
@@ -72,9 +60,9 @@ class UsageError(Exception):
 class RunConfig:
     command: str
     model: str
-    kappa: float = None
+    kappa: float = None     # None: use the model file's kappa
     horizon: int = None
-    s: float = None
+    s: float = None         # fixed-multiplier mode when set
     steps: int = 10000
     seeds: int = 8
     units: str = "nats"
@@ -132,8 +120,7 @@ def parse_config(argv, config_file: str = None) -> RunConfig:
             raise UsageError(f"cannot read config file {cfg_path}: {exc}") from exc
         if not isinstance(file_values, dict):
             raise UsageError("config file must hold a JSON object")
-        known = set(_DEFAULTS) | {"command", "model"}
-        unknown = set(file_values) - known
+        unknown = set(file_values) - {f.name for f in dataclasses.fields(RunConfig)}
         if unknown:
             raise UsageError(f"unknown config keys: {sorted(unknown)}")
         if "command" in file_values and file_values["command"] != ns.command:
@@ -146,7 +133,7 @@ def parse_config(argv, config_file: str = None) -> RunConfig:
             return flag
         if name in file_values and file_values[name] is not None:
             return file_values[name]
-        return _DEFAULTS.get(name)
+        return getattr(RunConfig, name)     # the field's default
 
     grid = pick("grid")
     if isinstance(grid, str):
@@ -520,6 +507,7 @@ def _run_simulate(config: RunConfig, m: ChannelModel) -> dict:
 
 
 def _run_sweep(config: RunConfig, m: ChannelModel) -> dict:
+    validate_model(m)   # before the cells, which turn errors into rows
     report = _base_report(config, m)
 
     def cell(value):
@@ -567,7 +555,7 @@ def run(config: RunConfig):
         if config.command == "check":
             report = _run_check(config, m)
             return (0 if report["result"]["valid"] else 1), report
-        validate_model(m)
+        # each handler's first library call validates the model
         report = _HANDLERS[config.command](config, m)
         return 0, report
     except UsageError:

@@ -12,10 +12,11 @@ def sym(a: np.ndarray) -> np.ndarray:
 
 
 def sym_sqrt(a: np.ndarray) -> np.ndarray:
-    """Symmetric PSD square root via eigendecomposition; tiny negatives clipped."""
+    """Symmetric PSD square root via eigendecomposition; tiny negatives clipped.
+    A stack of matrices takes one batched `eigh`, with each matrix's own bits."""
     w, U = np.linalg.eigh(sym(np.atleast_2d(np.asarray(a, dtype=float))))
     w = np.clip(w, 0.0, None)
-    return (U * np.sqrt(w)) @ U.T
+    return (U * np.sqrt(w)[..., None, :]) @ U.swapaxes(-1, -2)
 
 
 def logdet_pd(a: np.ndarray) -> float:

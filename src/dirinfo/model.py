@@ -35,10 +35,6 @@ def _freeze(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def is_symmetric(a: np.ndarray, tol: float = 1e-12) -> bool:
-    return a.shape[0] == a.shape[1] and np.allclose(a, a.T, atol=tol * (1 + np.abs(a).max(initial=0.0)))
-
-
 def min_eigenvalue(a: np.ndarray) -> float:
     return float(np.linalg.eigvalsh(0.5 * (a + a.T)).min())
 
@@ -240,11 +236,10 @@ class Strategy:
 def strategy(gains, innovations) -> Strategy:
     g = tuple(_freeze(_as_matrix(x)) for x in gains)
     kz = tuple(_freeze(_as_matrix(x)) for x in innovations)
-    for m in kz:
-        if not is_symmetric(m):
-            raise ModelValidationError(["innovations covariance not symmetric"])
-        if min_eigenvalue(m) < -psd_tolerance(m):
-            raise ModelValidationError(["innovations covariance not PSD"])
+    q = len(kz[0]) if kz else 0
+    errors = _check_rows([("innovations", kz, (q, q), _INNOVATIONS, _INNOVATIONS[0])])
+    if errors:
+        raise ModelValidationError(errors[:1])
     if len(g) != len(kz):
         raise DimensionError("gains and innovations lengths differ")
     return Strategy(gains=g, innovations=kz)
@@ -258,23 +253,61 @@ def stationary_strategy(gain, KZ) -> Strategy:
 # validation
 
 
-def _check_spd(name, i, m, errors, allow_singular=False):
-    if not is_symmetric(m):
-        errors.append(f"{name}[{i}] not symmetric")
-        return
-    lo = min_eigenvalue(m)
-    if allow_singular:
-        if lo < -psd_tolerance(m):
-            errors.append(f"{name}[{i}] not positive semidefinite (min eig {lo:.3e})")
-    elif lo <= psd_tolerance(m):
-        errors.append(f"{name}[{i}] not positive definite")
+# A kind of square-matrix check: (text when not symmetric, text when not
+# (semi)definite, definite), formatted with name, index i and min eig lo.
+_ASYM = "{name}[{i}] not symmetric"
+_PD = (_ASYM, "{name}[{i}] not positive definite", True)
+_PSD = (_ASYM, "{name}[{i}] not positive semidefinite (min eig {lo:.3e})", False)
+_NOISE = (_ASYM, "noise covariance not positive definite ({name}[{i}])", True)
+_INNOVATIONS = ("innovations covariance not symmetric", "innovations covariance not PSD", False)
+_MISMATCH = "dimension mismatch: {name}[{i}] is {shape}, expected {want}"
+
+
+def _check_rows(rows) -> list:
+    """The violations of each (name, sequence, shape, kind, mismatch) row.
+
+    Per matrix, in index order, the first of: a shape other than `shape`
+    (the `mismatch` text), a non-finite entry, and for a `kind` asymmetry
+    (allclose(A, A^T) at atol 1e-12 (1 + max|A|)) or a smallest eigenvalue
+    at most `psd_tolerance` (definite) or below -`psd_tolerance`
+    (semidefinite).  One eigvalsh per row, on the stack of its finite
+    matrices.
+    """
+    errors = []
+    for name, seq, shape, kind, mismatch in rows:
+        found = {i: mismatch.format(name=name, i=i, shape=m.shape, want=shape)
+                 for i, m in enumerate(seq) if m.shape != shape}
+        idx = [i for i in range(len(seq)) if i not in found]
+        if idx:
+            A = np.stack([seq[i] for i in idx])
+            finite = np.isfinite(A).reshape(len(idx), -1).all(axis=1)
+            if not finite.all():
+                found.update((i, f"{name}[{i}] has a non-finite entry")
+                             for i, ok in zip(idx, finite) if not ok)
+                idx, A = [i for i, ok in zip(idx, finite) if ok], A[finite]
+        if kind is not None and idx:
+            asym_text, fail_text, definite = kind
+            AT = A.swapaxes(1, 2)
+            atol = 1e-12 * (1 + np.abs(A).max(axis=(1, 2), initial=0.0))
+            asym = (np.abs(A - AT) > atol[:, None, None] + 1e-5 * np.abs(AT)).any(axis=(1, 2))
+            w = np.linalg.eigvalsh(0.5 * (A + AT))
+            lo = w.min(axis=1, initial=np.inf)
+            slack = TOL_PSD * np.maximum(1.0, np.abs(w).max(axis=1, initial=0.0))
+            fails = ~asym & ((lo <= slack) if definite else (lo < -slack))
+            for j in np.flatnonzero(asym | fails):
+                if asym[j] and asym_text:
+                    found[idx[j]] = asym_text.format(name=name, i=idx[j])
+                elif fails[j]:
+                    found[idx[j]] = fail_text.format(name=name, i=idx[j], lo=lo[j])
+        errors.extend(found[i] for i in sorted(found))
+    return errors
 
 
 def validate_model(model):
     """Return the model unchanged if every invariant holds, else raise.
 
     Raises ModelValidationError listing every violated invariant with the
-    offending index.  Idempotent.
+    offending index, non-finite entries and kappa included.  Idempotent.
     """
     if isinstance(model, MemoryJModel):
         return _validate_memory(model)
@@ -282,49 +315,22 @@ def validate_model(model):
     n, p, q = model.horizon, model.output_dim, model.input_dim
     if n < 0:
         errors.append("horizon negative")
-    if model.kappa < 0:
-        errors.append("negative kappa")
+    if not 0 <= model.kappa < np.inf:
+        errors.append("negative kappa" if model.kappa < 0 else "kappa not finite")
+    rows = [("C", model.C_seq, (p, p), None, _MISMATCH),
+            ("D", model.D_seq, (p, q), None, _MISMATCH),
+            ("KV", model.KV_seq, (p, p), _PSD if model.augmented else _NOISE, _MISMATCH),
+            ("R", model.R_seq, (q, q), _PD, _MISMATCH),
+            ("Q", model.Q_seq, (p, p), _PSD, _MISMATCH)]
     want = 1 if model.time_invariant else n + 1
-    for name, seq in (("C", model.C_seq), ("D", model.D_seq), ("KV", model.KV_seq),
-                      ("R", model.R_seq), ("Q", model.Q_seq)):
-        if len(seq) != want:
-            errors.append(f"{name} sequence length {len(seq)} != {want}")
-    for i, c in enumerate(model.C_seq):
-        if c.shape != (p, p):
-            errors.append(f"dimension mismatch: C[{i}] is {c.shape}, expected {(p, p)}")
-    for i, d in enumerate(model.D_seq):
-        if d.shape != (p, q):
-            errors.append(f"dimension mismatch: D[{i}] is {d.shape}, expected {(p, q)}")
-    for i, kv in enumerate(model.KV_seq):
-        if kv.shape != (p, p):
-            errors.append(f"dimension mismatch: KV[{i}] is {kv.shape}, expected {(p, p)}")
-        elif model.augmented:
-            _check_spd("KV", i, kv, errors, allow_singular=True)
-        else:
-            if is_symmetric(kv) and min_eigenvalue(kv) <= psd_tolerance(kv):
-                errors.append(f"noise covariance not positive definite (KV[{i}])")
-            elif not is_symmetric(kv):
-                errors.append(f"KV[{i}] not symmetric")
-    for i, r in enumerate(model.R_seq):
-        if r.shape != (q, q):
-            errors.append(f"dimension mismatch: R[{i}] is {r.shape}, expected {(q, q)}")
-        else:
-            _check_spd("R", i, r, errors)
-    for i, qm in enumerate(model.Q_seq):
-        if qm.shape != (p, p):
-            errors.append(f"dimension mismatch: Q[{i}] is {qm.shape}, expected {(p, p)}")
-        else:
-            _check_spd("Q", i, qm, errors, allow_singular=True)
-    if model.terminal_Q.shape != (p, p):
-        errors.append(f"dimension mismatch: terminal_Q is {model.terminal_Q.shape}")
-    else:
-        _check_spd("terminal_Q", 0, model.terminal_Q, errors, allow_singular=True)
-    if model.initial_mean.shape != (p,):
-        errors.append("dimension mismatch: initial mean")
-    if model.initial_cov.shape != (p, p):
-        errors.append("dimension mismatch: initial covariance")
-    else:
-        _check_spd("initial_cov", 0, model.initial_cov, errors, allow_singular=True)
+    errors.extend(f"{name} sequence length {len(seq)} != {want}"
+                  for name, seq, *_ in rows if len(seq) != want)
+    errors += _check_rows(rows + [
+        ("terminal_Q", (model.terminal_Q,), (p, p), _PSD,
+         "dimension mismatch: terminal_Q is {shape}"),
+        ("initial_mean", (model.initial_mean,), (p,), None, "dimension mismatch: initial mean"),
+        ("initial_cov", (model.initial_cov,), (p, p), _PSD, "dimension mismatch: initial covariance"),
+    ])
     if errors:
         raise ModelValidationError(errors)
     return model
@@ -337,30 +343,23 @@ def _validate_memory(model: MemoryJModel) -> MemoryJModel:
         errors.append("memory order M must be >= 1")
     if model.cost_memory < 0:
         errors.append("cost memory K must be >= 0")
-    if model.kappa < 0:
-        errors.append("negative kappa")
+    if not 0 <= model.kappa < np.inf:
+        errors.append("negative kappa" if model.kappa < 0 else "kappa not finite")
     if len(model.C_blocks) != model.memory:
         errors.append(f"expected {model.memory} channel blocks, got {len(model.C_blocks)}")
-    for j, c in enumerate(model.C_blocks):
-        if c.shape != (p, p):
-            errors.append(f"dimension mismatch: C_blocks[{j}] is {c.shape}")
-    if model.D.shape != (p, q):
-        errors.append("dimension mismatch: D")
-    if model.KV.shape != (p, p):
-        errors.append("dimension mismatch: KV")
-    elif is_symmetric(model.KV) and min_eigenvalue(model.KV) <= psd_tolerance(model.KV):
-        errors.append("noise covariance not positive definite")
-    if model.R.shape != (q, q):
-        errors.append("dimension mismatch: R")
-    else:
-        _check_spd("R", 0, model.R, errors)
     kp = model.cost_memory * p
-    if model.Q_K.shape != (kp, kp):
-        errors.append(f"dimension mismatch: Q_K is {model.Q_K.shape}, expected {(kp, kp)}")
-    elif kp:
-        _check_spd("Q_K", 0, model.Q_K, errors, allow_singular=True)
-    if model.initial_history.shape != (model.order, p):
-        errors.append("dimension mismatch: initial history")
+    errors += _check_rows([
+        ("C_blocks", model.C_blocks, (p, p), None, "dimension mismatch: C_blocks[{i}] is {shape}"),
+        ("D", (model.D,), (p, q), None, "dimension mismatch: D"),
+        # an asymmetric K_V is left to the augmented model's check
+        ("KV", (model.KV,), (p, p), (None, "noise covariance not positive definite", True),
+         "dimension mismatch: KV"),
+        ("R", (model.R,), (q, q), _PD, "dimension mismatch: R"),
+        ("Q_K", (model.Q_K,), (kp, kp), _PSD if kp else None,
+         "dimension mismatch: Q_K is {shape}, expected {want}"),
+        ("initial_history", (model.initial_history,), (model.order, p), None,
+         "dimension mismatch: initial history"),
+    ])
     if errors:
         raise ModelValidationError(errors)
     return model

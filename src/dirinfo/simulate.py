@@ -10,6 +10,11 @@ Draw order per trace (fixed, part of the determinism contract): the initial
 output (only if its covariance is nonzero), then all innovation uniforms as a
 (steps, q) block, then all noise uniforms as a (steps, p) block.
 
+Per-step matrices are (m, ., .) stacks: m = 1 for what every step shares (a
+time-invariant model, a stationary strategy), else one entry per step.  Square
+roots, inverses and log-determinants are taken once per stack, batched, and a
+stack of one multiplies as a single 2-D product.
+
 `simulate_batch` draws each seed in that order and then steps all seeds
 together.  A time-invariant model under one gain is a linear time-invariant
 closed loop, b_i = (C + D g) b_{i-1} + D Z_i + V_i, which it runs as a
@@ -26,7 +31,10 @@ With p = q = 1 every product is a single multiply, so a trace is the same
 bits in any batch.  Otherwise the BLAS product of one row may round
 differently from that of several, so a trace can differ in its last bits
 with the batch (and the number of chunks) it ran in.  Reports are
-byte-stable for a given seed list.
+byte-stable for a given seed list.  In a time-varying trace, row i of the
+noise is the bits of `innovation_from_uniform` at step i, while the density
+and cost come from stacked products and may move in their last bits against
+`info_density_step` and the per-step quadratic forms.
 """
 
 from __future__ import annotations
@@ -129,10 +137,11 @@ class SimulationTrace:
 
 
 def _gaussian_logpdf_terms(cov: np.ndarray):
+    """Inverse and log-determinant of a covariance or an (m, n, n) stack."""
     sign, ld = np.linalg.slogdet(cov)
-    if sign <= 0:
+    if np.any(sign <= 0):
         raise PreconditionError("singular covariance in density evaluation")
-    return np.linalg.inv(cov), float(ld)
+    return np.linalg.inv(cov), ld
 
 
 def info_density_step(b_prev, a, b, C, D, KV, gain, KZ) -> float:
@@ -157,6 +166,19 @@ def info_density_step(b_prev, a, b, C, D, KV, gain, KZ) -> float:
     return float(-0.5 * (ldKV + r1 @ KVi @ r1) + 0.5 * (ldM + r2 @ Mi @ r2))
 
 
+def _rowwise(M, X, form=False):
+    """Row i of X times M(i)^T or, with `form`, the quadratic form X[i] M(i) X[i]^T.
+
+    A stack M of one matrix takes the single 2-D product, keeping the bits and
+    speed of `X @ M[0].T` and of the three-operand einsum; a per-row stack
+    takes stacked matmul, whose row i has the bits of M(i) @ X[i] (gemv).
+    """
+    one = len(M) == 1
+    if form:
+        return np.einsum("ij,jk,ik->i" if one else "ij,ijk,ik->i", X, M[0] if one else M, X)
+    return X @ M[0].T if one else np.matmul(M, X[:, :, None])[:, :, 0]
+
+
 def _draw_noise(model: ChannelModel, strat: Strategy, steps: int, seed: int):
     """Deterministic noise block for one trace; the documented draw order."""
     gen = np.random.Generator(np.random.Philox(key=seed))
@@ -168,53 +190,41 @@ def _draw_noise(model: ChannelModel, strat: Strategy, steps: int, seed: int):
         b0 = model.initial_mean.copy()
     Nz = normal_quantile(gen.random((steps, q)))
     Nv = normal_quantile(gen.random((steps, p)))
-    if len(strat.innovations) == 1:
-        Z = Nz @ sym_sqrt(strat.KZ(0)).T
-    else:
-        Z = np.stack([sym_sqrt(strat.KZ(i)) @ Nz[i] for i in range(steps)])
-    if model.time_invariant:
-        V = Nv @ sym_sqrt(model.KV(0)).T
-    else:
-        V = np.stack([sym_sqrt(model.KV(i)) @ Nv[i] for i in range(steps)])
+    Z = _rowwise(sym_sqrt(np.stack(strat.innovations[:steps])), Nz)
+    V = _rowwise(sym_sqrt(np.stack(model.KV_seq[:steps])), Nv)
     return b0, Z, V
 
 
-def _trace(model: ChannelModel, strat: Strategy, seed: int, b0, B, A,
-           stationary: bool) -> SimulationTrace:
-    """Information density and cost along one closed-loop path."""
-    steps = B.shape[0]
-    Bprev = np.vstack([b0, B[:-1]])
-    info = np.empty(steps)
-    cost = np.empty(steps)
-    if stationary:
-        C, D = model.C(0), model.D(0)
-        kv_eff, regularized = model.noise_for_inversion(0)
-        KVi, ldKV = _gaussian_logpdf_terms(kv_eff)
-        Mbig = D @ strat.KZ(0) @ D.T + kv_eff
-        Mi, ldM = _gaussian_logpdf_terms(Mbig)
-        Acl = C + D @ strat.gain(0)
-        R1 = B - Bprev @ C.T - A @ D.T
-        R2 = B - Bprev @ Acl.T
-        info[:] = (-0.5 * (ldKV + np.einsum("ij,jk,ik->i", R1, KVi, R1))
-                   + 0.5 * (ldM + np.einsum("ij,jk,ik->i", R2, Mi, R2)))
-        Rm, Qm = model.R(0), model.Q_seq[0]
-        cost[:] = (np.einsum("ij,jk,ik->i", A, Rm, A)
-                   + np.einsum("ij,jk,ik->i", Bprev, Qm, Bprev))
-    else:
-        regularized = False
-        for i in range(steps):
-            kv_eff, reg = model.noise_for_inversion(i)
-            regularized = regularized or reg
-            info[i] = info_density_step(Bprev[i], A[i], B[i], model.C(i), model.D(i),
-                                        kv_eff, strat.gain(i), strat.KZ(i))
-            cost[i] = float(A[i] @ model.R(i) @ A[i] + Bprev[i] @ model.Q(i) @ Bprev[i])
+def _traces(model: ChannelModel, strat: Strategy, seeds, b0, B, A, stationary: bool) -> list:
+    """Information density and cost along each seed's path, from per-step
+    stacks built once for the batch."""
+    steps = B.shape[1]
+    C, D, R, G, KZ = (np.stack(seq[:steps]) for seq in (
+        model.C_seq, model.D_seq, model.R_seq, strat.gains, strat.innovations))
+    # a stationary loop weighs every output with the running Q; otherwise
+    # step i = horizon takes terminal_Q
+    Q = np.stack(model.Q_seq[:1] if stationary else [model.Q(i) for i in range(steps)])
+    KV, regularized = zip(*(model.noise_for_inversion(i)
+                            for i in range(min(len(model.KV_seq), steps))))
+    KV = np.stack(KV)
+    KVi, ldKV = _gaussian_logpdf_terms(KV)
+    Mi, ldM = _gaussian_logpdf_terms(D @ KZ @ D.swapaxes(1, 2) + KV)
+    Acl = C + D @ G
 
-    running = np.cumsum(info) / np.arange(1, steps + 1)
-    return SimulationTrace(
-        seed=int(seed), steps=int(steps), B_path=B, A_path=A,
-        info_density_path=info, cost_path=cost, running_rate=running,
-        meta={"kv_regularized": bool(regularized)},
-    )
+    def trace(seed, b0, B, A):
+        Bprev = np.vstack([b0, B[:-1]])
+        R1 = B - _rowwise(C, Bprev) - _rowwise(D, A)
+        R2 = B - _rowwise(Acl, Bprev)
+        info = (-0.5 * (ldKV + _rowwise(KVi, R1, form=True))
+                + 0.5 * (ldM + _rowwise(Mi, R2, form=True)))
+        cost = _rowwise(R, A, form=True) + _rowwise(Q, Bprev, form=True)
+        return SimulationTrace(
+            seed=int(seed), steps=int(steps), B_path=B, A_path=A,
+            info_density_path=info, cost_path=cost,
+            running_rate=np.cumsum(info) / np.arange(1, steps + 1),
+            meta={"kv_regularized": any(regularized)})
+
+    return [trace(seed, b0[k], B[k], A[k]) for k, seed in enumerate(seeds)]
 
 
 def sample_trajectory(model: ChannelModel, strat: Strategy, steps: int, seed: int) -> SimulationTrace:
@@ -263,8 +273,7 @@ def simulate_batch(model: ChannelModel, strat: Strategy, steps: int, seeds) -> l
             A[:, i] = a
             B[:, i] = b
     del Z, V    # the traces keep views of B and A only
-    return [_trace(model, strat, seed, b0[k], B[k, :steps], A[k, :steps], stationary)
-            for k, seed in enumerate(seeds)]
+    return _traces(model, strat, seeds, b0, B[:, :steps], A[:, :steps], stationary)
 
 
 def _scan(C, D, g, b0, Z, V, A, B, steps: int) -> None:

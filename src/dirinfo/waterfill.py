@@ -31,7 +31,7 @@ import numpy as np
 
 from .errors import DimensionError, PreconditionError, UnboundedError
 from .linalg import logdet_pd, sym
-from .model import TOL_PSD, is_symmetric, min_eigenvalue, psd_tolerance
+from .model import _PSD, TOL_PSD, _check_rows, min_eigenvalue, psd_tolerance
 
 TOL_WF = 1e-9       # subchannels with mu sigma_j^2 - 1 <= TOL_WF stay dry
 
@@ -51,7 +51,7 @@ class WaterfillProblem:
             raise DimensionError("KV shape mismatch")
         if self.weight.shape != (q, q):
             raise DimensionError("weight shape mismatch")
-        if not is_symmetric(self.weight) or min_eigenvalue(self.weight) < -psd_tolerance(self.weight):
+        if _check_rows([("weight", (self.weight,), (q, q), _PSD, "")]):
             raise PreconditionError("weight must be symmetric PSD")
         if min_eigenvalue(self.KV) <= 0:
             raise PreconditionError("KV must be positive definite")

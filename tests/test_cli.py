@@ -294,3 +294,46 @@ def test_usage_error_exit_code_from_argparse():
     proc = subprocess.run([sys.executable, "-m", "dirinfo.cli", "frobnicate"],
                           capture_output=True, text=True)
     assert proc.returncode == 2
+
+
+@pytest.mark.parametrize("field, value, error", [
+    ("C", float("nan"), "C[0] has a non-finite entry"),
+    ("D", float("inf"), "D[0] has a non-finite entry"),
+    ("kappa", float("nan"), "kappa not finite"),
+])
+def test_non_finite_model_file_is_rejected(tmp_path, capsys, field, value, error):
+    # json reads NaN and Infinity; validation names them before any solver runs
+    mp = write_model(tmp_path, **{field: value})
+    for command in ("capacity", "ftfi", "simulate"):
+        assert cli.main([command, "--model", mp, "--steps", "1000", "--seeds", "2"]) == 1
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["error_type"] == "ModelValidationError"
+        assert doc["error"] == error
+    code, report = run(parse_config(["check", "--model", mp]))
+    assert code == 1
+    assert report["result"] == {"valid": False, "errors": [error]}
+
+
+def test_budget_matched_capacity_validates_once(tmp_path, monkeypatch):
+    calls = []
+    real = cli.validate_model
+
+    def counted(m):
+        calls.append(m)
+        return real(m)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("dirinfo") and hasattr(module, "validate_model"):
+            monkeypatch.setattr(module, "validate_model", counted)
+    code, _ = run(parse_config(["capacity", "--model", write_model(tmp_path)]))
+    assert code == 0
+    assert len(calls) == 1
+
+
+def test_sweep_of_invalid_model_exits_one(tmp_path):
+    mp = write_model(tmp_path, KV=0.0)
+    code, report = run(parse_config(["sweep", "--model", mp, "--param", "kappa",
+                                     "--grid", "1,9"]))
+    assert code == 1
+    assert report["error_type"] == "ModelValidationError"
+    assert "noise covariance not positive definite" in report["error"]

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -163,3 +165,73 @@ def test_noise_for_inversion_pads_only_augmented_models():
     plain = di.scalar_model(0.5, 1.0, 2.0, 1.0, 0.0, 1.0)
     kv, reg = plain.noise_for_inversion(0)
     assert not reg and kv[0, 0] == 2.0
+
+
+def test_validate_time_varying_lists_every_index_in_order():
+    n, neg = 5, -np.eye(2)
+    asym = np.array([[1.0, 0.3], [0.0, 1.0]])
+    KV = [np.eye(2)] * (n + 1)
+    KV[1], KV[3], KV[4] = neg, asym, np.eye(3)
+    R = [[[1.0]]] * (n + 1)
+    R[0], R[2], R[5] = [[0.0]], np.eye(2), [[-1.0]]
+    Q = [np.zeros((2, 2))] * (n + 1)
+    Q[2], Q[4] = neg, asym
+    m = di.channel_model([0.5 * np.eye(2)] * (n + 1), [np.ones((2, 1))] * (n + 1),
+                         [np.eye(2)] * (n + 1), [[[1.0]]] * (n + 1), Q, 1.0, n,
+                         time_invariant=False)
+    # the constructor checks shapes, so the mismatched entries go in afterwards
+    m = dataclasses.replace(m, KV_seq=tuple(np.asarray(k, float) for k in KV),
+                            R_seq=tuple(np.asarray(r, float) for r in R))
+    with pytest.raises(ModelValidationError) as exc:
+        di.validate_model(m)
+    assert exc.value.errors == [
+        "noise covariance not positive definite (KV[1])",
+        "KV[3] not symmetric",
+        "dimension mismatch: KV[4] is (3, 3), expected (2, 2)",
+        "R[0] not positive definite",
+        "dimension mismatch: R[2] is (2, 2), expected (1, 1)",
+        "R[5] not positive definite",
+        "Q[2] not positive semidefinite (min eig -1.000e+00)",
+        "Q[4] not symmetric",
+    ]
+
+
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("kw, error", [
+    ({"C": NAN}, "C[0] has a non-finite entry"),
+    ({"D": INF}, "D[0] has a non-finite entry"),
+    ({"KV": -INF}, "KV[0] has a non-finite entry"),
+    ({"R": NAN}, "R[0] has a non-finite entry"),
+    ({"Q": INF, "terminal_Q": 0.0}, "Q[0] has a non-finite entry"),
+    ({"terminal_Q": NAN}, "terminal_Q[0] has a non-finite entry"),
+    ({"initial_mean": [INF]}, "initial_mean[0] has a non-finite entry"),
+    ({"initial_cov": NAN}, "initial_cov[0] has a non-finite entry"),
+    ({"kappa": NAN}, "kappa not finite"),
+    ({"kappa": INF}, "kappa not finite"),
+])
+def test_validate_rejects_non_finite_entries(kw, error):
+    args = {"C": 0.5, "D": 1.0, "KV": 1.0, "R": 1.0, "Q": 0.0, "kappa": 1.0}
+    args.update(kw)
+    m = di.scalar_model(args.pop("C"), args.pop("D"), args.pop("KV"), args.pop("R"),
+                        args.pop("Q"), args.pop("kappa"), **args)
+    with pytest.raises(ModelValidationError) as exc:
+        di.validate_model(m)
+    assert exc.value.errors == [error]
+
+
+def test_validate_names_the_non_finite_step_and_memory_block():
+    C = [[[0.5]]] * 4
+    C[2] = [[NAN]]
+    m = di.channel_model(C, [[[1.0]]] * 4, [[[1.0]]] * 4, [[[1.0]]] * 4, [[[0.0]]] * 4,
+                         1.0, 3, time_invariant=False)
+    with pytest.raises(ModelValidationError) as exc:
+        di.validate_model(m)
+    assert exc.value.errors == ["C[2] has a non-finite entry"]
+    mem = di.memory_model([0.5, NAN], 1.0, 1.0, 1.0, None, NAN, 4, cost_memory=1,
+                          initial_history=[[0.0], [INF]])
+    with pytest.raises(ModelValidationError) as exc:
+        di.validate_model(mem)
+    assert exc.value.errors == ["kappa not finite", "C_blocks[1] has a non-finite entry",
+                                "initial_history[0] has a non-finite entry"]

@@ -415,3 +415,61 @@ def test_time_varying_model_bounds_steps():
     assert tr.steps == 2
     with pytest.raises(PreconditionError):
         di.sample_trajectory(m, st, 3, seed=0)
+
+
+# -- per-step stacks ---------------------------------------------------------
+
+def _tv_weighted(rng, n=30, p=2, q=1):
+    # a time-varying model with per-step R, Q and a distinct terminal_Q
+    m, st = _tv_model_and_strategy(n, rng, p, q)
+    m = di.channel_model(m.C_seq, m.D_seq, m.KV_seq, [random_spd(rng, q) for _ in range(n + 1)],
+                         [random_spd(rng, p) for _ in range(n + 1)], 1.0, n,
+                         terminal_Q=random_spd(rng, p), initial_cov=np.eye(p),
+                         time_invariant=False)
+    return m, st
+
+
+def _ftfi_terminal_q(rng):
+    # the FTFI strategy of a time-invariant model whose terminal_Q differs from Q
+    m = di.channel_model(random_stable(rng, 2, 1.3), rng.normal(size=(2, 1)), random_spd(rng, 2),
+                         np.eye(1), 0.2 * np.eye(2), 200.0, 30, terminal_Q=np.diag([3.0, 1.5]),
+                         initial_mean=[0.5, -1.0])
+    sol, _ = di.ftfi_capacity(m)
+    return m, sol.strategy
+
+
+@pytest.mark.parametrize("make", [_tv_weighted, _ftfi_terminal_q])
+def test_stacked_trace_matches_per_step_operation(make, rng):
+    # the stacked densities and costs against the per-step oracle; the last
+    # step weighs its output with terminal_Q
+    m, st = make(rng)
+    steps = m.horizon + 1
+    assert len(st.gains) == steps and not np.allclose(m.Q(steps - 1), m.Q(0))
+    tr = di.sample_trajectory(m, st, steps, seed=5)
+    b0 = sim._draw_noise(m, st, steps, 5)[0]
+    Bprev = np.vstack([b0, tr.B_path[:-1]])
+    info = [di.info_density_step(Bprev[i], tr.A_path[i], tr.B_path[i], m.C(i), m.D(i),
+                                 m.KV(i), st.gain(i), st.KZ(i)) for i in range(steps)]
+    cost = [a @ m.R(i) @ a + b @ m.Q(i) @ b
+            for i, (a, b) in enumerate(zip(tr.A_path, Bprev))]
+    np.testing.assert_allclose(tr.info_density_path, info, rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(tr.cost_path, cost, rtol=1e-12)
+
+
+def test_time_varying_batch_builds_stacks_once_per_seed(monkeypatch, rng):
+    # the per-step oracle stays off the sampling path, and the square roots
+    # of K_Z(i) and K_V(i) are one batched call each per seed
+    m, st = _tv_model_and_strategy(300, rng)
+
+    def oracle(*args):
+        raise AssertionError("info_density_step called while sampling")
+
+    roots = []
+    real = sim.sym_sqrt
+    monkeypatch.setattr(sim, "info_density_step", oracle)
+    monkeypatch.setattr(sim, "sym_sqrt", lambda a: roots.append(np.shape(a)) or real(a))
+    traces = di.simulate_batch(m, st, 301, range(4))
+    assert len(traces) == 4
+    # per seed: the initial output, then the K_Z and K_V stacks
+    assert len(roots) == 3 * 4
+    assert sorted(roots).count((301, 2, 2)) == 4
