@@ -83,8 +83,9 @@ def information_rate(model: ChannelModel, strat: Strategy, steps: int) -> float:
 
 def _riccati_pass(model: ChannelModel):
     """(P_1, gains, sigma, V, kv_regularized): the backward pass at s = 1 from
-    P_1(n) = terminal_Q (terminal gain zero), and the subchannels of every step's
-    weight R(i) + D(i)^T P_1(i+1) D(i), its step's H22 block (R(n) at the last)."""
+    P_1(n) = terminal_Q (terminal gain zero) as (n+1, ., .) stacks, and the
+    subchannels of every step's weight R(i) + D(i)^T P_1(i+1) D(i), its step's
+    H22 block (R(n) at the last)."""
     n = model.horizon
     P = [None] * n + [sym(model.terminal_Q)]
     gains = [None] * n + [np.zeros((model.input_dim, model.output_dim))]
@@ -96,7 +97,12 @@ def _riccati_pass(model: ChannelModel):
     kv = [model.noise_for_inversion(i) for i in range(n + 1)]
     sigma, V = waterfill.subchannels(np.stack([model.D(i) for i in range(n + 1)]),
                                      np.stack([k for k, _ in kv]), np.stack(weights))
-    return P, gains, sigma, V, any(reg for _, reg in kv)
+    return np.stack(P), np.stack(gains), sigma, V, any(reg for _, reg in kv)
+
+
+def _traces(A, B) -> np.ndarray:
+    """trace(A[i] @ B[i]) for each i of two stacks."""
+    return np.einsum("kij,kji->k", A, B)
 
 
 def finite_horizon_dp(model: ChannelModel, s: float) -> FiniteHorizonSolution:
@@ -104,39 +110,37 @@ def finite_horizon_dp(model: ChannelModel, s: float) -> FiniteHorizonSolution:
 
     Backward: the pass at s = 1 scaled, P(i) = s P_1(i) with the same gains
     (zero at the terminal step); K_Z(i) fills step i at level 1/(2s), and r(i)
-    accumulates the per-step water-fill values minus trace(P(i+1) K_V).
-    Forward: the output second moments and the per-unit-time achieved cost.
+    accumulates the per-step water-fill values minus trace(P(i+1) K_V(i)).
+    Forward: the output second moments K_B(i) = Acl(i) K_B(i-1) Acl(i)^T + W(i)
+    and the per-unit-time achieved cost, summed from the stacks.
     """
     validate_model(model)
-    if s <= 0:
-        raise PreconditionError("multiplier s must be positive")
+    riccati.check_multiplier(s)
     n = model.horizon
-    P1, gains, sigma, V, regularized = _riccati_pass(model)
+    P1, G, sigma, V, regularized = _riccati_pass(model)
     KZ, rates, spent = waterfill.fill(sigma, V, 0.5 / s)
     values = rates - s * spent
-    P = [s * Pi for Pi in P1]
-    r = [0.0] * (n + 1)
-    r[n] = float(values[n]) + s * (n + 1) * model.kappa
-    for i in range(n - 1, -1, -1):
-        r[i] = r[i + 1] + float(values[i]) - float(np.trace(P[i + 1] @ model.KV(i)))
+    P = s * P1
+    C, D, KV, R, Q = (np.stack([f(i) for i in range(n + 1)])
+                      for f in (model.C, model.D, model.KV, model.R, model.Q))
+    # r(i) = r(i+1) + values(i) - trace(P(i+1) K_V(i)), one cumsum in the recursion's order
+    steps = np.stack([values[:n], -_traces(P[1:], KV[:n])], axis=1)[::-1].ravel()
+    r = np.cumsum(np.append(values[n] + s * (n + 1) * model.kappa, steps))[::-2]
 
     # built here, PSD by construction: wrapped without the caller-input checks
-    strat = Strategy(gains=tuple(map(_freeze, gains)), innovations=tuple(map(_freeze, KZ)))
+    strat = Strategy(gains=tuple(map(_freeze, G)), innovations=tuple(map(_freeze, KZ)))
+    Acl = C + D @ G
+    W = D @ KZ @ D.swapaxes(1, 2) + KV
     KB = [model.initial_second_moment()]
-    total_cost = 0.0
     for i in range(n + 1):
-        Kprev = KB[-1]
-        g = gains[i]
-        total_cost += float(
-            np.trace(model.R(i) @ g @ Kprev @ g.T)
-            + np.trace(model.R(i) @ KZ[i])
-            + np.trace(model.Q(i) @ Kprev))
-        Acl = model.C(i) + model.D(i) @ g
-        KB.append(lyapunov_step(Kprev, Acl, model.D(i) @ KZ[i] @ model.D(i).T + model.KV(i)))
+        KB.append(lyapunov_step(KB[-1], Acl[i], W[i]))
+    Kprev = np.stack(KB[:-1])
+    total_cost = float(_traces(R, G @ Kprev @ G.swapaxes(1, 2)).sum()
+                       + _traces(R, KZ).sum() + _traces(Q, Kprev).sum())
 
-    value = -float(np.trace(P[0] @ model.initial_second_moment())) + r[0]
+    value = -float(np.trace(P[0] @ model.initial_second_moment())) + float(r[0])
     return FiniteHorizonSolution(
-        s=float(s), P_seq=tuple(P), r_seq=tuple(r), strategy=strat,
+        s=float(s), P_seq=tuple(P), r_seq=tuple(r.tolist()), strategy=strat,
         KB_seq=tuple(KB), achieved_cost=total_cost / (n + 1), value_nats=value,
         rate_nats=float(rates.sum()), meta={"kv_regularized": regularized},
     )
@@ -154,8 +158,8 @@ def ftfi_capacity(model: ChannelModel):
     n = model.horizon
     kappa = model.kappa
     P1, _, sigma, _, _ = _riccati_pass(model)
-    floor = float(np.trace(P1[0] @ model.initial_second_moment())) + sum(
-        float(np.trace(P1[i + 1] @ model.KV(i))) for i in range(n))
+    floor = float(np.trace(P1[0] @ model.initial_second_moment())
+                  + _traces(P1[1:], np.stack([model.KV(i) for i in range(n + 1)])[:n]).sum())
     budget = (n + 1) * kappa - floor
     if budget < -COST_TOL * (1.0 + kappa) * (n + 1):
         raise InfeasibleError(
@@ -227,8 +231,7 @@ def _view(model: ChannelModel, unit, s: float) -> StationarySolution:
 
 def stationary_solve(model: ChannelModel, s: float) -> StationarySolution:
     """Stationary solution at a fixed multiplier: one ARE solve at s = 1, viewed at s."""
-    if s <= 0:
-        raise PreconditionError("multiplier s must be positive (s=0 degenerates the Lagrangian)")
+    riccati.check_multiplier(s)
     return _view(model, _unit_solution(model), s)
 
 

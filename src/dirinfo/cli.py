@@ -28,6 +28,9 @@ Time-varying models list one matrix per step for C/D/KV/R/Q and set
 "time_invariant": false.  Memory models are lowered to first-order form on
 load.  Exit codes: 0 success (zero-capacity regimes included), 1 solver or
 precondition failure, 2 usage error.
+
+Every command takes the same flags (one parser, built at import), before or
+after the command name; --param and --grid are for sweep only.
 """
 
 from __future__ import annotations
@@ -82,34 +85,33 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="dirinfo",
         description="Feedback-capacity solver for Gaussian linear channel models with memory.")
     parser.add_argument("--version", action="version", version=f"dirinfo {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in _COMMANDS:
-        p = sub.add_parser(name)
-        p.add_argument("--model", help="model JSON file")
-        p.add_argument("--config", help="JSON file with defaults for any flag")
-        p.add_argument("--kappa", type=float, help="override the model's power budget")
-        p.add_argument("--horizon", type=int, help="override the model's horizon")
-        p.add_argument("--s", type=float, help="fixed Lagrange multiplier instead of the budget-matched one")
-        p.add_argument("--steps", type=int, help="simulation steps per trace")
-        p.add_argument("--seeds", type=int, help="number of simulation seeds")
-        p.add_argument("--units", choices=["nats", "bits"])
-        p.add_argument("--output", help="write the report here instead of stdout")
-        p.add_argument("--format", choices=["json", "csv"])
-        p.add_argument("--dump-config", action="store_true",
-                       help="print the resolved configuration and exit")
-        if name == "sweep":
-            p.add_argument("--param", choices=["kappa", "C"], help="swept parameter")
-            p.add_argument("--grid", help="comma-separated values for the swept parameter")
+    parser.add_argument("command", choices=_COMMANDS)
+    parser.add_argument("--model", help="model JSON file")
+    parser.add_argument("--config", help="JSON file with defaults for any flag")
+    parser.add_argument("--kappa", type=float, help="override the model's power budget")
+    parser.add_argument("--horizon", type=int, help="override the model's horizon")
+    parser.add_argument("--s", type=float, help="fixed Lagrange multiplier, not the matched one")
+    parser.add_argument("--steps", type=int, help="simulation steps per trace")
+    parser.add_argument("--seeds", type=int, help="number of simulation seeds")
+    parser.add_argument("--units", choices=["nats", "bits"])
+    parser.add_argument("--output", help="write the report here instead of stdout")
+    parser.add_argument("--format", choices=["json", "csv"])
+    parser.add_argument("--dump-config", action="store_true",
+                        help="print the resolved configuration and exit")
+    parser.add_argument("--param", choices=["kappa", "C"], help="swept parameter (sweep only)")
+    parser.add_argument("--grid", help="comma-separated swept values (sweep only)")
     return parser
 
 
-def parse_config(argv, config_file: str = None) -> RunConfig:
-    """Resolve flags > config file > defaults into a RunConfig.
+_PARSER = _build_parser()     # one per process; parse_args leaves it unchanged
 
-    ``config_file`` overrides any --config flag in argv (used by tests);
-    unknown config keys are errors.
-    """
-    ns = _build_parser().parse_args(argv)
+
+def _resolve(ns: argparse.Namespace, config_file: str = None) -> RunConfig:
+    """Field defaults, then config-file values, then the given flags; later wins."""
+    stray = [f"--{name}" for name in ("param", "grid") if getattr(ns, name) is not None]
+    if stray and ns.command != "sweep":
+        raise UsageError(f"{ns.command} does not take {' or '.join(stray)} (sweep only)")
+    fields = {f.name: f.default for f in dataclasses.fields(RunConfig)}
     cfg_path = config_file or ns.config
     file_values = {}
     if cfg_path:
@@ -120,49 +122,43 @@ def parse_config(argv, config_file: str = None) -> RunConfig:
             raise UsageError(f"cannot read config file {cfg_path}: {exc}") from exc
         if not isinstance(file_values, dict):
             raise UsageError("config file must hold a JSON object")
-        unknown = set(file_values) - {f.name for f in dataclasses.fields(RunConfig)}
+        unknown = set(file_values) - set(fields)
         if unknown:
             raise UsageError(f"unknown config keys: {sorted(unknown)}")
         if "command" in file_values and file_values["command"] != ns.command:
             raise UsageError(
                 f"config command {file_values['command']!r} conflicts with {ns.command!r}")
 
-    def pick(name):
-        flag = getattr(ns, name, None)
-        if flag is not None:
-            return flag
-        if name in file_values and file_values[name] is not None:
-            return file_values[name]
-        return getattr(RunConfig, name)     # the field's default
-
-    grid = pick("grid")
-    if isinstance(grid, str):
-        try:
-            grid = tuple(float(x) for x in grid.split(",") if x.strip() != "")
-        except ValueError as exc:
-            raise UsageError(f"bad --grid value: {exc}") from exc
-    elif isinstance(grid, (list, tuple)):
-        grid = tuple(float(x) for x in grid)
-
-    model_path = ns.model or file_values.get("model")
-    if not model_path:
+    values = {k: v for k, v in fields.items() if v is not dataclasses.MISSING}
+    for layer in (file_values, vars(ns)):
+        values.update((k, v) for k, v in layer.items() if k in fields and v is not None)
+    if not values.get("model"):
         raise UsageError(f"{ns.command}: --model is required")
-    config = RunConfig(
-        command=ns.command, model=model_path,
-        kappa=pick("kappa"), horizon=pick("horizon"), s=pick("s"),
-        steps=int(pick("steps")), seeds=int(pick("seeds")),
-        units=pick("units"), output=pick("output"), format=pick("format"),
-        param=pick("param"), grid=grid,
-    )
+    grid = values["grid"]
+    if isinstance(grid, str):
+        grid = [x for x in grid.split(",") if x.strip() != ""]
+    try:
+        grid = None if grid is None else tuple(float(x) for x in grid)
+    except ValueError as exc:
+        raise UsageError(f"bad --grid value: {exc}") from exc
+    config = RunConfig(**dict(values, steps=int(values["steps"]), seeds=int(values["seeds"]),
+                              grid=grid))
     if config.kappa is not None and config.kappa < 0:
         raise UsageError("kappa must be nonnegative")
     if config.steps < 1:
         raise UsageError("steps must be >= 1")
     if config.command == "sweep" and (config.param is None or not config.grid):
         raise UsageError("sweep: --param and --grid are required")
-    if getattr(ns, "dump_config", False):
-        object.__setattr__(config, "_dump", True)
     return config
+
+
+def parse_config(argv, config_file: str = None) -> RunConfig:
+    """Resolve flags > config file > defaults into a RunConfig.
+
+    ``config_file`` overrides any --config flag in argv (used by tests);
+    unknown config keys are errors.
+    """
+    return _resolve(_PARSER.parse_args(argv), config_file)
 
 
 # ---------------------------------------------------------------------------
@@ -420,15 +416,19 @@ def _stationary_result(config: RunConfig, m: ChannelModel, sol, cap_nats: float)
     }
 
 
-def _run_capacity(config: RunConfig, m: ChannelModel) -> dict:
-    report = _base_report(config, m)
+def _stationary(config: RunConfig, m: ChannelModel):
+    """(solution, capacity_nats, multiplier mode): the stationary solution at
+    the fixed --s when given, else at the budget-matched multiplier."""
     if config.s is not None:
         sol = capacity.stationary_solve(m, config.s)
-        cap = sol.rate_nats
-        report["multiplier_mode"] = "fixed"
-    else:
-        sol, cap = capacity.feedback_capacity(m)
-        report["multiplier_mode"] = "matched"
+        return sol, sol.rate_nats, "fixed"
+    sol, cap = capacity.feedback_capacity(m)
+    return sol, cap, "matched"
+
+
+def _run_capacity(config: RunConfig, m: ChannelModel) -> dict:
+    report = _base_report(config, m)
+    sol, cap, report["multiplier_mode"] = _stationary(config, m)
     report["result"] = _stationary_result(config, m, sol, cap)
     if _is_scalar(m):
         report["oracle"] = _scalar_oracle_block(m, sol, cap)
@@ -474,11 +474,7 @@ def _run_nofeedback(config: RunConfig, m: ChannelModel) -> dict:
 
 def _run_simulate(config: RunConfig, m: ChannelModel) -> dict:
     report = _base_report(config, m)
-    if config.s is not None:
-        sol = capacity.stationary_solve(m, config.s)
-        cap = sol.rate_nats
-    else:
-        sol, cap = capacity.feedback_capacity(m)
+    sol, cap, _ = _stationary(config, m)
     strat = model_mod.stationary_strategy(sol.gain, sol.KZ)
     seeds = list(range(config.seeds))
     traces = simulate.simulate_batch(m, strat, config.steps, seeds)
@@ -568,22 +564,13 @@ def run(config: RunConfig):
 
 
 def main(argv=None) -> int:
-    argv = sys.argv[1:] if argv is None else argv
+    ns = _PARSER.parse_args(sys.argv[1:] if argv is None else argv)
     try:
-        config = parse_config(argv)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    if getattr(config, "_dump", False):
-        payload = emit_report(config.to_dict(), "json")
-        sys.stdout.write(payload.decode())
-        return 0
-    try:
+        config = _resolve(ns)
+        if ns.dump_config:
+            sys.stdout.write(emit_report(config.to_dict(), "json").decode())
+            return 0
         code, report = run(config)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    try:
         payload = emit_report(report, config.format)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -237,7 +237,8 @@ def strategy(gains, innovations) -> Strategy:
     g = tuple(_freeze(_as_matrix(x)) for x in gains)
     kz = tuple(_freeze(_as_matrix(x)) for x in innovations)
     q = len(kz[0]) if kz else 0
-    errors = _check_rows([("innovations", kz, (q, q), _INNOVATIONS, _INNOVATIONS[0])])
+    errors = _check_rows([("gains", g, g[0].shape if g else None, None, _MISMATCH),
+                          ("innovations", kz, (q, q), _INNOVATIONS, _INNOVATIONS[0])])
     if errors:
         raise ModelValidationError(errors[:1])
     if len(g) != len(kz):

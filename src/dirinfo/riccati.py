@@ -58,6 +58,12 @@ class AreClassification:
     kv_controllable: bool      # (closed loop, K_V^{1/2}) controllable: output covariance is unique PD
 
 
+def check_multiplier(s) -> None:
+    """PreconditionError unless the multiplier s is positive and finite."""
+    if not 0.0 < s < np.inf:
+        raise PreconditionError(f"multiplier s must be positive and finite (got {s:g})")
+
+
 def riccati_backward_step(Pnext, C, D, Q, R, s: float):
     """One backward step; returns (P, blocks) with blocks exposed for the gain."""
     Pnext = sym(np.atleast_2d(np.asarray(Pnext, dtype=float)))
@@ -65,8 +71,7 @@ def riccati_backward_step(Pnext, C, D, Q, R, s: float):
     D = np.atleast_2d(np.asarray(D, dtype=float))
     Q = np.atleast_2d(np.asarray(Q, dtype=float))
     R = np.atleast_2d(np.asarray(R, dtype=float))
-    if s <= 0:
-        raise PreconditionError("multiplier s must be positive")
+    check_multiplier(s)
     H11 = sym(C.T @ Pnext @ C + s * Q)
     H12 = C.T @ Pnext @ D
     H22 = sym(D.T @ Pnext @ D + s * R)
@@ -114,8 +119,7 @@ def solve_are(C, D, Q, R, s: float) -> AreSolution:
     D = np.atleast_2d(np.asarray(D, dtype=float))
     Q = np.atleast_2d(np.asarray(Q, dtype=float))
     R = np.atleast_2d(np.asarray(R, dtype=float))
-    if s <= 0:
-        raise PreconditionError("multiplier s must be positive (s=0 degenerates the Lagrangian)")
+    check_multiplier(s)
     if min_eigenvalue(R) <= 0:
         raise PreconditionError("R not positive definite")
     if not stability.is_stabilizable(C, D):

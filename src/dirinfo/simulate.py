@@ -248,10 +248,14 @@ def simulate_batch(model: ChannelModel, strat: Strategy, steps: int, seeds) -> l
         raise PreconditionError("steps exceed the horizon of a time-varying model")
     if len(strat.gains) > 1 and strat.steps < steps:
         raise DimensionError("strategy shorter than requested steps")
+    p, q = model.output_dim, model.input_dim
+    shapes = {g.shape for g in strat.gains}, {z.shape for z in strat.innovations}
+    if shapes != ({(q, p)}, {(q, q)}):
+        raise DimensionError(f"strategy gains must be {q}x{p} and innovations {q}x{q}")
     seeds = list(seeds)
     if not seeds:
         return []
-    S, p, q = len(seeds), model.output_dim, model.input_dim
+    S = len(seeds)
     stationary = len(strat.gains) == 1 and model.time_invariant
     # the scan pads each trace to whole chunks with zero noise
     n = -(-steps // CHUNK) * CHUNK if stationary else steps

@@ -393,3 +393,12 @@ def test_feedback_dominates_nofeedback_and_ties_when_stable(rng):
         nofb = di.nofeedback_capacity_q0(m)
         assert fb >= nofb - 1e-9
         assert abs(fb - nofb) <= 1e-8
+
+
+@pytest.mark.parametrize("s", [float("nan"), float("inf"), 0.0, -1.0])
+def test_fixed_multiplier_entry_points_reject_non_finite_or_nonpositive_s(s):
+    m = di.scalar_model(2.0, 1.0, 1.0, 1.0, 0.0, 9.0, horizon=5)
+    with pytest.raises(PreconditionError, match="positive and finite"):
+        cap.stationary_solve(m, s)
+    with pytest.raises(PreconditionError, match="positive and finite"):
+        cap.finite_horizon_dp(m, s)

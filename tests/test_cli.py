@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 import subprocess
@@ -337,3 +338,66 @@ def test_sweep_of_invalid_model_exits_one(tmp_path):
     assert code == 1
     assert report["error_type"] == "ModelValidationError"
     assert "noise covariance not positive definite" in report["error"]
+
+
+def test_main_builds_no_parser_per_call(tmp_path, monkeypatch, capsys):
+    built = []
+    real = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        real(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    mp = write_model(tmp_path)
+    assert cli.main(["capacity", "--model", mp]) == 0
+    assert cli.main(["sweep", "--model", mp, "--param", "kappa", "--grid", "2,9"]) == 0
+    assert cli.main(["ftfi", "--model", mp, "--dump-config"]) == 0
+    assert built == []
+
+
+@pytest.mark.parametrize("flags", [["--grid", "1,2"], ["--param", "kappa"]])
+def test_sweep_only_flags_on_other_commands_exit_2(tmp_path, flags):
+    proc = subprocess.run([sys.executable, "-m", "dirinfo.cli", "capacity",
+                           "--model", write_model(tmp_path)] + flags,
+                          capture_output=True, text=True)
+    assert proc.returncode == 2
+    assert flags[0] in proc.stderr and not proc.stdout
+
+
+@pytest.mark.parametrize("argv, expected", [
+    (["simulate", "--model", "m.json", "--steps", "77", "--seeds", "3", "--s", "0.2",
+      "--kappa", "4", "--horizon", "9", "--format", "csv", "--output", "x.csv", "--dump-config"],
+     '{"command": "simulate", "format": "csv", "grid": null, "horizon": 9, "kappa": 4, '
+     '"model": "m.json", "output": "x.csv", "param": null, "s": 0.2, "seeds": 3, '
+     '"steps": 77, "units": "nats"}\n'),
+    (["sweep", "--config", "CFG", "--kappa", "3", "--grid", "0.5,2", "--dump-config"],
+     '{"command": "sweep", "format": "json", "grid": [0.5, 2], "horizon": null, "kappa": 3, '
+     '"model": "cfg.json", "output": null, "param": "C", "s": null, "seeds": 5, '
+     '"steps": 10000, "units": "bits"}\n'),
+    (["capacity", "--model", "m.json", "--dump-config"],
+     '{"command": "capacity", "format": "json", "grid": null, "horizon": null, "kappa": null, '
+     '"model": "m.json", "output": null, "param": null, "s": null, "seeds": 8, '
+     '"steps": 10000, "units": "nats"}\n'),
+])
+def test_dump_config_output_is_unchanged(tmp_path, capsys, argv, expected):
+    # the dump loads no model; the expected bytes were printed by the
+    # subparser-based CLI that this one replaced
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"model": "cfg.json", "units": "bits", "grid": [1, 2.5],
+                               "seeds": 5, "param": "C", "steps": None}))
+    assert cli.main([str(cfg) if a == "CFG" else a for a in argv]) == 0
+    assert capsys.readouterr().out == expected
+
+
+def test_options_may_precede_the_command(tmp_path):
+    mp = write_model(tmp_path)
+    assert parse_config(["--model", mp, "--s", "0.05", "capacity"]) == parse_config(
+        ["capacity", "--model", mp, "--s", "0.05"])
+
+
+def test_non_finite_multiplier_exits_one(tmp_path, capsys):
+    assert cli.main(["capacity", "--model", write_model(tmp_path), "--s", "nan"]) == 1
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["error_type"] == "PreconditionError"
+    assert doc["error"] == "multiplier s must be positive and finite (got nan)"

@@ -155,6 +155,21 @@ def test_strategy_rejects_non_psd_innovations():
         di.strategy([[[0.0]]], [[[-1.0]]])
 
 
+@pytest.mark.parametrize("gains, error", [
+    ([[[float("nan")]]], "gains[0] has a non-finite entry"),
+    ([[[float("inf")]]], "gains[0] has a non-finite entry"),
+])
+def test_strategy_rejects_non_finite_gains(gains, error):
+    with pytest.raises(ModelValidationError) as exc:
+        di.strategy(gains, [[[1.0]]])
+    assert exc.value.errors == [error]
+
+
+def test_strategy_rejects_gains_of_mixed_shapes():
+    with pytest.raises(ModelValidationError, match=r"gains\[1\] is \(1, 2\), expected \(1, 1\)"):
+        di.strategy([[[1.0]], [[1.0, 2.0]]], [[[1.0]], [[1.0]]])
+
+
 def test_noise_for_inversion_pads_only_augmented_models():
     mem = di.memory_model([0.5, 0.25], 1.0, 2.0, 1.0, None, 1.0, 4, cost_memory=1)
     m = di.augment_memory(mem)

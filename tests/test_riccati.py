@@ -59,6 +59,14 @@ def test_solve_are_rejects_nonpositive_s():
         di.solve_are([[0.5]], [[1.0]], [[0.0]], [[1.0]], 0.0)
 
 
+@pytest.mark.parametrize("s", [float("nan"), float("inf"), 0.0, -1.0])
+def test_riccati_entry_points_reject_non_finite_or_nonpositive_s(s):
+    with pytest.raises(PreconditionError, match="positive and finite"):
+        di.solve_are([[2.0]], [[1.0]], [[0.0]], [[1.0]], s)
+    with pytest.raises(PreconditionError, match="positive and finite"):
+        riccati.riccati_backward_step([[1.0]], [[2.0]], [[1.0]], [[0.0]], [[1.0]], s)
+
+
 def test_solve_are_reports_stabilizability_failure():
     with pytest.raises(PreconditionError, match=r"stabilizability test failed"):
         di.solve_are([[2.0, 0.0], [0.0, 0.5]], [[0.0], [1.0]], np.zeros((2, 2)), [[1.0]], 1.0)

@@ -1,4 +1,5 @@
 import math
+import pathlib
 
 import numpy as np
 import pytest
@@ -6,11 +7,13 @@ from scipy.special import ndtri
 
 import dirinfo as di
 from dirinfo import simulate as sim
+from dirinfo.cli import load_model
 from dirinfo.errors import DimensionError, PreconditionError
 from dirinfo.model import lift_strategy
 from conftest import random_spd, random_stable
 
 HALF_LN25 = 0.5 * math.log(2.5)
+DOCS = pathlib.Path(__file__).resolve().parent.parent / "docs" / "models"
 
 
 def kappa9_model():
@@ -417,6 +420,25 @@ def test_time_varying_model_bounds_steps():
         di.sample_trajectory(m, st, 3, seed=0)
 
 
+@pytest.mark.parametrize("gain, KZ", [
+    ([[-1.5, 0.0]], [[1.5]]),              # gain not (q, p)
+    ([[-1.5]], np.eye(2)),                 # innovations not (q, q)
+])
+def test_batch_rejects_strategy_shapes_of_another_model(gain, KZ):
+    with pytest.raises(DimensionError, match="strategy gains must be 1x1"):
+        di.simulate_batch(kappa9_model(), di.stationary_strategy(gain, KZ), 10, [0, 1])
+
+
+def test_time_varying_batch_rejects_a_wrong_per_step_gain():
+    m = di.channel_model([[[0.5]], [[0.6]]], [[[1.0]], [[1.0]]], [[[1.0]], [[1.0]]],
+                         [[[1.0]], [[1.0]]], [[[0.0]], [[0.0]]], 1.0, 1,
+                         time_invariant=False)
+    st = di.Strategy(gains=(np.zeros((1, 1)), np.zeros((2, 1))),
+                     innovations=(np.ones((1, 1)), np.ones((1, 1))))
+    with pytest.raises(DimensionError):
+        di.simulate_batch(m, st, 2, [0])
+
+
 # -- per-step stacks ---------------------------------------------------------
 
 def _tv_weighted(rng, n=30, p=2, q=1):
@@ -473,3 +495,19 @@ def test_time_varying_batch_builds_stacks_once_per_seed(monkeypatch, rng):
     # per seed: the initial output, then the K_Z and K_V stacks
     assert len(roots) == 3 * 4
     assert sorted(roots).count((301, 2, 2)) == 4
+
+
+def test_stationary_mimo_trace_matches_per_step_operation():
+    # the stack-of-one branch at p = 2: the shipped mimo_stable strategy's
+    # densities and costs against the per-step oracle
+    m = load_model(str(DOCS / "mimo_stable.json"))
+    sol, _ = di.feedback_capacity(m)
+    st = di.stationary_strategy(sol.gain, sol.KZ)
+    assert (m.output_dim, m.input_dim) == (2, 2) and len(st.gains) == 1
+    tr = di.sample_trajectory(m, st, 300, seed=5)
+    Bprev = np.vstack([sim._draw_noise(m, st, 300, 5)[0], tr.B_path[:-1]])
+    info = [di.info_density_step(Bprev[i], tr.A_path[i], tr.B_path[i], m.C(0), m.D(0),
+                                 m.KV(0), st.gain(0), st.KZ(0)) for i in range(300)]
+    cost = [a @ m.R(0) @ a + b @ m.Q(0) @ b for a, b in zip(tr.A_path, Bprev)]
+    np.testing.assert_allclose(tr.info_density_path, info, rtol=1e-12)
+    np.testing.assert_allclose(tr.cost_path, cost, rtol=1e-12)
