@@ -29,8 +29,12 @@ Time-varying models list one matrix per step for C/D/KV/R/Q and set
 load.  Exit codes: 0 success (zero-capacity regimes included), 1 solver or
 precondition failure, 2 usage error.
 
-Every command takes the same flags (one parser, built at import), before or
-after the command name; --param and --grid are for sweep only.
+Every option is declared once, as a `RunConfig` field that carries its flag's
+type, choices and help; every command takes the same flags (one parser, built
+at import), before or after the command name, and --param and --grid are for
+sweep only.  A --config file's values become `--name=value` tokens ahead of
+the command line, so the parser types and checks them like flags and a given
+flag wins.
 """
 
 from __future__ import annotations
@@ -59,25 +63,39 @@ class UsageError(Exception):
     pass
 
 
+def _flag(default=dataclasses.MISSING, **add_argument):
+    """A RunConfig field that is also the flag --<name>; the keywords (type,
+    choices, help) go to `add_argument`."""
+    return dataclasses.field(default=default, metadata=add_argument)
+
+
+def float_list(text: str) -> tuple:
+    """--grid's type: comma-separated floats, empty items skipped."""
+    return tuple(float(x) for x in text.split(",") if x.strip())
+
+
 @dataclass(frozen=True)
 class RunConfig:
     command: str
-    model: str
-    kappa: float = None     # None: use the model file's kappa
-    horizon: int = None
-    s: float = None         # fixed-multiplier mode when set
-    steps: int = 10000
-    seeds: int = 8
-    units: str = "nats"
-    output: str = None
-    format: str = "json"
-    param: str = None
-    grid: tuple = None
+    model: str = _flag(help="model JSON file")
+    kappa: float = _flag(None, type=float, help="override the model's power budget")
+    horizon: int = _flag(None, type=int, help="override the model's horizon")
+    s: float = _flag(None, type=float, help="fixed Lagrange multiplier, not the matched one")
+    steps: int = _flag(10000, type=int, help="simulation steps per trace")
+    seeds: int = _flag(8, type=int, help="number of simulation seeds")
+    units: str = _flag("nats", choices=["nats", "bits"])
+    output: str = _flag(None, help="write the report here instead of stdout")
+    format: str = _flag("json", choices=["json", "csv"])
+    param: str = _flag(None, choices=["kappa", "C"], help="swept parameter (sweep only)")
+    grid: tuple = _flag(None, type=float_list, help="comma-separated swept values (sweep only)")
 
     def to_dict(self) -> dict:
         d = dataclasses.asdict(self)
         d["grid"] = list(self.grid) if self.grid is not None else None
         return d
+
+
+_FIELDS = dataclasses.fields(RunConfig)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -86,79 +104,65 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Feedback-capacity solver for Gaussian linear channel models with memory.")
     parser.add_argument("--version", action="version", version=f"dirinfo {__version__}")
     parser.add_argument("command", choices=_COMMANDS)
-    parser.add_argument("--model", help="model JSON file")
     parser.add_argument("--config", help="JSON file with defaults for any flag")
-    parser.add_argument("--kappa", type=float, help="override the model's power budget")
-    parser.add_argument("--horizon", type=int, help="override the model's horizon")
-    parser.add_argument("--s", type=float, help="fixed Lagrange multiplier, not the matched one")
-    parser.add_argument("--steps", type=int, help="simulation steps per trace")
-    parser.add_argument("--seeds", type=int, help="number of simulation seeds")
-    parser.add_argument("--units", choices=["nats", "bits"])
-    parser.add_argument("--output", help="write the report here instead of stdout")
-    parser.add_argument("--format", choices=["json", "csv"])
     parser.add_argument("--dump-config", action="store_true",
                         help="print the resolved configuration and exit")
-    parser.add_argument("--param", choices=["kappa", "C"], help="swept parameter (sweep only)")
-    parser.add_argument("--grid", help="comma-separated swept values (sweep only)")
+    for f in _FIELDS[1:]:     # all but the command
+        parser.add_argument(f"--{f.name}", **f.metadata)
     return parser
 
 
 _PARSER = _build_parser()     # one per process; parse_args leaves it unchanged
 
 
-def _resolve(ns: argparse.Namespace, config_file: str = None) -> RunConfig:
-    """Field defaults, then config-file values, then the given flags; later wins."""
+def _config_tokens(path: str, command: str) -> list:
+    """The config file's non-null values as `--name=value` tokens, lists joined
+    with commas; the `=` form keeps a value such as -1,2 from reading as a flag."""
+    try:
+        with open(path) as fh:
+            values = json.load(fh)
+    except (OSError, json.JSONDecodeError) as exc:
+        raise UsageError(f"cannot read config file {path}: {exc}") from exc
+    if not isinstance(values, dict):
+        raise UsageError("config file must hold a JSON object")
+    unknown = set(values) - {f.name for f in _FIELDS}
+    if unknown:
+        raise UsageError(f"unknown config keys: {sorted(unknown)}")
+    given = values.pop("command", command)
+    if given != command:
+        raise UsageError(f"config command {given!r} conflicts with {command!r}")
+    return [f"--{k}=" + (",".join(map(str, v)) if isinstance(v, list) else str(v))
+            for k, v in values.items() if v is not None]
+
+
+def _parse(argv) -> tuple:
+    """(RunConfig, whether --dump-config was given); see `parse_config`."""
+    ns = _PARSER.parse_args(argv)
+    if ns.config:
+        ns = _PARSER.parse_args(_config_tokens(ns.config, ns.command) + list(argv))
     stray = [f"--{name}" for name in ("param", "grid") if getattr(ns, name) is not None]
     if stray and ns.command != "sweep":
         raise UsageError(f"{ns.command} does not take {' or '.join(stray)} (sweep only)")
-    fields = {f.name: f.default for f in dataclasses.fields(RunConfig)}
-    cfg_path = config_file or ns.config
-    file_values = {}
-    if cfg_path:
-        try:
-            with open(cfg_path) as fh:
-                file_values = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
-            raise UsageError(f"cannot read config file {cfg_path}: {exc}") from exc
-        if not isinstance(file_values, dict):
-            raise UsageError("config file must hold a JSON object")
-        unknown = set(file_values) - set(fields)
-        if unknown:
-            raise UsageError(f"unknown config keys: {sorted(unknown)}")
-        if "command" in file_values and file_values["command"] != ns.command:
-            raise UsageError(
-                f"config command {file_values['command']!r} conflicts with {ns.command!r}")
-
-    values = {k: v for k, v in fields.items() if v is not dataclasses.MISSING}
-    for layer in (file_values, vars(ns)):
-        values.update((k, v) for k, v in layer.items() if k in fields and v is not None)
-    if not values.get("model"):
+    if not ns.model:
         raise UsageError(f"{ns.command}: --model is required")
-    grid = values["grid"]
-    if isinstance(grid, str):
-        grid = [x for x in grid.split(",") if x.strip() != ""]
-    try:
-        grid = None if grid is None else tuple(float(x) for x in grid)
-    except ValueError as exc:
-        raise UsageError(f"bad --grid value: {exc}") from exc
-    config = RunConfig(**dict(values, steps=int(values["steps"]), seeds=int(values["seeds"]),
-                              grid=grid))
+    config = RunConfig(**{f.name: getattr(ns, f.name) for f in _FIELDS
+                          if getattr(ns, f.name) is not None})
     if config.kappa is not None and config.kappa < 0:
         raise UsageError("kappa must be nonnegative")
     if config.steps < 1:
         raise UsageError("steps must be >= 1")
     if config.command == "sweep" and (config.param is None or not config.grid):
         raise UsageError("sweep: --param and --grid are required")
-    return config
+    return config, ns.dump_config
 
 
-def parse_config(argv, config_file: str = None) -> RunConfig:
-    """Resolve flags > config file > defaults into a RunConfig.
+def parse_config(argv) -> RunConfig:
+    """Flags, then --config file values, then field defaults, into a RunConfig.
 
-    ``config_file`` overrides any --config flag in argv (used by tests);
-    unknown config keys are errors.
+    Argparse misuse, including a config value its flag rejects, exits 2;
+    unknown config keys and the other checks raise UsageError.
     """
-    return _resolve(_PARSER.parse_args(argv), config_file)
+    return _parse(argv)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -226,51 +230,29 @@ def load_model(path: str, kappa_override=None, horizon_override=None) -> Channel
 # canonical serialization
 
 
-def _canon(value, out):
-    if value is None:
-        out.write("null")
-    elif value is True:
-        out.write("true")
-    elif value is False:
-        out.write("false")
-    elif isinstance(value, (int, np.integer)):
-        out.write(str(int(value)))
-    elif isinstance(value, (float, np.floating)):
-        if math.isnan(value) or math.isinf(value):
-            out.write(json.dumps(str(value)))
-        else:
-            out.write(f"{float(value):.12g}")
-    elif isinstance(value, str):
-        out.write(json.dumps(value))
-    elif isinstance(value, np.ndarray):
-        _canon(value.tolist(), out)
-    elif isinstance(value, (list, tuple)):
-        out.write("[")
-        for j, item in enumerate(value):
-            if j:
-                out.write(", ")
-            _canon(item, out)
-        out.write("]")
-    elif isinstance(value, dict):
-        out.write("{")
-        for j, key in enumerate(sorted(value)):
-            if j:
-                out.write(", ")
-            out.write(json.dumps(str(key)) + ": ")
-            _canon(value[key], out)
-        out.write("}")
-    else:
-        raise TypeError(f"cannot serialize {type(value)!r}")
+def _canon(value) -> str:
+    if value is None or value is True or value is False:   # bools before ints
+        return json.dumps(value)
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    if isinstance(value, (float, np.floating)):
+        return f"{float(value):.12g}" if math.isfinite(value) else json.dumps(str(value))
+    if isinstance(value, str):
+        return json.dumps(value)
+    if isinstance(value, np.ndarray):
+        return _canon(value.tolist())
+    if isinstance(value, (list, tuple)):
+        return "[" + ", ".join(map(_canon, value)) + "]"
+    if isinstance(value, dict):
+        return "{" + ", ".join(f"{json.dumps(str(k))}: {_canon(value[k])}"
+                               for k in sorted(value)) + "}"
+    raise TypeError(f"cannot serialize {type(value)!r}")
 
 
 def emit_report(report: dict, fmt: str = "json") -> bytes:
     """Canonical serialization: sorted keys, %.12g floats; CSV for sweeps."""
     if fmt == "json":
-        import io
-        buf = io.StringIO()
-        _canon(report, buf)
-        buf.write("\n")
-        return buf.getvalue().encode()
+        return (_canon(report) + "\n").encode()
     if fmt == "csv":
         if "trace_csv" in report:
             return report["trace_csv"].encode()
@@ -534,7 +516,6 @@ def _run_sweep(config: RunConfig, m: ChannelModel) -> dict:
 
 
 _HANDLERS = {
-    "check": _run_check,
     "ftfi": _run_ftfi,
     "capacity": _run_capacity,
     "nofeedback": _run_nofeedback,
@@ -564,10 +545,9 @@ def run(config: RunConfig):
 
 
 def main(argv=None) -> int:
-    ns = _PARSER.parse_args(sys.argv[1:] if argv is None else argv)
     try:
-        config = _resolve(ns)
-        if ns.dump_config:
+        config, dump = _parse(sys.argv[1:] if argv is None else argv)
+        if dump:
             sys.stdout.write(emit_report(config.to_dict(), "json").decode())
             return 0
         code, report = run(config)

@@ -166,17 +166,19 @@ def info_density_step(b_prev, a, b, C, D, KV, gain, KZ) -> float:
     return float(-0.5 * (ldKV + r1 @ KVi @ r1) + 0.5 * (ldM + r2 @ Mi @ r2))
 
 
-def _rowwise(M, X, form=False):
-    """Row i of X times M(i)^T or, with `form`, the quadratic form X[i] M(i) X[i]^T.
+def _rowwise(M, X):
+    """Row i of X times M(i)^T.
 
     A stack M of one matrix takes the single 2-D product, keeping the bits and
-    speed of `X @ M[0].T` and of the three-operand einsum; a per-row stack
-    takes stacked matmul, whose row i has the bits of M(i) @ X[i] (gemv).
+    speed of `X @ M[0].T`; a per-row stack takes stacked matmul, whose row i
+    has the bits of M(i) @ X[i] (gemv).
     """
-    one = len(M) == 1
-    if form:
-        return np.einsum("ij,jk,ik->i" if one else "ij,ijk,ik->i", X, M[0] if one else M, X)
-    return X @ M[0].T if one else np.matmul(M, X[:, :, None])[:, :, 0]
+    return X @ M[0].T if len(M) == 1 else np.matmul(M, X[:, :, None])[:, :, 0]
+
+
+def _form(M, X):
+    """The quadratic form X[i] M(i) X[i]^T of each row."""
+    return np.einsum("ij,ij->i", _rowwise(M, X), X)
 
 
 def _draw_noise(model: ChannelModel, strat: Strategy, steps: int, seed: int):
@@ -215,9 +217,8 @@ def _traces(model: ChannelModel, strat: Strategy, seeds, b0, B, A, stationary: b
         Bprev = np.vstack([b0, B[:-1]])
         R1 = B - _rowwise(C, Bprev) - _rowwise(D, A)
         R2 = B - _rowwise(Acl, Bprev)
-        info = (-0.5 * (ldKV + _rowwise(KVi, R1, form=True))
-                + 0.5 * (ldM + _rowwise(Mi, R2, form=True)))
-        cost = _rowwise(R, A, form=True) + _rowwise(Q, Bprev, form=True)
+        info = -0.5 * (ldKV + _form(KVi, R1)) + 0.5 * (ldM + _form(Mi, R2))
+        cost = _form(R, A) + _form(Q, Bprev)
         return SimulationTrace(
             seed=int(seed), steps=int(steps), B_path=B, A_path=A,
             info_density_path=info, cost_path=cost,

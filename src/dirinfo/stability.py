@@ -115,14 +115,16 @@ def solve_lyapunov(Acl, W) -> np.ndarray:
     PreconditionError when Acl is not exponentially stable or it stays above.
     """
     Sigma, resid = smith_doubling(Acl, W)
-    if resid > TOL_LYAP:
+    if not resid <= TOL_LYAP:
         raise PreconditionError(f"Lyapunov solve residual too large ({resid:.3e} relative to 1 + |W|)")
     return Sigma
 
 
 def smith_doubling(Acl, W):
     """(Sigma, |W - Sigma + Acl Sigma Acl^T| / (1 + |W|)): `solve_lyapunov` without its
-    residual gate, for iterations that gate their own result (`riccati.solve_are`)."""
+    residual gate, for iterations that gate their own result (`riccati.solve_are`).
+    Raises PreconditionError when a power of Acl or Sigma overflows, as squaring a
+    strongly non-normal Acl can."""
     Acl = _square(Acl)
     W = np.atleast_2d(np.asarray(W, dtype=float))
     if W.shape != Acl.shape:
@@ -132,15 +134,21 @@ def smith_doubling(Acl, W):
         raise PreconditionError(
             f"closed loop not exponentially stable (spectral radius {rep.spectral_radius:.6g})")
     Wsym = 0.5 * (W + W.T)
-    powers = [Acl]
-    while len(powers) < _MAX_DOUBLINGS and np.linalg.norm(powers[-1]) ** 2 > np.finfo(float).eps:
-        powers.append(powers[-1] @ powers[-1])
-    Sigma, E = np.zeros_like(Wsym), Wsym
-    for _ in range(_MAX_PASSES):
-        for A in powers:
-            E = E + A @ E @ A.T
-        Sigma = Sigma + 0.5 * (E + E.T)
-        E = Wsym - Sigma + Acl @ Sigma @ Acl.T
-        if np.linalg.norm(E) <= TOL_LYAP * (1.0 + np.linalg.norm(Wsym)):
-            break
+    powers, eps = [Acl], np.finfo(float).eps
+    with np.errstate(over="ignore", invalid="ignore"):   # overflow is raised below
+        while len(powers) < _MAX_DOUBLINGS and np.linalg.norm(powers[-1]) ** 2 > eps:
+            powers.append(powers[-1] @ powers[-1])
+        if not np.isfinite(powers[-1]).all():
+            raise PreconditionError(
+                f"Lyapunov solve: power {2 ** (len(powers) - 1)} of the closed loop is not finite")
+        Sigma, E = np.zeros_like(Wsym), Wsym
+        for _ in range(_MAX_PASSES):
+            for A in powers:
+                E = E + A @ E @ A.T
+            Sigma = Sigma + 0.5 * (E + E.T)
+            E = Wsym - Sigma + Acl @ Sigma @ Acl.T
+            if np.linalg.norm(E) <= TOL_LYAP * (1.0 + np.linalg.norm(Wsym)):
+                break
+        if not np.isfinite(Sigma).all():
+            raise PreconditionError("Lyapunov solve: the solution is not finite")
     return Sigma, float(np.linalg.norm(E) / (1.0 + np.linalg.norm(Wsym)))

@@ -1,4 +1,5 @@
 import argparse
+import dataclasses
 import json
 import math
 import subprocess
@@ -401,3 +402,34 @@ def test_non_finite_multiplier_exits_one(tmp_path, capsys):
     doc = json.loads(capsys.readouterr().out)
     assert doc["error_type"] == "PreconditionError"
     assert doc["error"] == "multiplier s must be positive and finite (got nan)"
+
+
+@pytest.mark.parametrize("key, value", [
+    ("units", "furlongs"), ("format", "xml"), ("kappa", "x"), ("steps", 1.5), ("horizon", 2.7),
+])
+def test_config_values_are_typed_like_flags(tmp_path, key, value):
+    # a config value goes through its flag's type and choices: no coercion,
+    # no truncation, and misuse is a usage error, not a traceback
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"model": write_model(tmp_path), key: value}))
+    proc = subprocess.run([sys.executable, "-m", "dirinfo.cli", "capacity", "--config", str(cfg)],
+                          capture_output=True, text=True)
+    assert proc.returncode == 2
+    assert f"argument --{key}: invalid" in proc.stderr
+    assert "Traceback" not in proc.stderr and not proc.stdout
+
+
+def test_config_grid_list_resolves_to_floats(tmp_path):
+    # the config's --grid=-1,2 token keeps the negative value from reading as a flag
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"model": "m.json", "param": "C", "grid": [-1, 2]}))
+    assert parse_config(["sweep", "--config", str(cfg)]).grid == (-1.0, 2.0)
+
+
+def test_help_lists_each_config_field_flag_once(capsys):
+    with pytest.raises(SystemExit):
+        cli.main(["-h"])
+    listed = [line.split()[0] for line in capsys.readouterr().out.splitlines()
+              if line.startswith("  --")]
+    fields = [f"--{f.name}" for f in dataclasses.fields(RunConfig) if f.name != "command"]
+    assert sorted(name for name in listed if name in fields) == sorted(fields)

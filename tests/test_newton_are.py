@@ -276,3 +276,13 @@ def test_finite_horizon_strategy_is_frozen_and_valid():
     checked = di.strategy(strat.gains, strat.innovations)
     for a, b in zip(checked.innovations, strat.innovations):
         np.testing.assert_array_equal(a, b)
+
+
+@pytest.mark.parametrize("p, c", [(24, 1e8), (32, 1e12), (8, 1e40)])
+@pytest.mark.parametrize("solve", [stability.smith_doubling, stability.solve_lyapunov])
+def test_lyapunov_solve_raises_when_squaring_overflows(p, c, solve):
+    # stable (spectral radius 0.99) but so non-normal that a power of A or
+    # Sigma overflows; the nan residual must not pass the gate
+    A = 0.99 * np.eye(p) + c * np.eye(p, k=1)
+    with pytest.raises(PreconditionError, match="not finite"):
+        solve(A, np.eye(p))
