@@ -45,6 +45,7 @@ import json
 import math
 import sys
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
@@ -222,29 +223,33 @@ def load_model(path: str, kappa_override=None, horizon_override=None) -> Channel
     return channel_model(
         doc["C"], doc["D"], doc["KV"], doc["R"], doc.get("Q", 0.0),
         kappa, horizon, terminal_Q=doc.get("terminal_Q"),
-        initial_mean=mean, initial_cov=cov, time_invariant=ti,
-        meta={"path": path})
+        initial_mean=mean, initial_cov=cov, time_invariant=ti)
 
 
 # ---------------------------------------------------------------------------
 # canonical serialization
 
 
-def _canon(value) -> str:
+def _canon(value, exact: bool = False) -> str:
+    """Sorted keys, %.12g floats; `exact` writes a float that %.12g would round
+    with all the digits that read it back equal."""
     if value is None or value is True or value is False:   # bools before ints
         return json.dumps(value)
     if isinstance(value, (int, np.integer)):
         return str(int(value))
     if isinstance(value, (float, np.floating)):
-        return f"{float(value):.12g}" if math.isfinite(value) else json.dumps(str(value))
+        if not math.isfinite(value):
+            return json.dumps(str(value))
+        text = f"{float(value):.12g}"
+        return repr(float(value)) if exact and float(text) != value else text
     if isinstance(value, str):
         return json.dumps(value)
     if isinstance(value, np.ndarray):
-        return _canon(value.tolist())
+        return _canon(value.tolist(), exact)
     if isinstance(value, (list, tuple)):
-        return "[" + ", ".join(map(_canon, value)) + "]"
+        return "[" + ", ".join(map(_canon, value, repeat(exact))) + "]"
     if isinstance(value, dict):
-        return "{" + ", ".join(f"{json.dumps(str(k))}: {_canon(value[k])}"
+        return "{" + ", ".join(f"{json.dumps(str(k))}: {_canon(value[k], exact)}"
                                for k in sorted(value)) + "}"
     raise TypeError(f"cannot serialize {type(value)!r}")
 
@@ -412,10 +417,9 @@ def _run_capacity(config: RunConfig, m: ChannelModel) -> dict:
     report = _base_report(config, m)
     sol, cap, report["multiplier_mode"] = _stationary(config, m)
     report["result"] = _stationary_result(config, m, sol, cap)
-    if _is_scalar(m):
+    if _is_scalar(m) and scalar_view(m).Q == 0.0:     # where the closed form is defined
         report["oracle"] = _scalar_oracle_block(m, sol, cap)
-        view = scalar_view(m)
-        if abs(view.C) > 1.0:
+        if abs(scalar_view(m).C) > 1.0:
             report["lower_bound"] = _lower_bound_block(m, cap)
     return report
 
@@ -548,7 +552,7 @@ def main(argv=None) -> int:
     try:
         config, dump = _parse(sys.argv[1:] if argv is None else argv)
         if dump:
-            sys.stdout.write(emit_report(config.to_dict(), "json").decode())
+            sys.stdout.write(_canon(config.to_dict(), exact=True) + "\n")
             return 0
         code, report = run(config)
         payload = emit_report(report, config.format)

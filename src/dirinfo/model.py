@@ -11,7 +11,7 @@ is lowered to this first-order form by block-companion augmentation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -79,7 +79,6 @@ class ChannelModel:
     initial_cov: np.ndarray
     time_invariant: bool
     augmented: bool = False     # noise covariance may be PSD-singular (memory lift)
-    meta: dict = field(default_factory=dict)
 
     # -- per-step accessors (broadcast the single entry of TI models) --
 
@@ -157,7 +156,7 @@ class MemoryJModel:
 
 def channel_model(C, D, KV, R, Q, kappa, horizon, terminal_Q=None,
                   initial_mean=None, initial_cov=None, time_invariant=True,
-                  augmented=False, meta=None) -> ChannelModel:
+                  augmented=False) -> ChannelModel:
     """Build a ChannelModel from matrices or scalars (broadcast if TI)."""
     def to_seq(x, rows, cols):
         if time_invariant:
@@ -182,7 +181,6 @@ def channel_model(C, D, KV, R, Q, kappa, horizon, terminal_Q=None,
         terminal_Q=tq, kappa=float(kappa),
         initial_mean=_freeze(mean), initial_cov=_freeze(cov),
         time_invariant=bool(time_invariant), augmented=bool(augmented),
-        meta=dict(meta or {}),
     )
 
 
@@ -375,21 +373,14 @@ def augment_memory(model: MemoryJModel) -> ChannelModel:
 
     The augmented state stacks the last J outputs newest-first.  The top
     block row carries C_{i,i-1..i-M}; identity blocks shift history down.
-    D and V drive only the top block, so the augmented noise covariance is
-    singular by construction (lower diagonal exactly zero); the returned
-    model is flagged ``augmented`` and downstream inversions pad it.
+    D and V drive only the top block, so for J > 1 the augmented noise
+    covariance is singular by construction (lower diagonal exactly zero); the
+    returned model is flagged ``augmented`` when J > 1, and downstream
+    inversions pad it.
     """
     _validate_memory(model)
-    p, q, M, K = model.output_dim, model.input_dim, model.memory, model.cost_memory
+    p, q, K = model.output_dim, model.input_dim, model.cost_memory
     J = model.order
-    if J == 1:
-        Q = model.Q_K if K == 1 else np.zeros((p, p))
-        return channel_model(
-            model.C_blocks[0], model.D, model.KV, model.R, Q,
-            model.kappa, model.horizon,
-            initial_mean=model.initial_history[0],
-            meta={"augmentation_order": 1},
-        )
     pj = J * p
     C_aug = np.zeros((pj, pj))
     for j, c in enumerate(model.C_blocks):
@@ -407,10 +398,7 @@ def augment_memory(model: MemoryJModel) -> ChannelModel:
     mean = model.initial_history.reshape(pj)
     return channel_model(
         C_aug, D_aug, KV_aug, model.R, Q_aug, model.kappa, model.horizon,
-        initial_mean=mean, augmented=True,
-        meta={"augmentation_order": J, "base_output_dim": p,
-              "kv_padding_when_inverted": EPS_REG},
-    )
+        initial_mean=mean, augmented=J > 1)
 
 
 def lift_strategy(strat: Strategy, p: int, order: int) -> Strategy:

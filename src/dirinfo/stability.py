@@ -9,7 +9,7 @@ import numpy as np
 from .errors import DimensionError, PreconditionError
 
 TOL_SPEC = 1e-9          # stability margin on the unit circle
-TOL_RANK = 1e-9          # relative (to largest singular value) rank cutoff
+TOL_RANK = 1e-9          # PBH rank cutoff, relative to the pencil and to |lam|
 TOL_LYAP = 1e-10         # residual tolerance for the algebraic Lyapunov solve
 _MAX_DOUBLINGS = 64      # Smith doublings: 2^64 terms of the Lyapunov series
 _MAX_PASSES = 3          # Smith passes: the solve, then refinements on its residual
@@ -41,24 +41,31 @@ def spectral_radius(A) -> SpectrumReport:
     )
 
 
-def _rank(M: np.ndarray) -> int:
-    sv = np.linalg.svd(M, compute_uv=False)
-    if sv.size == 0:
-        return 0
-    return int((sv > TOL_RANK * sv[0]).sum())
+def _pbh(A, B, margin: float) -> bool:
+    """PBH test: rank [A - lam*I, B] = n at every eigenvalue with |lam| >= margin.
+    (The Krylov matrix [B, AB, ...] loses rank numerically as n grows; Paige 1981.)
 
-
-def is_controllable(A, B) -> bool:
-    """Full row rank of [B, AB, ..., A^{n-1}B] (numerical rank via SVD)."""
+    A singular value counts above TOL_RANK times the larger of the pencil's
+    largest one and |lam|.  As |[A, B]| <= |[A - lam*I, B]| + |lam|, that is the
+    size of [A, B] up to a factor 2, so a pencil that is only the rounding in A - lam*I
+    (A = lam*I up to rounding, B = 0) has rank 0."""
     A = _square(A)
     B = np.atleast_2d(np.asarray(B, dtype=float))
     n = A.shape[0]
     if B.shape[0] != n:
         raise DimensionError(f"B has {B.shape[0]} rows, expected {n}")
-    blocks = [B]
-    for _ in range(n - 1):
-        blocks.append(A @ blocks[-1])
-    return _rank(np.hstack(blocks)) == n
+    for lam in np.linalg.eigvals(A):
+        if abs(lam) < margin or lam.imag < 0:     # at conj(lam) the pencil is the conjugate
+            continue
+        sv = np.linalg.svd(np.hstack([A - lam * np.eye(n), B]).astype(complex), compute_uv=False)
+        if sv[-1] <= TOL_RANK * max(sv[0], abs(lam)):
+            return False
+    return True
+
+
+def is_controllable(A, B) -> bool:
+    """PBH test at every eigenvalue of A."""
+    return _pbh(A, B, 0.0)
 
 
 def is_observable(C, A) -> bool:
@@ -71,19 +78,8 @@ def is_observable(C, A) -> bool:
 
 
 def is_stabilizable(A, B) -> bool:
-    """PBH test: rank [A - lam*I, B] = n at every eigenvalue with |lam| >= 1."""
-    A = _square(A)
-    B = np.atleast_2d(np.asarray(B, dtype=float))
-    n = A.shape[0]
-    if B.shape[0] != n:
-        raise DimensionError(f"B has {B.shape[0]} rows, expected {n}")
-    for lam in np.linalg.eigvals(A):
-        if abs(lam) < 1.0 - TOL_SPEC:
-            continue
-        pencil = np.hstack([A - lam * np.eye(n), B]).astype(complex)
-        if _rank(pencil) < n:
-            return False
-    return True
+    """PBH test at every eigenvalue with |lam| >= 1 - TOL_SPEC."""
+    return _pbh(A, B, 1.0 - TOL_SPEC)
 
 
 def is_detectable(G, A) -> bool:

@@ -1,0 +1,90 @@
+"""Controllability and observability are PBH tests: rank [A - lam*I, B] = n at
+every eigenvalue.  The rank of the Krylov matrix [B, AB, ..., A^{n-1}B] calls
+most random 32-state single-input pairs uncontrollable, and a Jordan block
+whose last input entry is small but nonzero too."""
+
+import json
+
+import numpy as np
+import pytest
+
+from dirinfo import stability
+from dirinfo.cli import parse_config, run
+
+JORDAN = -1.386 * np.eye(3) + np.diag([1.0, 1.0], 1)
+
+
+def _pbh_margin(A, B):
+    """Smallest relative singular value of [A - lam*I, B] over the eigenvalues."""
+    n = A.shape[0]
+    worst = np.inf
+    for lam in np.linalg.eigvals(A):
+        sv = np.linalg.svd(np.hstack([A - lam * np.eye(n), B]), compute_uv=False)
+        worst = min(worst, sv[-1] / sv[0])
+    return worst
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_random_32_state_single_input_pairs_are_controllable(seed):
+    rng = np.random.default_rng(seed)
+    A = rng.normal(size=(32, 32))
+    b = rng.normal(size=(32, 1))
+    assert _pbh_margin(A, b) > 1e-6
+    assert stability.is_controllable(A, b)
+    assert stability.is_observable(b.T, A.T)
+
+
+def test_jordan_block_with_a_small_last_input_entry_is_controllable():
+    b = np.array([[-1.034], [-0.8833], [-7.673e-4]])
+    assert _pbh_margin(JORDAN, b) > 1e-4
+    assert stability.is_controllable(JORDAN, b)
+    assert stability.is_observable(b.T, JORDAN.T)
+
+
+def test_jordan_block_with_a_zero_last_input_entry_is_not_controllable():
+    b = np.array([[1.0], [1.0], [0.0]])
+    assert not stability.is_controllable(JORDAN, b)
+    assert not stability.is_observable(b.T, JORDAN.T)
+
+
+def test_check_reports_a_32_state_single_input_model_controllable(tmp_path):
+    rng = np.random.default_rng(2)
+    C = 0.9 * rng.normal(size=(32, 32)) / np.sqrt(32)
+    D = rng.normal(size=(32, 1))
+    eye = np.eye(32).tolist()
+    path = tmp_path / "p32.json"
+    path.write_text(json.dumps({"C": C.tolist(), "D": D.tolist(), "KV": eye, "R": 1.0,
+                                "Q": eye, "kappa": 1.0}))
+    code, report = run(parse_config(["check", "--model", str(path)]))
+    assert code == 0
+    result = report["result"]
+    assert result["controllable"] is True
+    assert result["stabilizable"] is True and result["observable"] is True
+
+
+def _rotated_scalar_identity(n=2, lam=1.5, seed=0):
+    """lam * I up to rounding: an orthogonal similarity of it."""
+    Q, _ = np.linalg.qr(np.random.default_rng(seed).normal(size=(n, n)))
+    return Q @ (lam * np.eye(n)) @ Q.T
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_pencil_of_rounding_alone_has_rank_zero(n):
+    A = _rotated_scalar_identity(n)
+    assert not np.array_equal(A, 1.5 * np.eye(n))
+    B = np.zeros((n, 1))
+    assert not stability.is_stabilizable(A, B)
+    assert not stability.is_controllable(A, B)
+    assert not stability.is_detectable(B.T, A)
+    assert not stability.is_observable(B.T, A)
+
+
+def test_capacity_of_an_unstabilizable_rounded_model_is_a_precondition_failure(tmp_path):
+    C = _rotated_scalar_identity()
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps({"C": C.tolist(), "D": [[0.0], [0.0]], "KV": np.eye(2).tolist(),
+                                "R": 1.0, "Q": np.zeros((2, 2)).tolist(), "kappa": 1.0}))
+    code, report = run(parse_config(["capacity", "--model", str(path)]))
+    assert code == 1
+    assert report["error_type"] == "PreconditionError"
+    assert "stabilizability" in report["error"]
