@@ -17,6 +17,13 @@ trace(P_1 K_V) is the cost floor, and the water-fill at multiplier s spends
 trace(W_1 K_Z) = sum_j (1/(2s) - sigma_j^{-2})_+ over the subchannel gains
 sigma_j of W_1.  One water level mu for the budget above the floor gives
 s* = 1/(2 mu).
+
+The finite-horizon backward pass stops at its exact plateau.  On a
+time-invariant model every step applies one map to P_1(i+1), so once P_1(i)
+equals P_1(i+1) bit for bit, every earlier step repeats it: those steps are
+copied, bit-identical to stepping n times, with no tolerance.  A Q = 0 model
+with terminal_Q = 0 takes one step (P_1 = 0); a time-varying model never
+plateaus.
 """
 
 from __future__ import annotations
@@ -30,7 +37,7 @@ from . import riccati, stability, waterfill
 from .errors import InfeasibleError, PreconditionError
 from .linalg import logdet_pd, sym
 from .model import ChannelModel, Strategy, _freeze, validate_model
-from .stability import lyapunov_step, solve_lyapunov
+from .stability import solve_lyapunov
 
 REGIME_STABLE_NO_FEEDBACK = "stable_no_feedback"
 REGIME_UNSTABLE_STABILIZED = "unstable_stabilized"
@@ -81,23 +88,46 @@ def information_rate(model: ChannelModel, strat: Strategy, steps: int) -> float:
 # finite horizon
 
 
-def _riccati_pass(model: ChannelModel):
-    """(P_1, gains, sigma, V, kv_regularized): the backward pass at s = 1 from
-    P_1(n) = terminal_Q (terminal gain zero) as (n+1, ., .) stacks, and the
-    subchannels of every step's weight R(i) + D(i)^T P_1(i+1) D(i), its step's
-    H22 block (R(n) at the last)."""
+def _stacks(model: ChannelModel):
+    """(C, D, K_V, R, Q) as (n+1, ., .) stacks, built by indexing the model's
+    sequences (a time-invariant model's one entry at every step); Q(n) is terminal_Q."""
     n = model.horizon
-    P = [None] * n + [sym(model.terminal_Q)]
-    gains = [None] * n + [np.zeros((model.input_dim, model.output_dim))]
-    weights = [None] * n + [sym(model.R(n))]
+    steps = np.zeros(n + 1, dtype=np.intp) if model.time_invariant else np.arange(n + 1)
+    C, D, KV, R, Q = (np.asarray(seq)[steps] for seq in
+                      (model.C_seq, model.D_seq, model.KV_seq, model.R_seq, model.Q_seq))
+    Q[n] = model.terminal_Q
+    return C, D, KV, R, Q
+
+
+def _riccati_pass(model: ChannelModel, stacks):
+    """(P_1, gains, sigma, V, kv_regularized): the backward pass at s = 1 from
+    P_1(n) = terminal_Q (terminal gain zero) over the model's `_stacks`, as
+    (n+1, ., .) stacks, and the subchannels of every step's weight
+    R(i) + D(i)^T P_1(i+1) D(i), its step's H22 block (R(n) at the last).
+
+    Exact plateau: on a time-invariant model every step i < n applies the same
+    map to P_1(i+1), so once P_1(i) equals P_1(i+1) bit for bit, every earlier
+    step repeats step i's P_1, gain and weight bit for bit; they are copied
+    instead of stepped.  A Q = 0 model with terminal_Q = 0 stops after one step
+    (P_1 = 0).  A time-varying model steps n times, even where its matrices repeat.
+    """
+    C, D, _, R, Q = stacks
+    n = model.horizon
+    P = np.empty_like(C)
+    gains = np.empty((n + 1, model.input_dim, model.output_dim))
+    weights = np.empty_like(R)
+    P[n], gains[n], weights[n] = sym(model.terminal_Q), 0.0, sym(R[n])
+    bits = P.view(np.uint64)     # bit patterns: -0.0 and 0.0 differ
     for i in range(n - 1, -1, -1):
-        P[i], blocks = riccati.riccati_backward_step(
-            P[i + 1], model.C(i), model.D(i), model.Q(i), model.R(i), 1.0)
+        P[i], blocks = riccati._backward_step(P[i + 1], C[i], D[i], Q[i], R[i], 1.0)
         gains[i], weights[i] = riccati.optimal_gain(blocks), blocks.H22
-    kv = [model.noise_for_inversion(i) for i in range(n + 1)]
-    sigma, V = waterfill.subchannels(np.stack([model.D(i) for i in range(n + 1)]),
-                                     np.stack([k for k, _ in kv]), np.stack(weights))
-    return np.stack(P), np.stack(gains), sigma, V, any(reg for _, reg in kv)
+        if model.time_invariant and np.array_equal(bits[i], bits[i + 1]):
+            P[:i], gains[:i], weights[:i] = P[i], gains[i], weights[i]
+            break
+    # one K_V per entry of the model's sequence: a stack of one broadcasts over the steps
+    kv = [model.noise_for_inversion(i) for i in range(len(model.KV_seq))]
+    sigma, V = waterfill.subchannels(D, np.stack([k for k, _ in kv]), weights)
+    return P, gains, sigma, V, any(reg for _, reg in kv)
 
 
 def _traces(A, B) -> np.ndarray:
@@ -111,34 +141,47 @@ def finite_horizon_dp(model: ChannelModel, s: float) -> FiniteHorizonSolution:
     Backward: the pass at s = 1 scaled, P(i) = s P_1(i) with the same gains
     (zero at the terminal step); K_Z(i) fills step i at level 1/(2s), and r(i)
     accumulates the per-step water-fill values minus trace(P(i+1) K_V(i)).
+    The pass stops at its exact plateau (`_riccati_pass`): a time-invariant
+    model stops stepping once P_1 repeats bit for bit and copies that step
+    into the earlier ones, bit-identical to n steps; a Q = 0 model with
+    terminal_Q = 0 takes one step; a time-varying model never plateaus.
     Forward: the output second moments K_B(i) = Acl(i) K_B(i-1) Acl(i)^T + W(i)
-    and the per-unit-time achieved cost, summed from the stacks.
+    and the per-unit-time achieved cost, summed from the stacks.  A second
+    moment that overflows (a closed loop the gains leave unstable, over a long
+    horizon) raises PreconditionError naming its step.
     """
     validate_model(model)
     riccati.check_multiplier(s)
     n = model.horizon
-    P1, G, sigma, V, regularized = _riccati_pass(model)
+    C, D, KV, R, Q = stacks = _stacks(model)
+    P1, G, sigma, V, regularized = _riccati_pass(model, stacks)
     KZ, rates, spent = waterfill.fill(sigma, V, 0.5 / s)
     values = rates - s * spent
     P = s * P1
-    C, D, KV, R, Q = (np.stack([f(i) for i in range(n + 1)])
-                      for f in (model.C, model.D, model.KV, model.R, model.Q))
     # r(i) = r(i+1) + values(i) - trace(P(i+1) K_V(i)), one cumsum in the recursion's order
     steps = np.stack([values[:n], -_traces(P[1:], KV[:n])], axis=1)[::-1].ravel()
     r = np.cumsum(np.append(values[n] + s * (n + 1) * model.kappa, steps))[::-2]
 
     # built here, PSD by construction: wrapped without the caller-input checks
-    strat = Strategy(gains=tuple(map(_freeze, G)), innovations=tuple(map(_freeze, KZ)))
+    strat = Strategy(gains=tuple(_freeze(G)), innovations=tuple(_freeze(KZ)))
     Acl = C + D @ G
     W = D @ KZ @ D.swapaxes(1, 2) + KV
-    KB = [model.initial_second_moment()]
-    for i in range(n + 1):
-        KB.append(lyapunov_step(KB[-1], Acl[i], W[i]))
-    Kprev = np.stack(KB[:-1])
+    KB = np.empty((n + 2,) + Acl.shape[1:])
+    KB[0] = model.initial_second_moment()
+    with np.errstate(over="ignore", invalid="ignore"):   # a non-finite moment is raised below
+        for i in range(n + 1):
+            KB[i + 1] = stability._lyapunov_step(KB[i], Acl[i], W[i])
+    finite = np.isfinite(KB).all(axis=(1, 2))
+    if not finite.all():
+        i = int(np.argmin(finite)) - 1
+        raise PreconditionError(
+            f"forward second moment K_B({i}) is not finite at step {i} of {n}: closed-loop "
+            f"spectral radius {stability.spectral_radius(Acl[i]).spectral_radius:.6g}")
+    Kprev = KB[:-1]
     total_cost = float(_traces(R, G @ Kprev @ G.swapaxes(1, 2)).sum()
                        + _traces(R, KZ).sum() + _traces(Q, Kprev).sum())
 
-    value = -float(np.trace(P[0] @ model.initial_second_moment())) + float(r[0])
+    value = -float(np.trace(P[0] @ KB[0])) + float(r[0])
     return FiniteHorizonSolution(
         s=float(s), P_seq=tuple(P), r_seq=tuple(r.tolist()), strategy=strat,
         KB_seq=tuple(KB), achieved_cost=total_cost / (n + 1), value_nats=value,
@@ -157,9 +200,10 @@ def ftfi_capacity(model: ChannelModel):
     validate_model(model)
     n = model.horizon
     kappa = model.kappa
-    P1, _, sigma, _, _ = _riccati_pass(model)
+    _, _, KV, _, _ = stacks = _stacks(model)
+    P1, _, sigma, _, _ = _riccati_pass(model, stacks)
     floor = float(np.trace(P1[0] @ model.initial_second_moment())
-                  + _traces(P1[1:], np.stack([model.KV(i) for i in range(n + 1)])[:n]).sum())
+                  + _traces(P1[1:], KV[:n]).sum())
     budget = (n + 1) * kappa - floor
     if budget < -COST_TOL * (1.0 + kappa) * (n + 1):
         raise InfeasibleError(

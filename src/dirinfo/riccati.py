@@ -72,6 +72,11 @@ def riccati_backward_step(Pnext, C, D, Q, R, s: float):
     Q = np.atleast_2d(np.asarray(Q, dtype=float))
     R = np.atleast_2d(np.asarray(R, dtype=float))
     check_multiplier(s)
+    return _backward_step(Pnext, C, D, Q, R, s)
+
+
+def _backward_step(Pnext, C, D, Q, R, s: float):
+    """`riccati_backward_step` on 2-D float arrays, Pnext symmetric and s checked."""
     H11 = sym(C.T @ Pnext @ C + s * Q)
     H12 = C.T @ Pnext @ D
     H22 = sym(D.T @ Pnext @ D + s * R)
