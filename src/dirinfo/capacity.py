@@ -268,8 +268,7 @@ def _view(model: ChannelModel, unit, s: float) -> StationarySolution:
         s=float(s), P=s * are.P, gain=g, KZ=KZ, KB=K, rate_nats=float(rate[0]),
         achieved_cost=cost, regime=regime,
         are_residual=are.residual * s * (1.0 + norm_P) / (1.0 + s * norm_P),
-        meta={"kv_regularized": model.noise_for_inversion(0)[1],
-              "are_iterations": are.iterations},
+        meta={"kv_regularized": model.noise_for_inversion(0)[1]},
     )
 
 
@@ -327,13 +326,12 @@ def feedback_capacity(model: ChannelModel):
 # scalar closed form and the no-feedback comparator
 
 
-def scalar_feedback_capacity(C: float, D: float, KV: float, kappa: float,
-                             R: float = 1.0, Q: float = 0.0):
-    """Three-branch closed form for the time-invariant scalar channel.
+def scalar_feedback_capacity(C: float, D: float, KV: float, kappa: float, R: float = 1.0):
+    """Three-branch closed form for the time-invariant scalar channel with Q = 0.
 
-    Returns (capacity_nats, gain, KZ, regime).  Derived for Q = 0; general
-    scalar R > 0 is handled by exact input rescaling (which leaves the gain
-    and the capacity expression unchanged and scales KZ by 1/R).
+    Returns (capacity_nats, gain, KZ, regime).  General scalar R > 0 is
+    handled by exact input rescaling (which leaves the gain and the capacity
+    expression unchanged and scales KZ by 1/R).
     """
     if D == 0.0:
         raise PreconditionError("D must be nonzero")
@@ -341,8 +339,6 @@ def scalar_feedback_capacity(C: float, D: float, KV: float, kappa: float,
         raise PreconditionError("KV must be positive")
     if R <= 0.0:
         raise PreconditionError("R must be positive")
-    if Q != 0.0:
-        raise PreconditionError("closed form defined for Q = 0 only")
     if kappa < 0.0:
         raise PreconditionError("negative kappa")
     if abs(abs(C) - 1.0) <= stability.TOL_SPEC:

@@ -26,15 +26,27 @@ accepted for 1x1 entries):
 
 Time-varying models list one matrix per step for C/D/KV/R/Q and set
 "time_invariant": false.  Memory models are lowered to first-order form on
-load.  Exit codes: 0 success (zero-capacity regimes included), 1 solver or
-precondition failure, 2 usage error.
+load.  Required keys: C, D, KV and R for "channel"; C_blocks, D, KV and R
+for "memory_j".  The rest are optional, and null counts as absent.
+
+Exit codes: 0 success (zero-capacity regimes included), 1 solver or
+precondition failure, 2 usage error.  A model file that cannot be read, is
+not a JSON object, has an unknown type or key, lacks a required key, or
+holds a value of the wrong JSON type (a matrix that is not a number or a
+rectangular array of numbers, a kappa that is not a number, a horizon,
+memory or cost_memory that is not an integer, a time_invariant that is not
+true or false) is a usage error naming the key.  A well-typed model of the
+wrong shape, a wrong-length initial mean included, exits 1 with the
+library's DimensionError or ModelValidationError (`check` reports the
+latter as valid: false).
 
 Every option is declared once, as a `RunConfig` field that carries its flag's
 type, choices and help; every command takes the same flags (one parser, built
-at import), before or after the command name, and --param and --grid are for
-sweep only.  A --config file's values become `--name=value` tokens ahead of
-the command line, so the parser types and checks them like flags and a given
-flag wins.
+at import), before or after the command name.  --param and --grid are for
+sweep only, and --format csv for sweep and simulate; these checks run before
+the model is read.  A --config file's values become `--name=value` tokens
+ahead of the command line, so the parser types and checks them like flags and
+a given flag wins.
 """
 
 from __future__ import annotations
@@ -116,16 +128,25 @@ def _build_parser() -> argparse.ArgumentParser:
 _PARSER = _build_parser()     # one per process; parse_args leaves it unchanged
 
 
+def _read_object(path: str, what: str) -> dict:
+    """The JSON object held by the `what` file at `path`; UsageError if the
+    file cannot be read, is not JSON, or holds anything but an object."""
+    try:
+        with open(path) as fh:
+            doc = json.load(fh)
+    except OSError as exc:
+        raise UsageError(f"cannot read {what} file {path}: {exc}") from exc
+    except ValueError as exc:       # JSONDecodeError, or bytes that are not UTF-8
+        raise UsageError(f"malformed JSON in {what} file {path}: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise UsageError(f"{what} file must hold a JSON object")
+    return doc
+
+
 def _config_tokens(path: str, command: str) -> list:
     """The config file's non-null values as `--name=value` tokens, lists joined
     with commas; the `=` form keeps a value such as -1,2 from reading as a flag."""
-    try:
-        with open(path) as fh:
-            values = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise UsageError(f"cannot read config file {path}: {exc}") from exc
-    if not isinstance(values, dict):
-        raise UsageError("config file must hold a JSON object")
+    values = _read_object(path, "config")
     unknown = set(values) - {f.name for f in _FIELDS}
     if unknown:
         raise UsageError(f"unknown config keys: {sorted(unknown)}")
@@ -144,6 +165,8 @@ def _parse(argv) -> tuple:
     stray = [f"--{name}" for name in ("param", "grid") if getattr(ns, name) is not None]
     if stray and ns.command != "sweep":
         raise UsageError(f"{ns.command} does not take {' or '.join(stray)} (sweep only)")
+    if ns.format == "csv" and ns.command not in ("sweep", "simulate"):
+        raise UsageError("csv format is only available for sweep and simulate reports")
     if not ns.model:
         raise UsageError(f"{ns.command}: --model is required")
     config = RunConfig(**{f.name: getattr(ns, f.name) for f in _FIELDS
@@ -170,59 +193,95 @@ def parse_config(argv) -> RunConfig:
 # model files
 
 
-def _matrix_entry(value):
-    if isinstance(value, dict):
-        raise UsageError("matrix entries must be numbers or nested arrays")
+def _shape(value):
+    """The shape of a JSON number or rectangular nested array of numbers, else
+    None (a string, boolean, object or null anywhere, or a ragged array).
+    json.load gives numbers exactly the types int and float; bool is neither."""
+    if type(value) in (int, float):
+        return ()
+    if type(value) is not list:
+        return None
+    if set(map(type, value)) <= {int, float}:      # a row of numbers, or empty
+        return (len(value),)
+    inner = {_shape(v) for v in value}
+    if len(inner) > 1 or None in inner:
+        return None
+    return (len(value),) + inner.pop()
+
+
+# What a model-file value must be: (description, test of the parsed JSON value).
+_INTEGER = ("an integer", lambda v: type(v) is int)
+_NUMBER = ("a number", lambda v: type(v) in (int, float))
+_BOOLEAN = ("true or false", lambda v: type(v) is bool)
+_MATRIX = ("a number or a rectangular array of numbers", lambda v: _shape(v) is not None)
+_MATRICES = ("a non-empty array of matrices, one per step or block",
+             lambda v: type(v) is list and v and all(_shape(m) is not None for m in v))
+_INITIAL = ("a number, an array of numbers or an object with mean and cov",
+            lambda v: isinstance(v, dict) or _shape(v) is not None)
+_REQUIRED = object()
+
+_MODEL_KEYS = {
+    "channel": {"type", "horizon", "time_invariant", "C", "D", "KV", "R", "Q",
+                "terminal_Q", "kappa", "initial_output"},
+    "memory_j": {"type", "horizon", "C_blocks", "D", "KV", "R", "Q_K",
+                 "memory", "cost_memory", "kappa", "initial_history"},
+}
+
+
+def _value(doc: dict, key: str, kind: tuple, default=_REQUIRED, name: str = None):
+    """doc[key] if it is of `kind`; a missing or null key takes `default`.  A
+    missing required key or a value of another JSON type is a UsageError naming
+    the key (as `name`, when given)."""
+    value = doc.get(key)
+    if value is None:
+        if default is _REQUIRED:
+            raise UsageError(f"model file is missing required key {name or key!r}")
+        return default
+    if not kind[1](value):
+        raise UsageError(f"model key {name or key!r} must be {kind[0]}")
     return value
 
 
 def load_model(path: str, kappa_override=None, horizon_override=None) -> ChannelModel:
-    try:
-        with open(path) as fh:
-            doc = json.load(fh)
-    except OSError as exc:
-        raise UsageError(f"cannot read model file {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise UsageError(f"malformed JSON in {path}: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise UsageError("model file must hold a JSON object")
-    kind = doc.get("type", "channel")
-    kappa = kappa_override if kappa_override is not None else doc.get("kappa", 0.0)
-    horizon = horizon_override if horizon_override is not None else doc.get("horizon", 0)
-    if kind == "memory_j":
-        allowed = {"type", "horizon", "C_blocks", "D", "KV", "R", "Q_K",
-                   "memory", "cost_memory", "kappa", "initial_history"}
-        unknown = set(doc) - allowed
-        if unknown:
-            raise UsageError(f"unknown model keys: {sorted(unknown)}")
-        mem = memory_model(
-            [_matrix_entry(c) for c in doc["C_blocks"]], doc["D"], doc["KV"], doc["R"],
-            doc.get("Q_K"), kappa, horizon,
-            memory=doc.get("memory"), cost_memory=doc.get("cost_memory", 1),
-            initial_history=doc.get("initial_history"))
-        return augment_memory(mem)
-    if kind != "channel":
+    """The model in a JSON file; see the module docstring for its keys.  Problems
+    with the file itself are UsageErrors; a well-typed model of the wrong shape
+    raises the library's DimensionError or ModelValidationError."""
+    doc = _read_object(path, "model")
+    kind = "channel" if doc.get("type") is None else doc["type"]
+    if kind not in ("channel", "memory_j"):
         raise UsageError(f"unknown model type {kind!r}")
-    allowed = {"type", "horizon", "time_invariant", "C", "D", "KV", "R", "Q",
-               "terminal_Q", "kappa", "initial_output"}
-    unknown = set(doc) - allowed
+    unknown = set(doc) - _MODEL_KEYS[kind]
     if unknown:
         raise UsageError(f"unknown model keys: {sorted(unknown)}")
-    ti = bool(doc.get("time_invariant", True))
+    kappa = _value(doc, "kappa", _NUMBER, 0.0)
+    kappa = kappa_override if kappa_override is not None else kappa
+    horizon = _value(doc, "horizon", _INTEGER, 0)
+    horizon = horizon_override if horizon_override is not None else horizon
+    if kind == "memory_j":
+        mem = memory_model(
+            _value(doc, "C_blocks", _MATRICES),
+            *(_value(doc, key, _MATRIX) for key in ("D", "KV", "R")),
+            _value(doc, "Q_K", _MATRIX, None), kappa, horizon,
+            memory=_value(doc, "memory", _INTEGER, None),
+            cost_memory=_value(doc, "cost_memory", _INTEGER, 1),
+            initial_history=_value(doc, "initial_history", _MATRIX, None))
+        return augment_memory(mem)
+    ti = _value(doc, "time_invariant", _BOOLEAN, True)
     if horizon_override is not None and not ti:
         raise UsageError("cannot override the horizon of a time-varying model")
-    init = doc.get("initial_output", None)
-    mean, cov = None, None
-    if isinstance(init, dict):
-        unknown = set(init) - {"mean", "cov"}
-        if unknown:
-            raise UsageError(f"unknown initial_output keys: {sorted(unknown)}")
-        mean, cov = init.get("mean"), init.get("cov")
-    elif init is not None:
-        mean = np.atleast_1d(np.asarray(init, dtype=float))
+    step = _MATRIX if ti else _MATRICES
+    C, D, KV, R = (_value(doc, key, step) for key in ("C", "D", "KV", "R"))
+    Q = _value(doc, "Q", step, 0.0 if ti else [0.0] * len(C))
+    init = _value(doc, "initial_output", _INITIAL, {})
+    if not isinstance(init, dict):
+        init = {"mean": init}
+    unknown = set(init) - {"mean", "cov"}
+    if unknown:
+        raise UsageError(f"unknown initial_output keys: {sorted(unknown)}")
+    mean, cov = (_value(init, key, _MATRIX, None, f"initial_output.{key}")
+                 for key in ("mean", "cov"))
     return channel_model(
-        doc["C"], doc["D"], doc["KV"], doc["R"], doc.get("Q", 0.0),
-        kappa, horizon, terminal_Q=doc.get("terminal_Q"),
+        C, D, KV, R, Q, kappa, horizon, terminal_Q=_value(doc, "terminal_Q", _MATRIX, None),
         initial_mean=mean, initial_cov=cov, time_invariant=ti)
 
 
@@ -255,15 +314,14 @@ def _canon(value, exact: bool = False) -> str:
 
 
 def emit_report(report: dict, fmt: str = "json") -> bytes:
-    """Canonical serialization: sorted keys, %.12g floats; CSV for sweeps."""
+    """Canonical serialization: sorted keys, %.12g floats; CSV for sweep and
+    simulate reports (`_parse` allows csv for those commands only)."""
     if fmt == "json":
         return (_canon(report) + "\n").encode()
     if fmt == "csv":
         if "trace_csv" in report:
             return report["trace_csv"].encode()
-        rows = report.get("rows")
-        if rows is None:
-            raise UsageError("csv format is only available for sweep and simulate reports")
+        rows = report["rows"]
         cols = sorted({k for row in rows for k in row})
         lines = [",".join(cols)]
         for row in rows:
@@ -317,7 +375,7 @@ def _base_report(config: RunConfig, m: ChannelModel) -> dict:
 def _scalar_oracle_block(m: ChannelModel, sol, cap_nats: float) -> dict:
     view = scalar_view(m)
     cap_o, gain_o, kz_o, regime_o = capacity.scalar_feedback_capacity(
-        view.C, view.D, view.KV, view.kappa, R=view.R, Q=view.Q)
+        view.C, view.D, view.KV, view.kappa, R=view.R)
     d_cap = abs(cap_nats - cap_o)
     d_gain = abs(float(sol.gain[0, 0]) - gain_o)
     d_kz = abs(float(sol.KZ[0, 0]) - kz_o)

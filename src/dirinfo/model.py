@@ -173,7 +173,7 @@ def channel_model(C, D, KV, R, Q, kappa, horizon, terminal_Q=None,
     R_seq = to_seq(R, q, q)
     Q_seq = to_seq(Q, p, p)
     tq = Q_seq[-1] if terminal_Q is None else _freeze(_as_matrix(terminal_Q, p, p))
-    mean = np.zeros(p) if initial_mean is None else np.asarray(initial_mean, dtype=float).reshape(p)
+    mean = np.zeros(p) if initial_mean is None else np.asarray(initial_mean, dtype=float).reshape(-1)
     cov = np.zeros((p, p)) if initial_cov is None else _as_matrix(initial_cov, p, p)
     return ChannelModel(
         horizon=int(horizon), output_dim=p, input_dim=q,
@@ -200,8 +200,10 @@ def memory_model(C_blocks, D, KV, R, Q_K, kappa, horizon, memory=None,
     qk_dim = max(K * p, 0)
     if Q_K is None or qk_dim == 0:
         Q_K = np.zeros((qk_dim, qk_dim))
-    J = max(M, K)
-    hist = np.zeros((J, p)) if initial_history is None else np.asarray(initial_history, float).reshape(J, p)
+    J = max(M, K, 0)
+    hist = np.zeros((J, p)) if initial_history is None else np.asarray(initial_history, float)
+    if hist.size == J * p:      # else validation names the mismatch
+        hist = hist.reshape(J, p)
     return MemoryJModel(
         horizon=int(horizon), output_dim=p, input_dim=q,
         C_blocks=blocks, D=D, KV=_freeze(_as_matrix(KV, p, p)),
@@ -399,23 +401,6 @@ def augment_memory(model: MemoryJModel) -> ChannelModel:
     return channel_model(
         C_aug, D_aug, KV_aug, model.R, Q_aug, model.kappa, model.horizon,
         initial_mean=mean, augmented=J > 1)
-
-
-def lift_strategy(strat: Strategy, p: int, order: int) -> Strategy:
-    """Embed gains acting on (B_{i-1},...,B_{i-J}) blocks into augmented coordinates.
-
-    Gains already sized q x (J*p) pass through; gains sized q x p are padded
-    with zeros on the older blocks.
-    """
-    if order == 1:
-        return strat
-    gains = []
-    for g in strat.gains:
-        if g.shape[1] == order * p:
-            gains.append(g)
-        else:
-            gains.append(np.hstack([g, np.zeros((g.shape[0], order * p - g.shape[1]))]))
-    return strategy(gains, strat.innovations)
 
 
 def scalar_view(model: ChannelModel) -> ScalarView:

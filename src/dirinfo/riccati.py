@@ -22,8 +22,8 @@ import numpy as np
 
 from . import stability
 from .errors import ConvergenceError, PreconditionError
-from .linalg import sym, sym_sqrt
-from .model import min_eigenvalue, psd_tolerance
+from .linalg import sym
+from .model import min_eigenvalue
 
 TOL_ARE = 1e-11
 _MAX_ITER = 100         # Newton steps, and doublings of the start
@@ -45,17 +45,6 @@ class AreSolution:
     stabilizing: bool
     residual: float
     iterations: int
-
-
-@dataclass(frozen=True)
-class AreClassification:
-    psd: bool
-    min_eigenvalue: float
-    stabilizing: bool
-    uniqueness: str            # "unique" | "conditional" | "none"
-    stabilizable: bool
-    detectable: bool
-    kv_controllable: bool      # (closed loop, K_V^{1/2}) controllable: output covariance is unique PD
 
 
 def check_multiplier(s) -> None:
@@ -97,14 +86,17 @@ def _stabilizing_gain(C, D, R, s):
     """(gain, doublings): the first stabilizing gain of value iteration from P = 0 on
     Q = cI, c = |R| / |D|^2, among its steps 1, 2, 3, 5, 9, ..., 2^k + 1.  The doubling of
     Chu, Fan and Lin (2005) maps H = P_N to P_2N, so a weakly actuated or nearly
-    uncontrollable mode that needs N steps costs log2 N doublings."""
-    c = np.linalg.norm(R, 2) / np.linalg.norm(D, 2) ** 2
-    A, G, H = C, D @ np.linalg.solve(s * R, D.T), s * c * np.eye(C.shape[0])   # H = P_1
+    uncontrollable mode that needs N steps costs log2 N doublings.  A stable C takes
+    step 1's zero gain before c is formed, so D = 0 is allowed there."""
     gain = np.zeros((D.shape[1], C.shape[0]))                                 # step 1's gain
-    for k in range(_MAX_ITER):
+    if stability.spectral_radius(C).stable:
+        return gain, 0
+    c = np.linalg.norm(R, 2) / np.linalg.norm(D, 2) ** 2     # D != 0: (C, D) is stabilizable
+    A, G, H = C, D @ np.linalg.solve(s * R, D.T), s * c * np.eye(C.shape[0])   # H = P_1
+    for k in range(1, _MAX_ITER):
+        gain = optimal_gain(riccati_backward_step(H, C, D, np.zeros_like(C), R, s)[1])
         if stability.spectral_radius(C + D @ gain).stable:
             return gain, k
-        gain = optimal_gain(riccati_backward_step(H, C, D, np.zeros_like(C), R, s)[1])
         W = np.eye(C.shape[0]) + G @ H
         WA, WG = np.linalg.solve(W, A), np.linalg.solve(W, G)
         A, G, H = A @ WA, sym(G + A @ WG @ A.T), sym(H + A.T @ H @ WA)
@@ -151,29 +143,3 @@ def solve_are(C, D, Q, R, s: float) -> AreSolution:
                 residual=resid, iterations=start + k,
             )
     raise ConvergenceError(f"{_MAX_ITER} Newton steps did not converge (last residual {resid:.3e})")
-
-
-def classify_are(solution: AreSolution, C, D, Q, R, s: float, KV) -> AreClassification:
-    """Report PSD-ness, stability, and the uniqueness certificate for a solution.
-
-    Uniqueness: "unique" under stabilizability + detectability; otherwise
-    "conditional" when the solution is stabilizing and the inner block is
-    positive definite (at most one such solution exists); "none" otherwise.
-    """
-    P = sym(np.atleast_2d(np.asarray(solution.P, dtype=float)))
-    lo = min_eigenvalue(P)
-    psd = lo >= -psd_tolerance(P)
-    stabilizable = stability.is_stabilizable(C, D)
-    detectable = stability.is_detectable(sym_sqrt(Q), C)
-    if stabilizable and detectable:
-        uniqueness = "unique"
-    elif solution.stabilizing:
-        uniqueness = "conditional"
-    else:
-        uniqueness = "none"
-    kv_ctrb = stability.is_controllable(solution.closed_loop, sym_sqrt(KV))
-    return AreClassification(
-        psd=bool(psd), min_eigenvalue=lo, stabilizing=solution.stabilizing,
-        uniqueness=uniqueness, stabilizable=stabilizable, detectable=detectable,
-        kv_controllable=kv_ctrb,
-    )

@@ -34,7 +34,7 @@ with the batch (and the number of chunks) it ran in.  Reports are
 byte-stable for a given seed list.  In a time-varying trace, row i of the
 noise is the bits of `innovation_from_uniform` at step i, while the density
 and cost come from stacked products and may move in their last bits against
-`info_density_step` and the per-step quadratic forms.
+the same log-densities and quadratic forms evaluated one step at a time.
 """
 
 from __future__ import annotations
@@ -142,28 +142,6 @@ def _gaussian_logpdf_terms(cov: np.ndarray):
     if np.any(sign <= 0):
         raise PreconditionError("singular covariance in density evaluation")
     return np.linalg.inv(cov), ld
-
-
-def info_density_step(b_prev, a, b, C, D, KV, gain, KZ) -> float:
-    """Per-step directed-information density (nats).
-
-    log N(b; C b_prev + D a, K_V) - log N(b; (C + D gain) b_prev, D K_Z D^T + K_V).
-    """
-    b_prev = np.atleast_1d(np.asarray(b_prev, dtype=float))
-    a = np.atleast_1d(np.asarray(a, dtype=float))
-    b = np.atleast_1d(np.asarray(b, dtype=float))
-    C = np.atleast_2d(np.asarray(C, dtype=float))
-    D = np.atleast_2d(np.asarray(D, dtype=float))
-    KV = np.atleast_2d(np.asarray(KV, dtype=float))
-    gain = np.atleast_2d(np.asarray(gain, dtype=float))
-    KZ = np.atleast_2d(np.asarray(KZ, dtype=float))
-    KVi, ldKV = _gaussian_logpdf_terms(KV)
-    Mbig = D @ KZ @ D.T + KV
-    Mi, ldM = _gaussian_logpdf_terms(Mbig)
-    r1 = b - C @ b_prev - D @ a
-    # same association as r1 so the densities cancel exactly when a = gain b
-    r2 = b - C @ b_prev - D @ (gain @ b_prev)
-    return float(-0.5 * (ldKV + r1 @ KVi @ r1) + 0.5 * (ldM + r2 @ Mi @ r2))
 
 
 def _rowwise(M, X):

@@ -17,7 +17,6 @@ _MAX_PASSES = 3          # Smith passes: the solve, then refinements on its resi
 
 @dataclass(frozen=True)
 class SpectrumReport:
-    eigenvalues: tuple
     spectral_radius: float
     stable: bool
 
@@ -30,15 +29,10 @@ def _square(A) -> np.ndarray:
 
 
 def spectral_radius(A) -> SpectrumReport:
-    """Eigenvalues, spectral radius, and the open-unit-disc stability flag."""
-    A = _square(A)
-    eigs = np.linalg.eigvals(A)
+    """Spectral radius and the open-unit-disc stability flag."""
+    eigs = np.linalg.eigvals(_square(A))
     radius = float(np.abs(eigs).max()) if eigs.size else 0.0
-    return SpectrumReport(
-        eigenvalues=tuple(complex(e) for e in eigs),
-        spectral_radius=radius,
-        stable=radius < 1.0 - TOL_SPEC,
-    )
+    return SpectrumReport(spectral_radius=radius, stable=radius < 1.0 - TOL_SPEC)
 
 
 def _pbh(A, B, margin: float) -> bool:

@@ -24,13 +24,12 @@ the capacity module on weights R + D^T P D, positive definite because R is.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DimensionError, PreconditionError, UnboundedError
-from .linalg import logdet_pd, sym
+from .linalg import sym
 from .model import _PSD, TOL_PSD, _check_rows, min_eigenvalue, psd_tolerance
 
 TOL_WF = 1e-9       # subchannels with mu sigma_j^2 - 1 <= TOL_WF stay dry
@@ -55,12 +54,6 @@ class WaterfillProblem:
             raise PreconditionError("weight must be symmetric PSD")
         if min_eigenvalue(self.KV) <= 0:
             raise PreconditionError("KV must be positive definite")
-
-
-def objective(problem: WaterfillProblem, KZ) -> float:
-    KZ = sym(np.atleast_2d(np.asarray(KZ, dtype=float)))
-    M = problem.D @ KZ @ problem.D.T + problem.KV
-    return 0.5 * (logdet_pd(M) - logdet_pd(problem.KV)) - float(np.trace(problem.weight @ KZ))
 
 
 def gradient(problem: WaterfillProblem, KZ) -> np.ndarray:
@@ -122,24 +115,3 @@ def solve(problem: WaterfillProblem):
             "objective unbounded: weight has a null direction the channel matrix does not kill")
     KZ, rate, spent = fill(*subchannels(problem.D, problem.KV, W[None]), 0.5)
     return KZ[0], float(rate[0] - spent[0])
-
-
-def scalar_solve(D: float, KV: float, weight: float):
-    """Closed-form scalar optimum: kz = max(0, 1/(2 weight) - KV/D^2).
-
-    Serves as the independent oracle for ``solve`` on 1x1 problems.  The
-    optimum is +inf when weight = 0 (and D != 0).
-    """
-    if KV <= 0:
-        raise PreconditionError("KV must be positive")
-    if weight < 0:
-        raise PreconditionError("weight must be nonnegative")
-    if D == 0.0:
-        if weight == 0.0:
-            raise PreconditionError("D = 0 with zero weight: objective identically 0, no optimum scale")
-        return 0.0, 0.0
-    if weight == 0.0:
-        return math.inf, math.inf
-    kz = max(0.0, 1.0 / (2.0 * weight) - KV / (D * D))
-    value = 0.5 * math.log((D * D * kz + KV) / KV) - weight * kz
-    return kz, value

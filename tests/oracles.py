@@ -1,0 +1,142 @@
+"""Reference implementations that only the tests call.
+
+Each one is an independent, unbatched statement of a quantity that the
+library computes another way: the water-fill objective and its scalar
+closed form, the per-step directed-information density, the uniqueness
+certificate of a Riccati solution, and the embedding of a first-order gain
+into memory-augmented coordinates.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+
+import numpy as np
+
+from dirinfo import stability
+from dirinfo.errors import PreconditionError
+from dirinfo.linalg import logdet_pd, sym, sym_sqrt
+from dirinfo.model import Strategy, min_eigenvalue, psd_tolerance, strategy
+from dirinfo.riccati import AreSolution
+from dirinfo.simulate import _gaussian_logpdf_terms
+from dirinfo.waterfill import WaterfillProblem
+
+
+# ---------------------------------------------------------------------------
+# water-fill
+
+
+def objective(problem: WaterfillProblem, KZ) -> float:
+    KZ = sym(np.atleast_2d(np.asarray(KZ, dtype=float)))
+    M = problem.D @ KZ @ problem.D.T + problem.KV
+    return 0.5 * (logdet_pd(M) - logdet_pd(problem.KV)) - float(np.trace(problem.weight @ KZ))
+
+
+def scalar_solve(D: float, KV: float, weight: float):
+    """Closed-form scalar optimum: kz = max(0, 1/(2 weight) - KV/D^2).
+
+    Serves as the independent oracle for ``solve`` on 1x1 problems.  The
+    optimum is +inf when weight = 0 (and D != 0).
+    """
+    if KV <= 0:
+        raise PreconditionError("KV must be positive")
+    if weight < 0:
+        raise PreconditionError("weight must be nonnegative")
+    if D == 0.0:
+        if weight == 0.0:
+            raise PreconditionError("D = 0 with zero weight: objective identically 0, no optimum scale")
+        return 0.0, 0.0
+    if weight == 0.0:
+        return math.inf, math.inf
+    kz = max(0.0, 1.0 / (2.0 * weight) - KV / (D * D))
+    value = 0.5 * math.log((D * D * kz + KV) / KV) - weight * kz
+    return kz, value
+
+
+# ---------------------------------------------------------------------------
+# Monte Carlo
+
+
+def info_density_step(b_prev, a, b, C, D, KV, gain, KZ) -> float:
+    """Per-step directed-information density (nats).
+
+    log N(b; C b_prev + D a, K_V) - log N(b; (C + D gain) b_prev, D K_Z D^T + K_V).
+    """
+    b_prev = np.atleast_1d(np.asarray(b_prev, dtype=float))
+    a = np.atleast_1d(np.asarray(a, dtype=float))
+    b = np.atleast_1d(np.asarray(b, dtype=float))
+    C = np.atleast_2d(np.asarray(C, dtype=float))
+    D = np.atleast_2d(np.asarray(D, dtype=float))
+    KV = np.atleast_2d(np.asarray(KV, dtype=float))
+    gain = np.atleast_2d(np.asarray(gain, dtype=float))
+    KZ = np.atleast_2d(np.asarray(KZ, dtype=float))
+    KVi, ldKV = _gaussian_logpdf_terms(KV)
+    Mbig = D @ KZ @ D.T + KV
+    Mi, ldM = _gaussian_logpdf_terms(Mbig)
+    r1 = b - C @ b_prev - D @ a
+    # same association as r1 so the densities cancel exactly when a = gain b
+    r2 = b - C @ b_prev - D @ (gain @ b_prev)
+    return float(-0.5 * (ldKV + r1 @ KVi @ r1) + 0.5 * (ldM + r2 @ Mi @ r2))
+
+
+# ---------------------------------------------------------------------------
+# Riccati
+
+
+@dataclass(frozen=True)
+class AreClassification:
+    psd: bool
+    min_eigenvalue: float
+    stabilizing: bool
+    uniqueness: str            # "unique" | "conditional" | "none"
+    stabilizable: bool
+    detectable: bool
+    kv_controllable: bool      # (closed loop, K_V^{1/2}) controllable: output covariance is unique PD
+
+
+def classify_are(solution: AreSolution, C, D, Q, R, s: float, KV) -> AreClassification:
+    """Report PSD-ness, stability, and the uniqueness certificate for a solution.
+
+    Uniqueness: "unique" under stabilizability + detectability; otherwise
+    "conditional" when the solution is stabilizing and the inner block is
+    positive definite (at most one such solution exists); "none" otherwise.
+    """
+    P = sym(np.atleast_2d(np.asarray(solution.P, dtype=float)))
+    lo = min_eigenvalue(P)
+    psd = lo >= -psd_tolerance(P)
+    stabilizable = stability.is_stabilizable(C, D)
+    detectable = stability.is_detectable(sym_sqrt(Q), C)
+    if stabilizable and detectable:
+        uniqueness = "unique"
+    elif solution.stabilizing:
+        uniqueness = "conditional"
+    else:
+        uniqueness = "none"
+    kv_ctrb = stability.is_controllable(solution.closed_loop, sym_sqrt(KV))
+    return AreClassification(
+        psd=bool(psd), min_eigenvalue=lo, stabilizing=solution.stabilizing,
+        uniqueness=uniqueness, stabilizable=stabilizable, detectable=detectable,
+        kv_controllable=kv_ctrb,
+    )
+
+
+# ---------------------------------------------------------------------------
+# memory augmentation
+
+
+def lift_strategy(strat: Strategy, p: int, order: int) -> Strategy:
+    """Embed gains acting on (B_{i-1},...,B_{i-J}) blocks into augmented coordinates.
+
+    Gains already sized q x (J*p) pass through; gains sized q x p are padded
+    with zeros on the older blocks.
+    """
+    if order == 1:
+        return strat
+    gains = []
+    for g in strat.gains:
+        if g.shape[1] == order * p:
+            gains.append(g)
+        else:
+            gains.append(np.hstack([g, np.zeros((g.shape[0], order * p - g.shape[1]))]))
+    return strategy(gains, strat.innovations)

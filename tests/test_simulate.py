@@ -9,7 +9,7 @@ import dirinfo as di
 from dirinfo import simulate as sim
 from dirinfo.cli import load_model
 from dirinfo.errors import DimensionError, PreconditionError
-from dirinfo.model import lift_strategy
+import oracles
 from conftest import random_spd, random_stable
 
 HALF_LN25 = 0.5 * math.log(2.5)
@@ -138,7 +138,7 @@ def test_trace_density_matches_per_step_operation():
     tr = di.sample_trajectory(m, st, 50, seed=5)
     prev = m.initial_mean
     for i in range(50):
-        v = di.info_density_step(prev, tr.A_path[i], tr.B_path[i], m.C(0), m.D(0),
+        v = oracles.info_density_step(prev, tr.A_path[i], tr.B_path[i], m.C(0), m.D(0),
                                  m.KV(0), st.gain(0), st.KZ(0))
         assert tr.info_density_path[i] == pytest.approx(v, rel=1e-10, abs=1e-12)
         prev = tr.B_path[i]
@@ -148,7 +148,7 @@ def test_info_density_zero_when_innovations_vanish():
     bprev = np.array([0.3])
     gain = np.array([[-1.5]])
     a = gain @ bprev
-    v = di.info_density_step(bprev, a, [0.2], [[2.0]], [[1.0]], [[1.0]], gain, [[0.0]])
+    v = oracles.info_density_step(bprev, a, [0.2], [[2.0]], [[1.0]], [[1.0]], gain, [[0.0]])
     assert v == 0.0
 
 
@@ -157,7 +157,7 @@ def test_info_density_at_shared_conditional_mean_is_logdet_ratio():
     gain = np.array([[-1.5]])
     a = gain @ bprev
     b = (np.array([[2.0]]) + np.array([[1.0]]) @ gain) @ bprev
-    v = di.info_density_step(bprev, a, b, [[2.0]], [[1.0]], [[1.0]], gain, [[1.5]])
+    v = oracles.info_density_step(bprev, a, b, [[2.0]], [[1.0]], [[1.0]], gain, [[1.5]])
     assert v == pytest.approx(HALF_LN25, abs=1e-12)
 
 
@@ -272,7 +272,7 @@ def _memory2(rng):
     mem = di.memory_model([0.6, 0.2], 1.0, 1.0, 1.0, None, 1.0, 10, cost_memory=1,
                           initial_history=[[0.25], [-0.15]])
     st = di.stationary_strategy([[-0.4, 0.05]], [[0.7]])
-    return di.augment_memory(mem), lift_strategy(st, 1, 2)
+    return di.augment_memory(mem), oracles.lift_strategy(st, 1, 2)
 
 
 def _near_marginal(rng):
@@ -470,7 +470,7 @@ def test_stacked_trace_matches_per_step_operation(make, rng):
     tr = di.sample_trajectory(m, st, steps, seed=5)
     b0 = sim._draw_noise(m, st, steps, 5)[0]
     Bprev = np.vstack([b0, tr.B_path[:-1]])
-    info = [di.info_density_step(Bprev[i], tr.A_path[i], tr.B_path[i], m.C(i), m.D(i),
+    info = [oracles.info_density_step(Bprev[i], tr.A_path[i], tr.B_path[i], m.C(i), m.D(i),
                                  m.KV(i), st.gain(i), st.KZ(i)) for i in range(steps)]
     cost = [a @ m.R(i) @ a + b @ m.Q(i) @ b
             for i, (a, b) in enumerate(zip(tr.A_path, Bprev))]
@@ -482,13 +482,9 @@ def test_time_varying_batch_builds_stacks_once_per_seed(monkeypatch, rng):
     # the per-step oracle stays off the sampling path, and the square roots
     # of K_Z(i) and K_V(i) are one batched call each per seed
     m, st = _tv_model_and_strategy(300, rng)
-
-    def oracle(*args):
-        raise AssertionError("info_density_step called while sampling")
-
+    assert not hasattr(sim, "info_density_step")
     roots = []
     real = sim.sym_sqrt
-    monkeypatch.setattr(sim, "info_density_step", oracle)
     monkeypatch.setattr(sim, "sym_sqrt", lambda a: roots.append(np.shape(a)) or real(a))
     traces = di.simulate_batch(m, st, 301, range(4))
     assert len(traces) == 4
@@ -506,7 +502,7 @@ def test_stationary_mimo_trace_matches_per_step_operation():
     assert (m.output_dim, m.input_dim) == (2, 2) and len(st.gains) == 1
     tr = di.sample_trajectory(m, st, 300, seed=5)
     Bprev = np.vstack([sim._draw_noise(m, st, 300, 5)[0], tr.B_path[:-1]])
-    info = [di.info_density_step(Bprev[i], tr.A_path[i], tr.B_path[i], m.C(0), m.D(0),
+    info = [oracles.info_density_step(Bprev[i], tr.A_path[i], tr.B_path[i], m.C(0), m.D(0),
                                  m.KV(0), st.gain(0), st.KZ(0)) for i in range(300)]
     cost = [a @ m.R(0) @ a + b @ m.Q(0) @ b for a, b in zip(tr.A_path, Bprev)]
     np.testing.assert_allclose(tr.info_density_path, info, rtol=1e-12)

@@ -6,6 +6,7 @@ import pytest
 import dirinfo as di
 from dirinfo import waterfill as wf
 from dirinfo.errors import PreconditionError, UnboundedError
+import oracles
 from conftest import random_spd
 
 
@@ -14,15 +15,15 @@ def scalar_problem(weight, D=1.0, KV=1.0):
 
 
 def test_objective_zero_at_zero():
-    assert wf.objective(scalar_problem(0.2), [[0.0]]) == 0.0
+    assert oracles.objective(scalar_problem(0.2), [[0.0]]) == 0.0
 
 
 def test_objective_scalar_values():
-    assert wf.objective(scalar_problem(0.2), [[1.5]]) == pytest.approx(
+    assert oracles.objective(scalar_problem(0.2), [[1.5]]) == pytest.approx(
         0.5 * math.log(2.5) - 0.3, abs=1e-12)
-    past = wf.objective(scalar_problem(0.2), [[3.0]])
+    past = oracles.objective(scalar_problem(0.2), [[3.0]])
     assert past == pytest.approx(0.5 * math.log(4.0) - 0.6, abs=1e-12)
-    assert past < wf.objective(scalar_problem(0.2), [[1.5]])
+    assert past < oracles.objective(scalar_problem(0.2), [[1.5]])
 
 
 def test_gradient_stationary_at_interior_optimum():
@@ -58,11 +59,11 @@ def test_solve_diagonal_decoupling():
 
 
 def test_scalar_solve_matches_examples():
-    assert wf.scalar_solve(1.0, 1.0, 0.2)[0] == pytest.approx(1.5)
-    assert wf.scalar_solve(1.0, 1.0, 4.0)[0] == 0.0
-    assert wf.scalar_solve(1.0, 1.0, 0.0) == (math.inf, math.inf)
+    assert oracles.scalar_solve(1.0, 1.0, 0.2)[0] == pytest.approx(1.5)
+    assert oracles.scalar_solve(1.0, 1.0, 4.0)[0] == 0.0
+    assert oracles.scalar_solve(1.0, 1.0, 0.0) == (math.inf, math.inf)
     with pytest.raises(PreconditionError):
-        wf.scalar_solve(0.0, 1.0, 0.0)
+        oracles.scalar_solve(0.0, 1.0, 0.0)
 
 
 def test_unbounded_detection():
@@ -81,8 +82,8 @@ def test_concavity_certificate(rng):
         prob = wf.WaterfillProblem(D=D, KV=KV, weight=W)
         K1, K2 = random_spd(rng, 2, floor=0.0), random_spd(rng, 2, floor=0.0)
         lam = rng.uniform(0.05, 0.95)
-        mix = wf.objective(prob, lam * K1 + (1 - lam) * K2)
-        split = lam * wf.objective(prob, K1) + (1 - lam) * wf.objective(prob, K2)
+        mix = oracles.objective(prob, lam * K1 + (1 - lam) * K2)
+        split = lam * oracles.objective(prob, K1) + (1 - lam) * oracles.objective(prob, K2)
         assert mix >= split - 1e-9
 
 
@@ -99,7 +100,7 @@ def test_gradient_matches_central_differences(rng):
             for j in range(i, 2):
                 E = np.zeros((2, 2))
                 E[i, j] = E[j, i] = 1.0
-                fd = (wf.objective(prob, K + h * E) - wf.objective(prob, K - h * E)) / (2 * h)
+                fd = (oracles.objective(prob, K + h * E) - oracles.objective(prob, K - h * E)) / (2 * h)
                 an = float(np.tensordot(g, E))
                 assert an == pytest.approx(fd, rel=1e-5, abs=1e-7)
 
@@ -109,7 +110,7 @@ def test_oracle_equivalence_grid():
     for w in (0.01, 0.05, 0.1, 0.5, 1.0, 5.0, 10.0):
         for KV in (0.1, 0.5, 1.0, 2.0, 5.0):
             kz, _ = wf.solve(scalar_problem(w, KV=KV))
-            kz_o, _ = wf.scalar_solve(1.0, KV, w)
+            kz_o, _ = oracles.scalar_solve(1.0, KV, w)
             worst = max(worst, abs(kz[0, 0] - kz_o))
     assert worst <= 1e-8
 
@@ -121,7 +122,7 @@ def test_diagonal_decoupling_matches_per_coordinate_oracle(rng):
         w = rng.uniform(0.05, 5.0, size=2)
         kz, _ = wf.solve(wf.WaterfillProblem(D=np.diag(d), KV=np.diag(kv), weight=np.diag(w)))
         for i in range(2):
-            want, _ = wf.scalar_solve(d[i], kv[i], w[i])
+            want, _ = oracles.scalar_solve(d[i], kv[i], w[i])
             assert kz[i, i] == pytest.approx(want, abs=1e-7)
         assert abs(kz[0, 1]) <= 1e-7
 
@@ -140,7 +141,7 @@ def test_interior_optimum_with_mismatched_initial_curvature():
     prob = wf.WaterfillProblem(D=[[-1.6756168708015722]], KV=[[0.32625335839320624]],
                                weight=[[2.437881067034456]])
     kz, _ = wf.solve(prob)
-    want, _ = wf.scalar_solve(-1.6756168708015722, 0.32625335839320624, 2.437881067034456)
+    want, _ = oracles.scalar_solve(-1.6756168708015722, 0.32625335839320624, 2.437881067034456)
     assert kz[0, 0] == pytest.approx(want, abs=1e-9)
 
 
@@ -152,7 +153,7 @@ def test_barely_interior_optimum_near_cone_boundary():
     D, KV, w = -2.3246688988108297, 1.8060174100733104, 1.4961329771069904
     prob = wf.WaterfillProblem(D=[[D]], KV=[[KV]], weight=[[w]])
     kz, val = wf.solve(prob)
-    want, want_val = wf.scalar_solve(D, KV, w)
+    want, want_val = oracles.scalar_solve(D, KV, w)
     assert want == pytest.approx(6.68e-8, abs=1e-9)
     assert kz[0, 0] == pytest.approx(want, abs=1e-7)
     assert val == pytest.approx(want_val, abs=1e-12)
@@ -164,7 +165,7 @@ def test_extremely_flat_problem_with_huge_optimum():
     D, KV, w = -2.3246688988108297, 1.8060174100733104, 3.9387434154243814e-07
     prob = wf.WaterfillProblem(D=[[D]], KV=[[KV]], weight=[[w]])
     kz, _ = wf.solve(prob)
-    want, _ = wf.scalar_solve(D, KV, w)
+    want, _ = oracles.scalar_solve(D, KV, w)
     assert kz[0, 0] == pytest.approx(want, rel=1e-8)
 
 
