@@ -38,7 +38,9 @@ memory or cost_memory that is not an integer, a time_invariant that is not
 true or false) is a usage error naming the key.  A well-typed model of the
 wrong shape, a wrong-length initial mean included, exits 1 with the
 library's DimensionError or ModelValidationError (`check` reports the
-latter as valid: false).
+latter as valid: false).  A file's kappa and horizon are type-checked even
+when --kappa or --horizon overrides them.  An error report (exit 1) is
+printed as JSON whatever --format says.
 
 Every option is declared once, as a `RunConfig` field that carries its flag's
 type, choices and help; every command takes the same flags (one parser, built
@@ -613,7 +615,8 @@ def main(argv=None) -> int:
             sys.stdout.write(_canon(config.to_dict(), exact=True) + "\n")
             return 0
         code, report = run(config)
-        payload = emit_report(report, config.format)
+        # an error report has no rows or trace: it is JSON whatever --format says
+        payload = emit_report(report, "json" if "error" in report else config.format)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -516,3 +516,30 @@ def test_csv_for_a_report_without_rows_fails_before_the_model_is_read(tmp_path, 
     assert cli.main([command, "--model", mp, "--format", "csv"]) == 2
     assert "csv format is only available for sweep and simulate reports" in capsys.readouterr().err
     assert cli.main([command, "--model", mp, "--format", "csv", "--dump-config"]) == 2
+
+
+@pytest.mark.parametrize("argv, change, error_type", [
+    (["sweep", "--param", "kappa", "--grid", "1,9"], {"KV": -1.0}, "ModelValidationError"),
+    (["simulate", "--steps", "20", "--seeds", "2"], {}, "PreconditionError"),
+    (["sweep", "--param", "kappa", "--grid", "1,9"], {"C": []}, "DimensionError"),
+    (["simulate", "--steps", "2000", "--seeds", "2"], {"C": []}, "DimensionError"),
+])
+def test_csv_command_that_fails_prints_the_error_report_as_json(tmp_path, capsys,
+                                                                argv, change, error_type):
+    # an error report has no rows or trace; it used to end in a KeyError traceback
+    mp = write_model(tmp_path, **change)
+    assert cli.main(argv + ["--model", mp, "--format", "csv"]) == 1
+    captured = capsys.readouterr()
+    report = json.loads(captured.out)
+    assert report["error_type"] == error_type
+    assert captured.err == f"error: {report['error']}\n"
+
+
+@pytest.mark.parametrize("change, flag", [
+    ({"kappa": "lots"}, ["--kappa", "4"]),
+    ({"horizon": 2.7}, ["--horizon", "3"]),
+])
+def test_malformed_kappa_or_horizon_is_rejected_under_an_override(tmp_path, capsys, change, flag):
+    mp = write_model(tmp_path, **change)
+    assert cli.main(["capacity", "--model", mp] + flag) == 2
+    assert f"model key '{next(iter(change))}' must be" in capsys.readouterr().err
