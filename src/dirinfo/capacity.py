@@ -29,7 +29,7 @@ plateaus.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -56,7 +56,6 @@ class FiniteHorizonSolution:
     achieved_cost: float       # per-unit-time average
     value_nats: float          # -E<b, P(0) b> + r(0)
     rate_nats: float           # directed information of the strategy over the n + 1 steps
-    meta: dict = field(default_factory=dict)
 
 
 @dataclass(frozen=True)
@@ -70,7 +69,6 @@ class StationarySolution:
     achieved_cost: float
     regime: str
     are_residual: float
-    meta: dict = field(default_factory=dict)
 
 
 def information_rate(model: ChannelModel, strat: Strategy, steps: int) -> float:
@@ -100,7 +98,7 @@ def _stacks(model: ChannelModel):
 
 
 def _riccati_pass(model: ChannelModel, stacks):
-    """(P_1, gains, sigma, V, kv_regularized): the backward pass at s = 1 from
+    """(P_1, gains, sigma, V): the backward pass at s = 1 from
     P_1(n) = terminal_Q (terminal gain zero) over the model's `_stacks`, as
     (n+1, ., .) stacks, and the subchannels of every step's weight
     R(i) + D(i)^T P_1(i+1) D(i), its step's H22 block (R(n) at the last).
@@ -125,9 +123,9 @@ def _riccati_pass(model: ChannelModel, stacks):
             P[:i], gains[:i], weights[:i] = P[i], gains[i], weights[i]
             break
     # one K_V per entry of the model's sequence: a stack of one broadcasts over the steps
-    kv = [model.noise_for_inversion(i) for i in range(len(model.KV_seq))]
-    sigma, V = waterfill.subchannels(D, np.stack([k for k, _ in kv]), weights)
-    return P, gains, sigma, V, any(reg for _, reg in kv)
+    kv = np.stack([model.noise_for_inversion(i)[0] for i in range(len(model.KV_seq))])
+    sigma, V = waterfill.subchannels(D, kv, weights)
+    return P, gains, sigma, V
 
 
 def _traces(A, B) -> np.ndarray:
@@ -154,7 +152,7 @@ def finite_horizon_dp(model: ChannelModel, s: float) -> FiniteHorizonSolution:
     riccati.check_multiplier(s)
     n = model.horizon
     C, D, KV, R, Q = stacks = _stacks(model)
-    P1, G, sigma, V, regularized = _riccati_pass(model, stacks)
+    P1, G, sigma, V = _riccati_pass(model, stacks)
     KZ, rates, spent = waterfill.fill(sigma, V, 0.5 / s)
     values = rates - s * spent
     P = s * P1
@@ -185,7 +183,7 @@ def finite_horizon_dp(model: ChannelModel, s: float) -> FiniteHorizonSolution:
     return FiniteHorizonSolution(
         s=float(s), P_seq=tuple(P), r_seq=tuple(r.tolist()), strategy=strat,
         KB_seq=tuple(KB), achieved_cost=total_cost / (n + 1), value_nats=value,
-        rate_nats=float(rates.sum()), meta={"kv_regularized": regularized},
+        rate_nats=float(rates.sum()),
     )
 
 
@@ -201,7 +199,7 @@ def ftfi_capacity(model: ChannelModel):
     n = model.horizon
     kappa = model.kappa
     _, _, KV, _, _ = stacks = _stacks(model)
-    P1, _, sigma, _, _ = _riccati_pass(model, stacks)
+    P1, _, sigma, _ = _riccati_pass(model, stacks)
     floor = float(np.trace(P1[0] @ model.initial_second_moment())
                   + _traces(P1[1:], KV[:n]).sum())
     budget = (n + 1) * kappa - floor
@@ -268,7 +266,6 @@ def _view(model: ChannelModel, unit, s: float) -> StationarySolution:
         s=float(s), P=s * are.P, gain=g, KZ=KZ, KB=K, rate_nats=float(rate[0]),
         achieved_cost=cost, regime=regime,
         are_residual=are.residual * s * (1.0 + norm_P) / (1.0 + s * norm_P),
-        meta={"kv_regularized": model.noise_for_inversion(0)[1]},
     )
 
 

@@ -37,10 +37,11 @@ rectangular array of numbers, a kappa that is not a number, a horizon,
 memory or cost_memory that is not an integer, a time_invariant that is not
 true or false) is a usage error naming the key.  A well-typed model of the
 wrong shape, a wrong-length initial mean included, exits 1 with the
-library's DimensionError or ModelValidationError (`check` reports the
-latter as valid: false).  A file's kappa and horizon are type-checked even
-when --kappa or --horizon overrides them.  An error report (exit 1) is
-printed as JSON whatever --format says.
+library's ModelValidationError naming the matrix (`check` reports a channel
+model's as valid: false; a memory_j file is validated as it is lowered on
+load, so its errors stay an error report).  A file's kappa and horizon are
+type-checked even when --kappa or --horizon overrides them.  An error report
+(exit 1) is printed as JSON whatever --format says.
 
 Every option is declared once, as a `RunConfig` field that carries its flag's
 type, choices and help; every command takes the same flags (one parser, built
@@ -246,8 +247,8 @@ def _value(doc: dict, key: str, kind: tuple, default=_REQUIRED, name: str = None
 
 def load_model(path: str, kappa_override=None, horizon_override=None) -> ChannelModel:
     """The model in a JSON file; see the module docstring for its keys.  Problems
-    with the file itself are UsageErrors; a well-typed model of the wrong shape
-    raises the library's DimensionError or ModelValidationError."""
+    with the file itself are UsageErrors.  A channel model is returned
+    unvalidated; a memory_j model raises ModelValidationError as it is lowered."""
     doc = _read_object(path, "model")
     kind = "channel" if doc.get("type") is None else doc["type"]
     if kind not in ("channel", "memory_j"):
@@ -459,7 +460,7 @@ def _stationary_result(config: RunConfig, m: ChannelModel, sol, cap_nats: float)
         "kappa_min": capacity.cost_floor(m, sol.P, sol.gain, sol.s),
         "kappa_min_definition": "stabilization cost of the zero-innovations strategy",
         "residuals": {"are": sol.are_residual, "lyapunov": lyap_resid},
-        "kv_regularized": sol.meta.get("kv_regularized", False),
+        "kv_regularized": m.kv_regularized,
     }
 
 
@@ -503,7 +504,7 @@ def _run_ftfi(config: RunConfig, m: ChannelModel) -> dict:
         "P0": sol.P_seq[0],
         "gain0": sol.strategy.gains[0],
         "KZ0": sol.strategy.innovations[0],
-        "kv_regularized": sol.meta.get("kv_regularized", False),
+        "kv_regularized": m.kv_regularized,
     }
     return report
 
@@ -630,7 +631,8 @@ def main(argv=None) -> int:
     else:
         sys.stdout.write(payload.decode())
     if code != 0:
-        print(f"error: {report.get('error', 'solver failure')}", file=sys.stderr)
+        message = report.get("error") or "; ".join(report["result"]["errors"])
+        print(f"error: {message}", file=sys.stderr)
     return code
 
 

@@ -22,11 +22,8 @@ TOL_PSD = 1e-10      # relative slack for "PSD" eigenvalue checks
 EPS_REG = 1e-12      # diagonal padding used when a singular K_V must be inverted
 
 
-def _as_matrix(x, rows=None, cols=None) -> np.ndarray:
-    a = np.atleast_2d(np.asarray(x, dtype=float))
-    if rows is not None and cols is not None and a.shape != (rows, cols):
-        raise DimensionError(f"dimension mismatch: expected {rows}x{cols}, got {a.shape}")
-    return a
+def _as_matrix(x) -> np.ndarray:
+    return np.atleast_2d(np.asarray(x, dtype=float))
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
@@ -124,6 +121,11 @@ class ChannelModel:
         kv[dead, dead] = EPS_REG
         return kv, True
 
+    @property
+    def kv_regularized(self) -> bool:
+        """Whether `noise_for_inversion` pads K_V at some step."""
+        return any(self.noise_for_inversion(i)[1] for i in range(len(self.KV_seq)))
+
 
 @dataclass(frozen=True)
 class MemoryJModel:
@@ -157,24 +159,17 @@ class MemoryJModel:
 def channel_model(C, D, KV, R, Q, kappa, horizon, terminal_Q=None,
                   initial_mean=None, initial_cov=None, time_invariant=True,
                   augmented=False) -> ChannelModel:
-    """Build a ChannelModel from matrices or scalars (broadcast if TI)."""
-    def to_seq(x, rows, cols):
+    """A ChannelModel from matrices or scalars (broadcast if TI); validation judges shapes."""
+    def to_seq(x):
         if time_invariant:
-            return (_freeze(_as_matrix(x, rows, cols)),)
-        return tuple(_freeze(_as_matrix(m, rows, cols)) for m in x)
+            return (_freeze(_as_matrix(x)),)
+        return tuple(_freeze(_as_matrix(m)) for m in x)
 
-    C0 = _as_matrix(C if time_invariant else C[0])
-    p = C0.shape[0]
-    D0 = _as_matrix(D if time_invariant else D[0])
-    q = D0.shape[1]
-    C_seq = to_seq(C, p, p)
-    D_seq = to_seq(D, p, q)
-    KV_seq = to_seq(KV, p, p)
-    R_seq = to_seq(R, q, q)
-    Q_seq = to_seq(Q, p, p)
-    tq = Q_seq[-1] if terminal_Q is None else _freeze(_as_matrix(terminal_Q, p, p))
+    C_seq, D_seq, KV_seq, R_seq, Q_seq = map(to_seq, (C, D, KV, R, Q))
+    p, q = C_seq[0].shape[0], D_seq[0].shape[1]
+    tq = Q_seq[-1] if terminal_Q is None else _freeze(_as_matrix(terminal_Q))
     mean = np.zeros(p) if initial_mean is None else np.asarray(initial_mean, dtype=float).reshape(-1)
-    cov = np.zeros((p, p)) if initial_cov is None else _as_matrix(initial_cov, p, p)
+    cov = np.zeros((p, p)) if initial_cov is None else _as_matrix(initial_cov)
     return ChannelModel(
         horizon=int(horizon), output_dim=p, input_dim=q,
         C_seq=C_seq, D_seq=D_seq, KV_seq=KV_seq, R_seq=R_seq, Q_seq=Q_seq,
@@ -206,8 +201,8 @@ def memory_model(C_blocks, D, KV, R, Q_K, kappa, horizon, memory=None,
         hist = hist.reshape(J, p)
     return MemoryJModel(
         horizon=int(horizon), output_dim=p, input_dim=q,
-        C_blocks=blocks, D=D, KV=_freeze(_as_matrix(KV, p, p)),
-        R=_freeze(_as_matrix(R, q, q)), Q_K=_freeze(_as_matrix(Q_K, qk_dim, qk_dim)),
+        C_blocks=blocks, D=D, KV=_freeze(_as_matrix(KV)),
+        R=_freeze(_as_matrix(R)), Q_K=_freeze(_as_matrix(Q_K)),
         memory=M, cost_memory=K, kappa=float(kappa), initial_history=_freeze(hist),
     )
 

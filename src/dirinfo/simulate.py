@@ -21,6 +21,7 @@ closed loop, b_i = (C + D g) b_{i-1} + D Z_i + V_i, which it runs as a
 two-pass scan over chunks of CHUNK steps (Blelloch, "Prefix Sums and Their
 Applications", 1990): every chunk of every seed is one row of a 2-D state,
 so the interpreter steps CHUNK times per pass instead of once per step.
+Any other closed loop runs through the same stepper as one chunk.
 
 Bit contract.  A trace of at most CHUNK steps is the per-step recursion on
 the (S, p) state of its batch.  In a longer trace the first two chunks run
@@ -40,7 +41,7 @@ the same log-densities and quadratic forms evaluated one step at a time.
 from __future__ import annotations
 
 import io
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -125,7 +126,6 @@ class SimulationTrace:
     info_density_path: np.ndarray   # (steps,)
     cost_path: np.ndarray           # (steps,)
     running_rate: np.ndarray        # (steps,)
-    meta: dict = field(default_factory=dict)
 
     @property
     def terminal_rate(self) -> float:
@@ -175,18 +175,13 @@ def _draw_noise(model: ChannelModel, strat: Strategy, steps: int, seed: int):
     return b0, Z, V
 
 
-def _traces(model: ChannelModel, strat: Strategy, seeds, b0, B, A, stationary: bool) -> list:
-    """Information density and cost along each seed's path, from per-step
-    stacks built once for the batch."""
+def _traces(model: ChannelModel, seeds, b0, B, A, C, D, G, KZ, Q) -> list:
+    """Information density and cost along each seed's path, from the batch's
+    per-step stacks."""
     steps = B.shape[1]
-    C, D, R, G, KZ = (np.stack(seq[:steps]) for seq in (
-        model.C_seq, model.D_seq, model.R_seq, strat.gains, strat.innovations))
-    # a stationary loop weighs every output with the running Q; otherwise
-    # step i = horizon takes terminal_Q
-    Q = np.stack(model.Q_seq[:1] if stationary else [model.Q(i) for i in range(steps)])
-    KV, regularized = zip(*(model.noise_for_inversion(i)
-                            for i in range(min(len(model.KV_seq), steps))))
-    KV = np.stack(KV)
+    R = np.stack(model.R_seq[:steps])
+    KV = np.stack([model.noise_for_inversion(i)[0]
+                   for i in range(min(len(model.KV_seq), steps))])
     KVi, ldKV = _gaussian_logpdf_terms(KV)
     Mi, ldM = _gaussian_logpdf_terms(D @ KZ @ D.swapaxes(1, 2) + KV)
     Acl = C + D @ G
@@ -200,8 +195,7 @@ def _traces(model: ChannelModel, strat: Strategy, seeds, b0, B, A, stationary: b
         return SimulationTrace(
             seed=int(seed), steps=int(steps), B_path=B, A_path=A,
             info_density_path=info, cost_path=cost,
-            running_rate=np.cumsum(info) / np.arange(1, steps + 1),
-            meta={"kv_regularized": any(regularized)})
+            running_rate=np.cumsum(info) / np.arange(1, steps + 1))
 
     return [trace(seed, b0[k], B[k], A[k]) for k, seed in enumerate(seeds)]
 
@@ -215,9 +209,9 @@ def simulate_batch(model: ChannelModel, strat: Strategy, steps: int, seeds) -> l
     """Independent traces for each seed, stepped together.
 
     Each seed's noise is drawn exactly as for a single trace.  Every step is
-    a = b g^T + Z[i], b = b C^T + a D^T + V[i] on the rows of all seeds.  A
-    stationary loop (time-invariant model, one gain) runs as the chunked
-    scan of `_scan`; a time-varying one steps per step on an (S, p) state.
+    a = b g^T + Z[i], b = b C^T + a D^T + V[i] on the rows of all seeds, by
+    `_scan`: a stationary loop (time-invariant model, one gain) in chunks of
+    CHUNK steps, any other loop as one chunk of `steps` on an (S, p) state.
     See the module docstring for which bits are exact.
     """
     validate_model(model)
@@ -236,8 +230,9 @@ def simulate_batch(model: ChannelModel, strat: Strategy, steps: int, seeds) -> l
         return []
     S = len(seeds)
     stationary = len(strat.gains) == 1 and model.time_invariant
+    chunk = CHUNK if stationary else steps
     # the scan pads each trace to whole chunks with zero noise
-    n = -(-steps // CHUNK) * CHUNK if stationary else steps
+    n = -(-steps // chunk) * chunk
 
     b0 = np.empty((S, p))
     Z = np.zeros((S, n, q))
@@ -246,50 +241,48 @@ def simulate_batch(model: ChannelModel, strat: Strategy, steps: int, seeds) -> l
         b0[k], Z[k, :steps], V[k, :steps] = _draw_noise(model, strat, steps, seed)
     B = np.empty((S, n, p))
     A = np.empty((S, n, q))
-    if stationary:
-        _scan(model.C(0), model.D(0), strat.gain(0), b0, Z, V, A, B, steps)
-    else:
-        b = b0
-        for i in range(steps):
-            a = b @ strat.gain(i).T + Z[:, i]
-            b = b @ model.C(i).T + a @ model.D(i).T + V[:, i]
-            A[:, i] = a
-            B[:, i] = b
+    C, D, G, KZ = (np.stack(seq[:steps]) for seq in (
+        model.C_seq, model.D_seq, strat.gains, strat.innovations))
+    # a stationary loop weighs every output with the running Q; otherwise
+    # step i = horizon takes terminal_Q
+    Q = np.stack(model.Q_seq[:1] if stationary else [model.Q(i) for i in range(steps)])
+    _scan(C, D, G, b0, Z, V, A, B, steps, chunk)
     del Z, V    # the traces keep views of B and A only
-    return _traces(model, strat, seeds, b0, B[:, :steps], A[:, :steps], stationary)
+    return _traces(model, seeds, b0, B[:, :steps], A[:, :steps], C, D, G, KZ, Q)
 
 
-def _scan(C, D, g, b0, Z, V, A, B, steps: int) -> None:
-    """Fill A and B along the stationary closed loop, CHUNK steps at a time.
+def _scan(C, D, G, b0, Z, V, A, B, steps: int, chunk: int) -> None:
+    """Fill A and B along the closed loop, `chunk` steps at a time; step j takes
+    entry j % m of each (m, ., .) stack C, D, G (a per-step stack is one chunk).
 
-    Z, V, A and B are (S, K*CHUNK, .) with zero noise past `steps`; row
+    Z, V, A and B are (S, K*chunk, .) with zero noise past `steps`; row
     s*K + k of the (S*K, p) state is chunk k of seed s.  Pass 1 steps every
     chunk from rest, chunk 0 from b0, and keeps its end state y_k.  Chunk k
-    starts at x_k = x_{k-1} (Acl^CHUNK)^T + y_{k-1} for k >= 2, with x_0 = b0
+    starts at x_k = x_{k-1} (Acl^chunk)^T + y_{k-1} for k >= 2, with x_0 = b0
     and x_1 = y_0.  Pass 2 steps every chunk from its start and stores the
-    path.  Each pass loops CHUNK times and the carry K - 2 times, whatever
+    path.  Each pass loops `chunk` times and the carry K - 2 times, whatever
     the number of seeds; with K = 1 only pass 2 runs, `steps` times.
     """
     S, n, p = B.shape
-    K = n // CHUNK
-    last = steps - (K - 1) * CHUNK      # real steps in the last chunk
-    gT, CT, DT = g.T, C.T, D.T
+    K = n // chunk
+    last = steps - (K - 1) * chunk      # real steps in the last chunk
+    GT, CT, DT = (M.swapaxes(1, 2) for M in (G, C, D))
 
     def rows(X):
-        return X.reshape(S * K, CHUNK, X.shape[2])
+        return X.reshape(S * K, chunk, X.shape[2])
 
     Zr, Vr = rows(Z), rows(V)
 
     def run(b, Ar=None, Br=None):
-        for j in range(min(CHUNK, steps)):
+        for j in range(min(chunk, steps)):
             if j == last:
                 # the last chunk is past `steps`: hold its rows at zero so a
                 # divergent loop cannot overflow in the padding
                 b.reshape(S, K, p)[:, -1] = 0.0
-            a = b @ gT
+            a = b @ GT[j % len(GT)]
             a += Zr[:, j]
-            b = b @ CT
-            b += a @ DT
+            b = b @ CT[j % len(CT)]
+            b += a @ DT[j % len(DT)]
             b += Vr[:, j]
             if Ar is not None:
                 Ar[:, j] = a
@@ -301,7 +294,7 @@ def _scan(C, D, g, b0, Z, V, A, B, steps: int) -> None:
     if K > 1:
         y = run(x.reshape(S * K, p)).reshape(S, K, p)
         x[:, 1] = y[:, 0]
-        ALT = np.linalg.matrix_power(C + D @ g, CHUNK).T
+        ALT = np.linalg.matrix_power(C[0] + D[0] @ G[0], chunk).T
         for k in range(2, K):
             x[:, k] = x[:, k - 1] @ ALT + y[:, k - 1]
     run(x.reshape(S * K, p), rows(A), rows(B))

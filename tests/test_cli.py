@@ -2,6 +2,7 @@ import argparse
 import dataclasses
 import json
 import math
+import pathlib
 import subprocess
 import sys
 
@@ -487,6 +488,33 @@ def test_model_file_of_the_wrong_shape_is_a_validation_error(tmp_path, capsys, b
     assert report["error"].startswith(error)
 
 
+@pytest.mark.parametrize("change, error", [
+    ({"D": [[1.0], [2.0]]}, "dimension mismatch: D[0] is (2, 1), expected (1, 1)"),
+    ({"KV": -1.0}, "noise covariance not positive definite (KV[0])"),
+])
+def test_check_and_capacity_report_a_validation_error_alike(tmp_path, capsys, change, error):
+    # shapes are judged by validation alone, and check names the violation on
+    # stderr as capacity does
+    mp = write_model(tmp_path, **change)
+    assert cli.main(["check", "--model", mp]) == 1
+    captured = capsys.readouterr()
+    assert json.loads(captured.out)["result"] == {"valid": False, "errors": [error]}
+    assert captured.err == f"error: {error}\n"
+    assert cli.main(["capacity", "--model", mp]) == 1
+    captured = capsys.readouterr()
+    report = json.loads(captured.out)
+    assert (report["error_type"], report["error"]) == ("ModelValidationError", error)
+    assert captured.err == f"error: {error}\n"
+
+
+@pytest.mark.parametrize("command", ["capacity", "ftfi"])
+def test_lowered_memory_file_reports_kv_regularized(command):
+    path = pathlib.Path(__file__).resolve().parent.parent / "docs" / "models" / "memory_order2.json"
+    code, report = run(parse_config([command, "--model", str(path)]))
+    assert code == 0
+    assert report["result"]["kv_regularized"] is True
+
+
 def test_model_file_that_is_not_utf8_is_a_usage_error(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_bytes(b"\xff\xfe{")
@@ -521,8 +549,8 @@ def test_csv_for_a_report_without_rows_fails_before_the_model_is_read(tmp_path, 
 @pytest.mark.parametrize("argv, change, error_type", [
     (["sweep", "--param", "kappa", "--grid", "1,9"], {"KV": -1.0}, "ModelValidationError"),
     (["simulate", "--steps", "20", "--seeds", "2"], {}, "PreconditionError"),
-    (["sweep", "--param", "kappa", "--grid", "1,9"], {"C": []}, "DimensionError"),
-    (["simulate", "--steps", "2000", "--seeds", "2"], {"C": []}, "DimensionError"),
+    (["sweep", "--param", "kappa", "--grid", "1,9"], {"C": []}, "ModelValidationError"),
+    (["simulate", "--steps", "2000", "--seeds", "2"], {"C": []}, "ModelValidationError"),
 ])
 def test_csv_command_that_fails_prints_the_error_report_as_json(tmp_path, capsys,
                                                                 argv, change, error_type):

@@ -44,8 +44,8 @@ def test_memory_model_monte_carlo_agrees_with_solved_rate():
     assert rate == pytest.approx(HALF_LN2, abs=1e-8)
     strat = di.stationary_strategy(sol.gain, sol.KZ)
     traces = di.simulate_batch(m, strat, 20_000, range(4))
+    assert m.kv_regularized
     for tr in traces:
-        assert tr.meta["kv_regularized"]
         assert abs(tr.terminal_rate - rate) <= 0.05
         assert abs(tr.terminal_cost - 1.0) <= 0.1
 

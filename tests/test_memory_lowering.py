@@ -43,3 +43,18 @@ def test_order_one_lowering_is_the_direct_first_order_model(seed):
     direct = di.channel_model(C, D, KV, R, Q, kappa, horizon, initial_mean=history[0])
     for f in dataclasses.fields(ChannelModel):
         assert _same(getattr(lowered, f.name), getattr(direct, f.name)), f.name
+
+
+@pytest.mark.parametrize("blocks, cost_memory, padded", [
+    ([0.5, 0.25], 1, True),     # J = 2: the lower diagonal of the lifted K_V is zero
+    ([0.5], 1, False),          # J = 1: the first-order model itself
+])
+def test_kv_regularized_is_read_off_the_lowered_model(blocks, cost_memory, padded):
+    m = di.augment_memory(di.memory_model(blocks, 1.0, 1.0, 1.0, None, 1.0, 0,
+                                          cost_memory=cost_memory))
+    assert m.kv_regularized is padded
+    assert m.kv_regularized == m.noise_for_inversion(0)[1]
+
+
+def test_plain_model_needs_no_padding():
+    assert di.scalar_model(2.0, 1.0, 1.0, 1.0, 0.0, 9.0).kv_regularized is False

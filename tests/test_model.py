@@ -21,9 +21,10 @@ def test_validate_rejects_zero_noise_covariance():
 
 
 def test_validate_rejects_dimension_mismatch():
-    with pytest.raises(DimensionError, match="dimension"):
-        di.channel_model(np.eye(2), np.zeros((3, 1)), np.eye(2), [[1.0]], np.zeros((2, 2)),
+    m = di.channel_model(np.eye(2), np.zeros((3, 1)), np.eye(2), [[1.0]], np.zeros((2, 2)),
                          1.0, 0)
+    with pytest.raises(ModelValidationError, match="dimension"):
+        di.validate_model(m)
 
 
 def test_validate_rejects_negative_kappa_and_lists_everything():

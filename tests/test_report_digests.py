@@ -1,0 +1,96 @@
+"""Report bytes, pinned: the sha256 of `dirinfo` stdout for nine commands on
+each of the four `docs/models`.  A deliberate change of any report edits this
+table, and the edit is recorded with the change."""
+
+import hashlib
+import pathlib
+
+import pytest
+
+from dirinfo import cli
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+
+# (command line without --model, docs/models file stem, exit code, sha256 of stdout)
+DIGESTS = [
+    ("check", "memory_order2", 0,
+     "99f991e27f37035c42d110deb30ffa74f36f5013eaa412138756c3b888e8e828"),
+    ("capacity", "memory_order2", 0,
+     "f6056e96011be354b83ac45b8f365d277321b5b0b49ae776655ac7cd69254e63"),
+    ("capacity --s 0.3", "memory_order2", 0,
+     "f15ac2db8692d506a2ae3d1462b3eec7118ed8ee5a3019fc47f62b7c2b53eaf0"),
+    ("nofeedback", "memory_order2", 0,
+     "6eee44d6b334ea9771e31e944ad66db9a376b0d9eaeed8de6120ce40877e0e5a"),
+    ("ftfi", "memory_order2", 0,
+     "fdbdc50c429017608aaac34e7e4f2ae795037b3168f25ca8625d6430eb15b626"),
+    ("sweep --param kappa --grid 0.5,2,8", "memory_order2", 0,
+     "38feb7c22017e196bcd13ec04ccd8c667327c8a640a40330774c5122d46000db"),
+    ("sweep --param kappa --grid 0.5,2,8 --format csv", "memory_order2", 0,
+     "e1ccea15c634c5e4f742077d0f7b13c35bb7ad8795c6720e542aeecb5cd8c258"),
+    ("simulate --steps 1200 --seeds 2", "memory_order2", 0,
+     "4f651c4146c83386cb71d25ee996b25a00f9c2aa367b03229f4a7937e23528b3"),
+    ("simulate --steps 1200 --seeds 2 --format csv", "memory_order2", 0,
+     "9bf9df189f3d91ad07dd08702786766c98ce197a5a0ad556e558d552a7fc8b95"),
+    ("check", "mimo_stable", 0,
+     "565d1afad73e838055a88c75cc7fdfda67d36f8026ca576400aa25bde931a7cc"),
+    ("capacity", "mimo_stable", 0,
+     "79798c06b90ab178fd827c889848b8443f9f33ce1388390b0751accb2977e2a3"),
+    ("capacity --s 0.3", "mimo_stable", 0,
+     "4e1ec79ffb4f82d0855c1fe650762c2294ef496d892db9eded27d3d10216ee60"),
+    ("nofeedback", "mimo_stable", 0,
+     "c5de6d14b42c6366c4dcfc2b16242e754d14cdf1f676447fa833e92e9d1267c6"),
+    ("ftfi", "mimo_stable", 0,
+     "d286853102494541ec10f6eb89e9c9bae031ea39e182e4178e315e7a83662201"),
+    ("sweep --param kappa --grid 0.5,2,8", "mimo_stable", 0,
+     "6652f4142004d87aaa394a416ba8af901407760837ef3acb13f5284d184b7790"),
+    ("sweep --param kappa --grid 0.5,2,8 --format csv", "mimo_stable", 0,
+     "d7c4b76984a5ae3eccf2520bda3b9920401d4a49098f2111c53ad4d50ceadf03"),
+    ("simulate --steps 1200 --seeds 2", "mimo_stable", 0,
+     "21577c576a6de7c5dca7ee5980746b60c06b394dfdf6c934893703962de364f7"),
+    ("simulate --steps 1200 --seeds 2 --format csv", "mimo_stable", 0,
+     "772617712cb735210dc29d06503313845bc65acf5eabad7b9e9afd60ec7747ef"),
+    ("check", "scalar_stable", 0,
+     "58cf30a108e23f5d9513cf06e1fd90b47784e5959484fb4a5754ac7efeaee47b"),
+    ("capacity", "scalar_stable", 0,
+     "ac5758c7b11618128eeb502711bd607816b90dd401fcfae7f69d533e0fa421ee"),
+    ("capacity --s 0.3", "scalar_stable", 0,
+     "ec670ae90ce47baaacf1e838b390681e4f7dd2d647fd4af721c67344157cc11e"),
+    ("nofeedback", "scalar_stable", 0,
+     "7dae470c802136850e017d3788e7ec17c499002866f31ea4ba4dc527bd07f962"),
+    ("ftfi", "scalar_stable", 0,
+     "b7a00d223f616f59f76994b3db40fb10384c7f59d249d0d2d30bb5846443edab"),
+    ("sweep --param kappa --grid 0.5,2,8", "scalar_stable", 0,
+     "7b62bd493030e6c06c73a6394cf8136b6d0fe2824d6240b8c50d0f779746788a"),
+    ("sweep --param kappa --grid 0.5,2,8 --format csv", "scalar_stable", 0,
+     "e1ccea15c634c5e4f742077d0f7b13c35bb7ad8795c6720e542aeecb5cd8c258"),
+    ("simulate --steps 1200 --seeds 2", "scalar_stable", 0,
+     "ec35e6100d3a65574fb8f84ccf870ae973e44670d3af2ecb8ee3925afcb56d82"),
+    ("simulate --steps 1200 --seeds 2 --format csv", "scalar_stable", 0,
+     "8363fc6721178edab8ed64ac9c9fdc848b8c423a74f78a03c6c393fa9688533a"),
+    ("check", "scalar_unstable", 0,
+     "98282430426325a09d6d1cb44574a4daef004269f8bb809c15687cc3579a02e6"),
+    ("capacity", "scalar_unstable", 0,
+     "106254a80277d8354816bc1807f1e4fda39f3e51d16daecfe046e6df5807c980"),
+    ("capacity --s 0.3", "scalar_unstable", 0,
+     "c0d2152d43008d3134aa63592bfe0117ea852f551e1480f339407f1f8796d308"),
+    ("nofeedback", "scalar_unstable", 0,
+     "b6c77159a037c263d34a8e0b0e405cad27d6fcafc577e230bce521b8bdff0d06"),
+    ("ftfi", "scalar_unstable", 0,
+     "01794af56107457d7d1a69bce133e924027b2b8b1d7a1c4ab98fe22c55f47aca"),
+    ("sweep --param kappa --grid 0.5,2,8", "scalar_unstable", 0,
+     "2261d107629a1800403af0c97bbc0c7be97352acc5eed2ba25fb1d3a011654bf"),
+    ("sweep --param kappa --grid 0.5,2,8 --format csv", "scalar_unstable", 0,
+     "ffbafb870fc9a7a05a52ec2cf0810f020d35c774f179c96edb9723f40bb86487"),
+    ("simulate --steps 1200 --seeds 2", "scalar_unstable", 0,
+     "a2cdbc055a198d4e39c9355b808c6417df0a79b5974f2eb66af4e56402ff063d"),
+    ("simulate --steps 1200 --seeds 2 --format csv", "scalar_unstable", 0,
+     "d314ba68f3028083fe6f9a4511058c5e6d11525aaf8541298311862b1dcbdc2c"),
+]
+
+
+@pytest.mark.parametrize("command, model, code, digest", DIGESTS,
+                         ids=[f"{model}: {command}" for command, model, *_ in DIGESTS])
+def test_report_bytes_are_pinned(monkeypatch, capsys, command, model, code, digest):
+    monkeypatch.chdir(ROOT)     # the report echoes the model path as given
+    assert cli.main(command.split() + ["--model", f"docs/models/{model}.json"]) == code
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
