@@ -18,6 +18,11 @@ trace(W_1 K_Z) = sum_j (1/(2s) - sigma_j^{-2})_+ over the subchannel gains
 sigma_j of W_1.  One water level mu for the budget above the floor gives
 s* = 1/(2 mu).
 
+The finite horizon has no forward pass: by the same identity (the LQ
+cost-to-go), a strategy at the s = 1 gains costs the floor
+trace(P_1(0) K_{B_{-1}}) + sum_{i<n} trace(P_1(i+1) K_V(i)) plus the
+water-fill spend of every step, so no output second moment is propagated.
+
 The finite-horizon backward pass stops at its exact plateau.  On a
 time-invariant model every step applies one map to P_1(i+1), so once P_1(i)
 equals P_1(i+1) bit for bit, every earlier step repeats it: those steps are
@@ -52,7 +57,6 @@ class FiniteHorizonSolution:
     P_seq: tuple
     r_seq: tuple
     strategy: Strategy
-    KB_seq: tuple              # K_{B_{-1}}, ..., K_{B_n}
     achieved_cost: float       # per-unit-time average
     value_nats: float          # -E<b, P(0) b> + r(0)
     rate_nats: float           # directed information of the strategy over the n + 1 steps
@@ -98,34 +102,47 @@ def _stacks(model: ChannelModel):
 
 
 def _riccati_pass(model: ChannelModel, stacks):
-    """(P_1, gains, sigma, V): the backward pass at s = 1 from
+    """(P_1, gains, sigma, V, floor): the backward pass at s = 1 from
     P_1(n) = terminal_Q (terminal gain zero) over the model's `_stacks`, as
-    (n+1, ., .) stacks, and the subchannels of every step's weight
-    R(i) + D(i)^T P_1(i+1) D(i), its step's H22 block (R(n) at the last).
+    (n+1, ., .) stacks, the subchannels of every step's weight
+    R(i) + D(i)^T P_1(i+1) D(i), its step's H22 block (R(n) at the last), and
+    the cost floor trace(P_1(0) K_{B_{-1}}) + sum_{i<n} trace(P_1(i+1) K_V(i)).
 
     Exact plateau: on a time-invariant model every step i < n applies the same
     map to P_1(i+1), so once P_1(i) equals P_1(i+1) bit for bit, every earlier
-    step repeats step i's P_1, gain and weight bit for bit; they are copied
-    instead of stepped.  A Q = 0 model with terminal_Q = 0 stops after one step
-    (P_1 = 0).  A time-varying model steps n times, even where its matrices repeat.
+    step repeats step i's P_1, gain and weight bit for bit; the P_1 and gain are
+    copied instead of stepped, and the weight's subchannels indexed.  A
+    Q = 0 model with terminal_Q = 0 stops after one step (P_1 = 0).  A
+    time-varying model steps n times, even where its matrices repeat.  A P_1
+    that is not finite raises PreconditionError naming its step, before it
+    reaches a solve or an SVD.
     """
-    C, D, _, R, Q = stacks
+    C, D, KV, R, Q = stacks
     n = model.horizon
     P = np.empty_like(C)
     gains = np.empty((n + 1, model.input_dim, model.output_dim))
     weights = np.empty_like(R)
     P[n], gains[n], weights[n] = sym(model.terminal_Q), 0.0, sym(R[n])
     bits = P.view(np.uint64)     # bit patterns: -0.0 and 0.0 differ
-    for i in range(n - 1, -1, -1):
-        P[i], blocks = riccati._backward_step(P[i + 1], C[i], D[i], Q[i], R[i], 1.0)
-        gains[i], weights[i] = riccati.optimal_gain(blocks), blocks.H22
-        if model.time_invariant and np.array_equal(bits[i], bits[i + 1]):
-            P[:i], gains[:i], weights[:i] = P[i], gains[i], weights[i]
-            break
+    first = 0                    # the steps before it repeat it; their weights stay unset
+    with np.errstate(over="ignore", invalid="ignore"):   # a non-finite P_1 is raised below
+        for i in range(n - 1, -1, -1):
+            P[i], blocks = riccati._backward_step(P[i + 1], C[i], D[i], Q[i], R[i], 1.0)
+            if not np.isfinite(P[i]).all():
+                raise PreconditionError(
+                    f"backward pass: P_1({i}) is not finite at step {i} of {n}: "
+                    "the cost-to-go overflows over this horizon")
+            gains[i], weights[i] = riccati.optimal_gain(blocks), blocks.H22
+            if model.time_invariant and np.array_equal(bits[i], bits[i + 1]):
+                P[:i], gains[:i] = P[i], gains[i]
+                first = i
+                break
+    floor = float(np.trace(P[0] @ model.initial_second_moment()) + _traces(P[1:], KV[:n]).sum())
     # one K_V per entry of the model's sequence: a stack of one broadcasts over the steps
     kv = np.stack([model.noise_for_inversion(i)[0] for i in range(len(model.KV_seq))])
-    sigma, V = waterfill.subchannels(D, kv, weights)
-    return P, gains, sigma, V
+    sigma, V = waterfill.subchannels(D[first:], kv, weights[first:])
+    at = np.maximum(np.arange(n + 1) - first, 0)
+    return P, gains, sigma[at], V[at], floor
 
 
 def _traces(A, B) -> np.ndarray:
@@ -134,7 +151,7 @@ def _traces(A, B) -> np.ndarray:
 
 
 def finite_horizon_dp(model: ChannelModel, s: float) -> FiniteHorizonSolution:
-    """Backward DP at a fixed multiplier, then the forward covariance pass.
+    """Backward DP at a fixed multiplier; there is no forward pass.
 
     Backward: the pass at s = 1 scaled, P(i) = s P_1(i) with the same gains
     (zero at the terminal step); K_Z(i) fills step i at level 1/(2s), and r(i)
@@ -143,16 +160,15 @@ def finite_horizon_dp(model: ChannelModel, s: float) -> FiniteHorizonSolution:
     model stops stepping once P_1 repeats bit for bit and copies that step
     into the earlier ones, bit-identical to n steps; a Q = 0 model with
     terminal_Q = 0 takes one step; a time-varying model never plateaus.
-    Forward: the output second moments K_B(i) = Acl(i) K_B(i-1) Acl(i)^T + W(i)
-    and the per-unit-time achieved cost, summed from the stacks.  A second
-    moment that overflows (a closed loop the gains leave unstable, over a long
-    horizon) raises PreconditionError naming its step.
+    The achieved cost is the LQ cost-to-go identity at the s = 1 gains: the
+    pass's cost floor plus the water-fill spend sum_i trace(W_1(i) K_Z(i)),
+    per unit time, so no output second moment K_B is propagated.
     """
     validate_model(model)
     riccati.check_multiplier(s)
     n = model.horizon
-    C, D, KV, R, Q = stacks = _stacks(model)
-    P1, G, sigma, V = _riccati_pass(model, stacks)
+    _, _, KV, _, _ = stacks = _stacks(model)
+    P1, G, sigma, V, floor = _riccati_pass(model, stacks)
     KZ, rates, spent = waterfill.fill(sigma, V, 0.5 / s)
     values = rates - s * spent
     P = s * P1
@@ -162,27 +178,10 @@ def finite_horizon_dp(model: ChannelModel, s: float) -> FiniteHorizonSolution:
 
     # built here, PSD by construction: wrapped without the caller-input checks
     strat = Strategy(gains=tuple(_freeze(G)), innovations=tuple(_freeze(KZ)))
-    Acl = C + D @ G
-    W = D @ KZ @ D.swapaxes(1, 2) + KV
-    KB = np.empty((n + 2,) + Acl.shape[1:])
-    KB[0] = model.initial_second_moment()
-    with np.errstate(over="ignore", invalid="ignore"):   # a non-finite moment is raised below
-        for i in range(n + 1):
-            KB[i + 1] = stability._lyapunov_step(KB[i], Acl[i], W[i])
-    finite = np.isfinite(KB).all(axis=(1, 2))
-    if not finite.all():
-        i = int(np.argmin(finite)) - 1
-        raise PreconditionError(
-            f"forward second moment K_B({i}) is not finite at step {i} of {n}: closed-loop "
-            f"spectral radius {stability.spectral_radius(Acl[i]).spectral_radius:.6g}")
-    Kprev = KB[:-1]
-    total_cost = float(_traces(R, G @ Kprev @ G.swapaxes(1, 2)).sum()
-                       + _traces(R, KZ).sum() + _traces(Q, Kprev).sum())
-
-    value = -float(np.trace(P[0] @ KB[0])) + float(r[0])
+    value = -float(np.trace(P[0] @ model.initial_second_moment())) + float(r[0])
     return FiniteHorizonSolution(
         s=float(s), P_seq=tuple(P), r_seq=tuple(r.tolist()), strategy=strat,
-        KB_seq=tuple(KB), achieved_cost=total_cost / (n + 1), value_nats=value,
+        achieved_cost=float(floor + spent.sum()) / (n + 1), value_nats=value,
         rate_nats=float(rates.sum()),
     )
 
@@ -198,10 +197,7 @@ def ftfi_capacity(model: ChannelModel):
     validate_model(model)
     n = model.horizon
     kappa = model.kappa
-    _, _, KV, _, _ = stacks = _stacks(model)
-    P1, _, sigma, _ = _riccati_pass(model, stacks)
-    floor = float(np.trace(P1[0] @ model.initial_second_moment())
-                  + _traces(P1[1:], KV[:n]).sum())
+    _, _, sigma, _, floor = _riccati_pass(model, _stacks(model))
     budget = (n + 1) * kappa - floor
     if budget < -COST_TOL * (1.0 + kappa) * (n + 1):
         raise InfeasibleError(

@@ -92,11 +92,6 @@ def lyapunov_step(Kprev, Acl, W) -> np.ndarray:
     W = np.atleast_2d(np.asarray(W, dtype=float))
     if Kprev.shape != Acl.shape or W.shape != Acl.shape:
         raise DimensionError("lyapunov_step: shape mismatch")
-    return _lyapunov_step(Kprev, Acl, W)
-
-
-def _lyapunov_step(Kprev, Acl, W) -> np.ndarray:
-    """`lyapunov_step` on square float arrays of one shape, unchecked."""
     K = Acl @ Kprev @ Acl.T + W
     return 0.5 * (K + K.T)
 

@@ -2,19 +2,25 @@
 
 `_riccati_pass` steps a private kernel over pre-built stacks and, on a
 time-invariant model, stops at the first step whose P_1 repeats the next
-one bit for bit, copying it into every earlier step.  Neither may move a bit:
-P, the gains and K_B must equal a plain loop of `riccati_backward_step` (at
-s = 1, scaled by s) and of `lyapunov_step`, with `np.array_equal`.
+one bit for bit, copying it into every earlier step and indexing that step's
+subchannels.  Neither may move a bit: P, the gains and K_Z must equal a plain
+loop of `riccati_backward_step` (at s = 1, scaled by s) and a per-step
+water-fill, with `np.array_equal`.  The DP has no forward pass: its achieved
+cost comes from the LQ cost-to-go identity, and a forward loop of
+`lyapunov_step` checks it to rel 1e-12.
 """
 
 import json
+import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import dirinfo as di
-from dirinfo import capacity, cli, riccati
+from dirinfo import capacity, cli, riccati, waterfill
 from dirinfo.cli import load_model
 from dirinfo.errors import PreconditionError
 from dirinfo.linalg import sym
@@ -51,23 +57,30 @@ MODELS = {
 
 
 def _oracle(m, s):
-    """(P, gains): backward loop of the public step at s = 1 from terminal_Q, P scaled by s."""
+    """(P, gains, K_Z): backward loop of the public step at s = 1 from terminal_Q, P
+    scaled by s, and each step's water-fill at level 1/(2s) on its own weight."""
     n = m.horizon
     P = [sym(m.terminal_Q)] * (n + 1)
     G = [np.zeros((m.input_dim, m.output_dim))] * (n + 1)
+    W = [sym(m.R(n))] * (n + 1)
     for i in range(n - 1, -1, -1):
         P[i], blocks = riccati.riccati_backward_step(P[i + 1], m.C(i), m.D(i), m.Q(i), m.R(i), 1.0)
-        G[i] = riccati.optimal_gain(blocks)
-    return s * np.stack(P), np.stack(G)
+        G[i], W[i] = riccati.optimal_gain(blocks), blocks.H22
+    KZ = [waterfill.fill(*waterfill.subchannels(m.D(i), m.noise_for_inversion(i)[0], W[i][None]),
+                         0.5 / s)[0][0] for i in range(n + 1)]
+    return s * np.stack(P), np.stack(G), np.stack(KZ)
 
 
 def _forward(m, sol):
-    """K_B by a loop of the public Lyapunov step over the solution's gains and innovations."""
-    KB = [m.initial_second_moment()]
+    """Per-unit-time cost by a loop of the public Lyapunov step over the solution's
+    gains and innovations: sum_i trace(R G K G^T) + trace(R K_Z) + trace(Q(i) K),
+    K = K_B(i-1), Q(n) = terminal_Q."""
+    K, total = m.initial_second_moment(), 0.0
     for i in range(m.horizon + 1):
-        G, KZ, D = sol.strategy.gains[i], sol.strategy.innovations[i], m.D(i)
-        KB.append(di.lyapunov_step(KB[-1], m.C(i) + D @ G, D @ KZ @ D.T + m.KV(i)))
-    return np.stack(KB)
+        G, KZ, D, R = sol.strategy.gains[i], sol.strategy.innovations[i], m.D(i), m.R(i)
+        total += np.trace(R @ G @ K @ G.T) + np.trace(R @ KZ) + np.trace(m.Q(i) @ K)
+        K = di.lyapunov_step(K, m.C(i) + D @ G, D @ KZ @ D.T + m.KV(i))
+    return total / (m.horizon + 1)
 
 
 @pytest.mark.parametrize("s", [0.37, 2.5])
@@ -75,10 +88,11 @@ def _forward(m, sol):
 def test_dp_equals_the_public_step_oracles_bit_for_bit(name, s):
     m = MODELS[name]()
     sol = capacity.finite_horizon_dp(m, s)
-    P, G = _oracle(m, s)
+    P, G, KZ = _oracle(m, s)
     assert np.array_equal(np.stack(sol.P_seq), P)
     assert np.array_equal(np.stack(sol.strategy.gains), G)
-    assert np.array_equal(np.stack(sol.KB_seq), _forward(m, sol))
+    assert np.array_equal(np.stack(sol.strategy.innovations), KZ)
+    assert sol.achieved_cost == pytest.approx(_forward(m, sol), rel=1e-12)
 
 
 def _steps(monkeypatch, m):
@@ -112,11 +126,38 @@ def test_time_varying_model_never_plateaus(monkeypatch):
     assert _steps(monkeypatch, m) == m.horizon
 
 
-def test_overflowing_second_moment_raises_named_precondition():
-    # gain 0 on C = 2: K_B(i) grows like 4^i and overflows at i = 510
-    m = di.scalar_model(2.0, 1.0, 1.0, 1.0, 0.0, 9.0, horizon=600)
-    with pytest.raises(PreconditionError, match=r"K_B\(510\) is not finite.*spectral radius 2"):
-        capacity.ftfi_capacity(m)
+# C = diag(2, 0.5), the mode at 2 weighted by Q and reached by no input: its cost-to-go
+# P_1 grows like 4^(n-i) and overflows at step 88 of 600
+UNREACHED = {"type": "channel", "horizon": 600, "time_invariant": True,
+             "C": [[2.0, 0.0], [0.0, 0.5]], "D": [[0.0], [1.0]], "KV": [[1.0, 0.0], [0.0, 1.0]],
+             "R": [[1.0]], "Q": [[1.0, 0.0], [0.0, 1.0]], "kappa": 5.0}
+OVERFLOW = r"P_1\(88\) is not finite at step 88 of 600"
+
+
+@pytest.fixture
+def unreached(tmp_path):
+    path = tmp_path / "unreached.json"
+    path.write_text(json.dumps(UNREACHED))
+    return str(path)
+
+
+@pytest.mark.parametrize("solve", [capacity.ftfi_capacity,
+                                   lambda m: capacity.finite_horizon_dp(m, 0.5)],
+                         ids=["ftfi_capacity", "finite_horizon_dp"])
+def test_overflowing_cost_to_go_raises_named_precondition(unreached, solve):
+    with pytest.raises(PreconditionError, match=OVERFLOW):
+        solve(load_model(unreached))
+
+
+@pytest.mark.parametrize("flags", [[], ["--s", "0.5"]])
+def test_cli_names_the_overflowing_step_without_traceback_or_warning(unreached, flags):
+    proc = subprocess.run([sys.executable, "-m", "dirinfo.cli", "ftfi", "--model", unreached]
+                          + flags, capture_output=True, text=True)
+    assert proc.returncode == 1
+    report = json.loads(proc.stdout)
+    assert report["error_type"] == "PreconditionError"
+    assert re.search(OVERFLOW, report["error"])
+    assert proc.stderr == f"error: {report['error']}\n"     # no warning, no traceback
 
 
 def _ftfi(capsys, horizon):
@@ -125,12 +166,12 @@ def _ftfi(capsys, horizon):
     return code, capsys.readouterr().out
 
 
-def test_cli_exits_one_on_an_overflowing_horizon(capsys):
+def test_cli_answers_past_the_old_second_moment_overflow(capsys):
+    # gain 0 on C = 2: K_B(i) grows like 4^i and overflows at i = 510, but no K_B is formed
     code, out = _ftfi(capsys, 600)
-    assert code == 1
-    report = json.loads(out)
-    assert report["error_type"] == "PreconditionError"
-    assert "K_B(510) is not finite" in report["error"]
+    assert code == 0
+    result = json.loads(out)["result"]
+    assert (result["capacity"], result["achieved_cost"]) == (1.1512925465, 9)
 
 
 def test_cli_answers_at_horizon_500(capsys):

@@ -51,3 +51,6 @@ def test_fields_that_nothing_read_stay_removed():
         "C", "D", "KV", "kappa", "R"]
     for cls in (di.StationarySolution, di.FiniteHorizonSolution, di.SimulationTrace):
         assert "meta" not in {f.name for f in dataclasses.fields(cls)}
+    # the finite-horizon cost comes from the Riccati value identity: no forward K_B pass
+    assert "KB_seq" not in {f.name for f in dataclasses.fields(di.FiniteHorizonSolution)}
+    assert not hasattr(importlib.import_module("dirinfo.stability"), "_lyapunov_step")

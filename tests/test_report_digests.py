@@ -1,4 +1,4 @@
-"""Report bytes, pinned: the sha256 of `dirinfo` stdout for nine commands on
+"""Report bytes, pinned: the sha256 of `dirinfo` stdout for eleven commands on
 each of the four `docs/models`.  A deliberate change of any report edits this
 table, and the edit is recorded with the change."""
 
@@ -23,6 +23,10 @@ DIGESTS = [
      "6eee44d6b334ea9771e31e944ad66db9a376b0d9eaeed8de6120ce40877e0e5a"),
     ("ftfi", "memory_order2", 0,
      "fdbdc50c429017608aaac34e7e4f2ae795037b3168f25ca8625d6430eb15b626"),
+    ("ftfi --s 0.3", "memory_order2", 0,
+     "1ee9ef13e3d9ef7bb60f06d70296ab71ab60812465ae244d5b390b3d38d99f59"),
+    ("ftfi --horizon 300", "memory_order2", 0,
+     "f759739cd63c878eebe28a17b733fe0ee89dfa0aca94cfdd2adb9c461c241172"),
     ("sweep --param kappa --grid 0.5,2,8", "memory_order2", 0,
      "38feb7c22017e196bcd13ec04ccd8c667327c8a640a40330774c5122d46000db"),
     ("sweep --param kappa --grid 0.5,2,8 --format csv", "memory_order2", 0,
@@ -41,6 +45,10 @@ DIGESTS = [
      "c5de6d14b42c6366c4dcfc2b16242e754d14cdf1f676447fa833e92e9d1267c6"),
     ("ftfi", "mimo_stable", 0,
      "d286853102494541ec10f6eb89e9c9bae031ea39e182e4178e315e7a83662201"),
+    ("ftfi --s 0.3", "mimo_stable", 0,
+     "bb95f920c3c47aaf5f1b24e89d17840bf9ec2591d61565b4736aa641fbdbf07b"),
+    ("ftfi --horizon 300", "mimo_stable", 0,
+     "34b2f2965aae80fea08ee3b6a27b1dd76ca899eef6f2cb1704aacd22969a5fd0"),
     ("sweep --param kappa --grid 0.5,2,8", "mimo_stable", 0,
      "6652f4142004d87aaa394a416ba8af901407760837ef3acb13f5284d184b7790"),
     ("sweep --param kappa --grid 0.5,2,8 --format csv", "mimo_stable", 0,
@@ -59,6 +67,10 @@ DIGESTS = [
      "7dae470c802136850e017d3788e7ec17c499002866f31ea4ba4dc527bd07f962"),
     ("ftfi", "scalar_stable", 0,
      "b7a00d223f616f59f76994b3db40fb10384c7f59d249d0d2d30bb5846443edab"),
+    ("ftfi --s 0.3", "scalar_stable", 0,
+     "daa725640af4d222143983538e991728c7d2eee20d7dc21504bf4766ca976b15"),
+    ("ftfi --horizon 300", "scalar_stable", 0,
+     "ea98fb4408306d909e137858e0ca6ab5c8c1cccd1ce280a683b3ee93a6b962c6"),
     ("sweep --param kappa --grid 0.5,2,8", "scalar_stable", 0,
      "7b62bd493030e6c06c73a6394cf8136b6d0fe2824d6240b8c50d0f779746788a"),
     ("sweep --param kappa --grid 0.5,2,8 --format csv", "scalar_stable", 0,
@@ -77,6 +89,10 @@ DIGESTS = [
      "b6c77159a037c263d34a8e0b0e405cad27d6fcafc577e230bce521b8bdff0d06"),
     ("ftfi", "scalar_unstable", 0,
      "01794af56107457d7d1a69bce133e924027b2b8b1d7a1c4ab98fe22c55f47aca"),
+    ("ftfi --s 0.3", "scalar_unstable", 0,
+     "ea460dfb168653a87f04635fdba9de47cb694d976e16ad404c425bbdaf830138"),
+    ("ftfi --horizon 300", "scalar_unstable", 0,
+     "10a9845e465103b7e117b5b25f7b21aeadbb1b46e0c562c956aa27f81fd48e52"),
     ("sweep --param kappa --grid 0.5,2,8", "scalar_unstable", 0,
      "2261d107629a1800403af0c97bbc0c7be97352acc5eed2ba25fb1d3a011654bf"),
     ("sweep --param kappa --grid 0.5,2,8 --format csv", "scalar_unstable", 0,
