@@ -162,7 +162,8 @@ def finite_horizon_dp(model: ChannelModel, s: float) -> FiniteHorizonSolution:
     terminal_Q = 0 takes one step; a time-varying model never plateaus.
     The achieved cost is the LQ cost-to-go identity at the s = 1 gains: the
     pass's cost floor plus the water-fill spend sum_i trace(W_1(i) K_Z(i)),
-    per unit time, so no output second moment K_B is propagated.
+    per unit time, so no output second moment K_B is propagated.  A P = s P_1
+    that is not finite raises PreconditionError naming its step.
     """
     validate_model(model)
     riccati.check_multiplier(s)
@@ -171,7 +172,14 @@ def finite_horizon_dp(model: ChannelModel, s: float) -> FiniteHorizonSolution:
     P1, G, sigma, V, floor = _riccati_pass(model, stacks)
     KZ, rates, spent = waterfill.fill(sigma, V, 0.5 / s)
     values = rates - s * spent
-    P = s * P1
+    with np.errstate(over="ignore"):     # a non-finite P is raised below
+        P = s * P1
+    bad = np.flatnonzero(~np.isfinite(P).all(axis=(1, 2)))
+    if bad.size:
+        i = bad[-1]
+        raise PreconditionError(
+            f"fixed multiplier s = {s:.12g}: P({i}) = s P_1({i}) is not finite at step {i} "
+            f"of {n}: the cost-to-go overflows over this horizon")
     # r(i) = r(i+1) + values(i) - trace(P(i+1) K_V(i)), one cumsum in the recursion's order
     steps = np.stack([values[:n], -_traces(P[1:], KV[:n])], axis=1)[::-1].ravel()
     r = np.cumsum(np.append(values[n] + s * (n + 1) * model.kappa, steps))[::-2]

@@ -299,14 +299,39 @@ def _check_rows(rows) -> list:
     return errors
 
 
+_VALIDATED = "_validated"     # instance attribute, not a field: `dataclasses.replace` drops it
+
+
+def _read_only(model) -> bool:
+    """Whether every array of the model is read-only, so a past judgement still holds."""
+    if isinstance(model, MemoryJModel):
+        arrays = (*model.C_blocks, model.D, model.KV, model.R, model.Q_K, model.initial_history)
+    else:
+        arrays = (*model.C_seq, *model.D_seq, *model.KV_seq, *model.R_seq, *model.Q_seq,
+                  model.terminal_Q, model.initial_mean, model.initial_cov)
+    return not any(a.flags.writeable for a in arrays)
+
+
 def validate_model(model):
     """Return the model unchanged if every invariant holds, else raise.
 
     Raises ModelValidationError listing every violated invariant with the
     offending index, non-finite entries and kappa included.  Idempotent.
+    A model that passes keeps a mark, and a later call returns it at once
+    while its arrays stay read-only; a `dataclasses.replace` copy (a new
+    object) or a copy with writable arrays is judged afresh.
     """
+    if model.__dict__.get(_VALIDATED) and _read_only(model):
+        return model
     if isinstance(model, MemoryJModel):
-        return _validate_memory(model)
+        _validate_memory(model)
+    else:
+        _validate_channel(model)
+    object.__setattr__(model, _VALIDATED, True)
+    return model
+
+
+def _validate_channel(model: ChannelModel) -> None:
     errors = []
     n, p, q = model.horizon, model.output_dim, model.input_dim
     if n < 0:
@@ -329,10 +354,9 @@ def validate_model(model):
     ])
     if errors:
         raise ModelValidationError(errors)
-    return model
 
 
-def _validate_memory(model: MemoryJModel) -> MemoryJModel:
+def _validate_memory(model: MemoryJModel) -> None:
     errors = []
     p, q = model.output_dim, model.input_dim
     if model.memory < 1:
@@ -358,7 +382,6 @@ def _validate_memory(model: MemoryJModel) -> MemoryJModel:
     ])
     if errors:
         raise ModelValidationError(errors)
-    return model
 
 
 # ---------------------------------------------------------------------------

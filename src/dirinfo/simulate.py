@@ -4,7 +4,9 @@ Closed-loop sampling uses a counter-based generator (numpy's Philox keyed by
 the trace seed) producing uniforms that are pushed through the inverse normal
 CDF and the symmetric square root of the covariance, so the uniform-variable
 realization of the innovations is literally the sampling path.  The inverse
-CDF is Wichura's AS241 (PPND16), evaluated elementwise on whole blocks.
+CDF is Wichura's AS241 (PPND16), evaluated elementwise in blocks of QBLOCK
+elements: the central rational on every element by in-place Horner steps,
+which repeat np.polyval's float operations, then the tails on their subset.
 
 Draw order per trace (fixed, part of the determinism contract): the initial
 output (only if its covariance is nonzero), then all innovation uniforms as a
@@ -21,7 +23,12 @@ closed loop, b_i = (C + D g) b_{i-1} + D Z_i + V_i, which it runs as a
 two-pass scan over chunks of CHUNK steps (Blelloch, "Prefix Sums and Their
 Applications", 1990): every chunk of every seed is one row of a 2-D state,
 so the interpreter steps CHUNK times per pass instead of once per step.
-Any other closed loop runs through the same stepper as one chunk.
+Any other closed loop runs through the same stepper as one chunk.  The
+scan's buffers are time-major, (CHUNK, S*K, .) for K chunks per seed: slab j
+holds step j of every chunk of every seed, so each step reads and writes
+contiguous memory.  Each seed's noise is written straight into its rows, the
+scan stores the path over the noise it has used, and the paths are copied
+back to seed-major (S, K*CHUNK, .) once after the scan.
 
 Bit contract.  A trace of at most CHUNK steps is the per-step recursion on
 the (S, p) state of its batch.  In a longer trace the first two chunks run
@@ -50,6 +57,7 @@ from .linalg import sym_sqrt
 from .model import ChannelModel, Strategy, validate_model
 
 CHUNK = 256     # steps per chunk of the stationary scan in `simulate_batch`
+QBLOCK = 32768  # elements per block of `normal_quantile`
 
 # Wichura (1988), algorithm AS241 (PPND16): rational approximations of the
 # standard normal quantile, relative error about 1e-16.  Coefficients run from
@@ -82,27 +90,51 @@ def normal_quantile(u):
     Accepts scalars or arrays strictly inside (0, 1); elementwise, so a value
     maps to the same bits whatever array holds it.  Computed on min(u, 1 - u),
     which is exact, and negated above 0.5: q(u) == -q(1 - u) whenever 1 - u is
-    exact.
+    exact.  The flat input is walked in blocks of QBLOCK elements, so every
+    temporary stays in cache.
     """
     u = np.asarray(u, dtype=float)
     if u.size and not (u.min() > 0.0 and u.max() < 1.0):
         raise PreconditionError("uniform sample on the boundary of (0, 1)")
     flat = u.reshape(-1)
-    upper = flat > 0.5
-    w = np.where(upper, 1.0 - flat, flat)
-    x = w - 0.5
-    mid = x >= -0.425
-    tail = ~mid
-    c = x[mid]
-    r = 0.180625 - c * c
-    x[mid] = c * np.polyval(_A, r) / np.polyval(_B, r)
-    r = np.sqrt(-np.log(w[tail]))
-    near = r <= 5.0
-    t = np.where(near, r - 1.6, r - 5.0)
-    x[tail] = -np.where(near, np.polyval(_C, t) / np.polyval(_D, t),
-                         np.polyval(_E, t) / np.polyval(_F, t))
-    np.negative(x, out=x, where=upper)
-    return x.reshape(u.shape)[()]
+    out = np.empty_like(flat)
+    for s in range(0, flat.size, QBLOCK):
+        _quantile_block(flat[s:s + QBLOCK], out[s:s + QBLOCK])
+    return out.reshape(u.shape)[()]
+
+
+def _horner(coef, r):
+    """np.polyval(coef, r) by the same float operations, in place."""
+    y = np.multiply(r, coef[0])
+    for c in coef[1:-1]:
+        y += c
+        y *= r
+    y += coef[-1]
+    return y
+
+
+def _quantile_block(u, x):
+    """AS241 of a 1-D block u into x: the central rational on every element,
+    then the tail on the elements below 0.075 (after the reflection)."""
+    w = np.subtract(1.0, u)
+    np.minimum(w, u, out=w)
+    np.subtract(w, 0.5, out=x)
+    tail = np.flatnonzero(x < -0.425)
+    r = np.multiply(x, x)
+    np.subtract(0.180625, r, out=r)
+    x *= _horner(_A, r)
+    x /= _horner(_B, r)
+    if tail.size:
+        r = np.sqrt(-np.log(w[tail]))
+        t = r - 1.6
+        y = _horner(_C, t)
+        y /= _horner(_D, t)
+        far = np.flatnonzero(r > 5.0)
+        if far.size:
+            t = r[far] - 5.0
+            y[far] = _horner(_E, t) / _horner(_F, t)
+        x[tail] = np.negative(y, out=y)
+    np.negative(x, out=x, where=u > 0.5)
 
 
 def innovation_from_uniform(u, KZ) -> np.ndarray:
@@ -232,72 +264,91 @@ def simulate_batch(model: ChannelModel, strat: Strategy, steps: int, seeds) -> l
     stationary = len(strat.gains) == 1 and model.time_invariant
     chunk = CHUNK if stationary else steps
     # the scan pads each trace to whole chunks with zero noise
-    n = -(-steps // chunk) * chunk
+    K = -(-steps // chunk)
 
     b0 = np.empty((S, p))
-    Z = np.zeros((S, n, q))
-    V = np.zeros((S, n, p))
-    for k, seed in enumerate(seeds):
-        b0[k], Z[k, :steps], V[k, :steps] = _draw_noise(model, strat, steps, seed)
-    B = np.empty((S, n, p))
-    A = np.empty((S, n, q))
+    Z = np.zeros((chunk, S * K, q))
+    V = np.zeros((chunk, S * K, p))
+    for s, seed in enumerate(seeds):
+        b0[s] = _draw_slabs(model, strat, steps, seed, Z, V, s * K)
     C, D, G, KZ = (np.stack(seq[:steps]) for seq in (
         model.C_seq, model.D_seq, strat.gains, strat.innovations))
     # a stationary loop weighs every output with the running Q; otherwise
     # step i = horizon takes terminal_Q
     Q = np.stack(model.Q_seq[:1] if stationary else [model.Q(i) for i in range(steps)])
-    _scan(C, D, G, b0, Z, V, A, B, steps, chunk)
-    del Z, V    # the traces keep views of B and A only
+    _scan(C, D, G, b0, Z, V, steps)     # leaves the path A in Z and B in V
+    A = _seed_major(Z, S)
+    del Z
+    B = _seed_major(V, S)
+    del V
     return _traces(model, seeds, b0, B[:, :steps], A[:, :steps], C, D, G, KZ, Q)
 
 
-def _scan(C, D, G, b0, Z, V, A, B, steps: int, chunk: int) -> None:
-    """Fill A and B along the closed loop, `chunk` steps at a time; step j takes
-    entry j % m of each (m, ., .) stack C, D, G (a per-step stack is one chunk).
+def _draw_slabs(model: ChannelModel, strat: Strategy, steps: int, seed: int, Z, V, row: int):
+    """Draw one seed's noise and write it into the time-major (chunk, S*K, .)
+    buffers Z and V at rows row .. row + K - 1, one per chunk; returns b0."""
+    b0, z, v = _draw_noise(model, strat, steps, seed)
+    chunk = len(Z)
+    whole, tail = divmod(steps, chunk)
+    for buf, x in ((Z, z), (V, v)):
+        buf[:, row:row + whole] = x[:steps - tail].reshape(whole, chunk, x.shape[1]).swapaxes(0, 1)
+        if tail:
+            buf[:tail, row + whole] = x[steps - tail:]
+    return b0
 
-    Z, V, A and B are (S, K*chunk, .) with zero noise past `steps`; row
-    s*K + k of the (S*K, p) state is chunk k of seed s.  Pass 1 steps every
-    chunk from rest, chunk 0 from b0, and keeps its end state y_k.  Chunk k
-    starts at x_k = x_{k-1} (Acl^chunk)^T + y_{k-1} for k >= 2, with x_0 = b0
-    and x_1 = y_0.  Pass 2 steps every chunk from its start and stores the
-    path.  Each pass loops `chunk` times and the carry K - 2 times, whatever
-    the number of seeds; with K = 1 only pass 2 runs, `steps` times.
+
+def _seed_major(X, S: int):
+    """A time-major (chunk, S*K, d) buffer as (S, K*chunk, d), copied once."""
+    chunk, SK, d = X.shape
+    return X.reshape(chunk, S, SK // S, d).transpose(1, 2, 0, 3).reshape(S, -1, d)
+
+
+def _scan(C, D, G, b0, Z, V, steps: int) -> None:
+    """Run the closed loop `chunk` steps at a time and overwrite the noise Z
+    and V with the path A and B; step j takes entry j % m of each (m, ., .)
+    stack C, D, G (a per-step stack is one chunk).
+
+    Z and V are time-major (chunk, S*K, .) with zero noise past `steps`:
+    slab j holds step j of every chunk, and row s*K + k of the (S*K, p) state
+    is chunk k of seed s, so each step reads and writes contiguous slabs.
+    Pass 1 steps every chunk from rest, chunk 0 from b0, and keeps its end
+    state y_k.  Chunk k starts at x_k = x_{k-1} (Acl^chunk)^T + y_{k-1} for
+    k >= 2, with x_0 = b0 and x_1 = y_0.  Pass 2 steps every chunk from its
+    start and stores step j's a and b over slab j of Z and V, which no later
+    step reads.  Each pass loops `chunk` times and the carry K - 2 times,
+    whatever the number of seeds; with K = 1 only pass 2 runs, `steps` times.
     """
-    S, n, p = B.shape
-    K = n // chunk
+    chunk, SK, p = V.shape
+    S = len(b0)
+    K = SK // S
     last = steps - (K - 1) * chunk      # real steps in the last chunk
     GT, CT, DT = (M.swapaxes(1, 2) for M in (G, C, D))
 
-    def rows(X):
-        return X.reshape(S * K, chunk, X.shape[2])
-
-    Zr, Vr = rows(Z), rows(V)
-
-    def run(b, Ar=None, Br=None):
+    def run(b, store):
         for j in range(min(chunk, steps)):
             if j == last:
                 # the last chunk is past `steps`: hold its rows at zero so a
                 # divergent loop cannot overflow in the padding
                 b.reshape(S, K, p)[:, -1] = 0.0
             a = b @ GT[j % len(GT)]
-            a += Zr[:, j]
+            a += Z[j]
             b = b @ CT[j % len(CT)]
             b += a @ DT[j % len(DT)]
-            b += Vr[:, j]
-            if Ar is not None:
-                Ar[:, j] = a
-                Br[:, j] = b
+            b += V[j]
+            if store:
+                Z[j] = a
+                V[j] = b
         return b
 
     x = np.zeros((S, K, p))
     x[:, 0] = b0
     if K > 1:
-        y = run(x.reshape(S * K, p)).reshape(S, K, p)
+        y = run(x.reshape(SK, p), False).reshape(S, K, p)
         x[:, 1] = y[:, 0]
         ALT = np.linalg.matrix_power(C[0] + D[0] @ G[0], chunk).T
         for k in range(2, K):
             x[:, k] = x[:, k - 1] @ ALT + y[:, k - 1]
-    run(x.reshape(S * K, p), rows(A), rows(B))
+    run(x.reshape(SK, p), True)
 
 
 @dataclass(frozen=True)

@@ -2,9 +2,10 @@
 
 Each one is an independent, unbatched statement of a quantity that the
 library computes another way: the water-fill objective and its scalar
-closed form, the per-step directed-information density, the uniqueness
-certificate of a Riccati solution, and the embedding of a first-order gain
-into memory-augmented coordinates.
+closed form, the normal quantile on whole arrays with np.polyval, the
+per-step directed-information density, the uniqueness certificate of a
+Riccati solution, and the embedding of a first-order gain into
+memory-augmented coordinates.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from dirinfo.errors import PreconditionError
 from dirinfo.linalg import logdet_pd, sym, sym_sqrt
 from dirinfo.model import Strategy, min_eigenvalue, psd_tolerance, strategy
 from dirinfo.riccati import AreSolution
-from dirinfo.simulate import _gaussian_logpdf_terms
+from dirinfo.simulate import _A, _B, _C, _D, _E, _F, _gaussian_logpdf_terms
 from dirinfo.waterfill import WaterfillProblem
 
 
@@ -56,6 +57,30 @@ def scalar_solve(D: float, KV: float, weight: float):
 
 # ---------------------------------------------------------------------------
 # Monte Carlo
+
+
+def normal_quantile(u):
+    """AS241 on the whole array at once, by np.polyval and masks: the
+    reference whose bits the blocked, in-place library quantile keeps."""
+    u = np.asarray(u, dtype=float)
+    if u.size and not (u.min() > 0.0 and u.max() < 1.0):
+        raise PreconditionError("uniform sample on the boundary of (0, 1)")
+    flat = u.reshape(-1)
+    upper = flat > 0.5
+    w = np.where(upper, 1.0 - flat, flat)
+    x = w - 0.5
+    mid = x >= -0.425
+    tail = ~mid
+    c = x[mid]
+    r = 0.180625 - c * c
+    x[mid] = c * np.polyval(_A, r) / np.polyval(_B, r)
+    r = np.sqrt(-np.log(w[tail]))
+    near = r <= 5.0
+    t = np.where(near, r - 1.6, r - 5.0)
+    x[tail] = -np.where(near, np.polyval(_C, t) / np.polyval(_D, t),
+                         np.polyval(_E, t) / np.polyval(_F, t))
+    np.negative(x, out=x, where=upper)
+    return x.reshape(u.shape)[()]
 
 
 def info_density_step(b_prev, a, b, C, D, KV, gain, KZ) -> float:

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from dirinfo import cli
+from dirinfo import model as model_mod
 from dirinfo.cli import RunConfig, UsageError, emit_report, parse_config, run
 
 
@@ -318,19 +319,31 @@ def test_non_finite_model_file_is_rejected(tmp_path, capsys, field, value, error
 
 
 def test_budget_matched_capacity_validates_once(tmp_path, monkeypatch):
-    calls = []
-    real = cli.validate_model
+    calls, judged = [], []
+    real, judge = cli.validate_model, model_mod._validate_channel
 
     def counted(m):
         calls.append(m)
         return real(m)
 
+    def counted_judge(m):
+        judged.append(m)
+        return judge(m)
+
     for name, module in list(sys.modules.items()):
         if name.startswith("dirinfo") and hasattr(module, "validate_model"):
             monkeypatch.setattr(module, "validate_model", counted)
-    code, _ = run(parse_config(["capacity", "--model", write_model(tmp_path)]))
+    monkeypatch.setattr(model_mod, "_validate_channel", counted_judge)
+    mp = write_model(tmp_path)
+    code, _ = run(parse_config(["capacity", "--model", mp]))
     assert code == 0
     assert len(calls) == 1
+    # ftfi and simulate call validate_model twice: the second finds the model marked
+    for argv in (["ftfi"], ["simulate", "--steps", "1000", "--seeds", "2"]):
+        judged.clear()
+        code, _ = run(parse_config(argv + ["--model", mp]))
+        assert code == 0
+        assert len(judged) == 1
 
 
 def test_sweep_of_invalid_model_exits_one(tmp_path):

@@ -160,6 +160,18 @@ def test_cli_names_the_overflowing_step_without_traceback_or_warning(unreached, 
     assert proc.stderr == f"error: {report['error']}\n"     # no warning, no traceback
 
 
+def test_cli_names_an_overflowing_fixed_multiplier(unreached):
+    # P_1(0) is finite at horizon 511, about 6e307; P = 8 P_1 overflows there
+    proc = subprocess.run([sys.executable, "-m", "dirinfo.cli", "ftfi", "--model", unreached,
+                           "--s", "8", "--horizon", "511"], capture_output=True, text=True)
+    assert proc.returncode == 1
+    report = json.loads(proc.stdout)
+    assert report["error_type"] == "PreconditionError"
+    assert report["error"] == ("fixed multiplier s = 8: P(0) = s P_1(0) is not finite at step 0 "
+                               "of 511: the cost-to-go overflows over this horizon")
+    assert proc.stderr == f"error: {report['error']}\n"     # no warning, no traceback
+
+
 def _ftfi(capsys, horizon):
     code = cli.main(["ftfi", "--model", str(DOCS / "scalar_unstable.json"),
                      "--horizon", str(horizon)])

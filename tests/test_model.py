@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 
 import numpy as np
@@ -48,6 +49,22 @@ def test_validate_time_varying_sequence_lengths():
 def test_validate_is_idempotent():
     m = di.scalar_model(0.5, 1.0, 1.0, 1.0, 0.0, 1.0)
     assert di.validate_model(di.validate_model(m)) is m
+
+
+def test_validation_mark_is_not_inherited_by_copies():
+    m = di.validate_model(di.scalar_model(0.5, 1.0, 1.0, 1.0, 0.0, 1.0))
+    # the sweep's kappa variants are such copies
+    with pytest.raises(ModelValidationError, match="negative kappa"):
+        di.validate_model(dataclasses.replace(m, kappa=-1.0))
+    # a deep copy carries the mark but has writable arrays, so it is judged again
+    bad = copy.deepcopy(m)
+    bad.KV_seq[0][0, 0] = 0.0
+    with pytest.raises(ModelValidationError, match="noise covariance not positive definite"):
+        di.validate_model(bad)
+    mem = di.memory_model([0.6, 0.2], 1.0, 1.0, 1.0, None, 1.0, 10)
+    assert di.validate_model(mem) is mem
+    with pytest.raises(ModelValidationError, match="memory order M must be >= 1"):
+        di.validate_model(dataclasses.replace(mem, memory=0))
 
 
 def test_scalar_view_projects():

@@ -1,6 +1,7 @@
 """Report bytes, pinned: the sha256 of `dirinfo` stdout for eleven commands on
-each of the four `docs/models`.  A deliberate change of any report edits this
-table, and the edit is recorded with the change."""
+each of the four `docs/models`, and for `simulate` at the sizes the benchmark
+runs, where the scan carries state over many chunks.  A deliberate change of
+any report edits this table, and the edit is recorded with the change."""
 
 import hashlib
 import pathlib
@@ -101,6 +102,12 @@ DIGESTS = [
      "a2cdbc055a198d4e39c9355b808c6417df0a79b5974f2eb66af4e56402ff063d"),
     ("simulate --steps 1200 --seeds 2 --format csv", "scalar_unstable", 0,
      "d314ba68f3028083fe6f9a4511058c5e6d11525aaf8541298311862b1dcbdc2c"),
+    ("simulate --steps 24000 --seeds 8", "scalar_unstable", 0,
+     "86b9a3ca0201ddfba35a4cd869e7a1566f0382e3420c3602de38a924fbe0e72c"),
+    ("simulate --steps 24000 --seeds 8", "mimo_stable", 0,
+     "d27ea4b18d082639a3fffb0dbf63b6386ca7e526c4669c692737558dd4b58959"),
+    ("simulate --steps 40000 --seeds 2", "memory_order2", 0,
+     "94073cd6dd7145f3bbe97c1bd5c7eb06e3d1d7e5c0d8886ca89b305b42ae4b9f"),
 ]
 
 

@@ -1,5 +1,6 @@
 import math
 import pathlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -57,6 +58,42 @@ def test_quantile_scalar_and_array_paths_agree_bitwise():
     block = di.normal_quantile(u[:3000].reshape(1000, 3))
     for i in range(1000):
         np.testing.assert_array_equal(di.normal_quantile(u[3 * i:3 * i + 3]), block[i])
+
+
+def _ulps(x, k):
+    """x and its k neighbours on each side."""
+    below, above = [x], [x]
+    for _ in range(k):
+        below.append(np.nextafter(below[-1], 0.0))
+        above.append(np.nextafter(above[-1], 1.0))
+    return below[:0:-1] + above
+
+
+# the central rational gives way to the tails near 0.075 and 0.925, and the two
+# tails switch at r = sqrt(-log u) = 5: 1.3887943864963947e-11 is the largest u past it
+QUANTILE_EDGES = np.array(
+    [5e-324, 1e-300, 1e-100, 1e-20, 1e-12, 1.0 - 1e-12, 1.0 - 2.0 ** -53, 1.0 - 2.0 ** -52]
+    + _ulps(0.075, 4) + _ulps(0.925, 4) + _ulps(0.5, 1) + _ulps(1.3887943864963947e-11, 2))
+
+
+@pytest.mark.parametrize("u", [
+    np.random.Generator(np.random.Philox(key=11)).random(800_000),
+    QUANTILE_EDGES,
+    np.random.Generator(np.random.Philox(key=12)).random(sim.QBLOCK - 1),
+    np.random.Generator(np.random.Philox(key=13)).random(sim.QBLOCK),
+    np.concatenate([np.random.Generator(np.random.Philox(key=14)).random(sim.QBLOCK),
+                    QUANTILE_EDGES[:1]]),
+    np.float64(1e-300), np.float64(0.3), np.float64(0.5), np.float64(0.97),
+    np.random.Generator(np.random.Philox(key=15)).random((300, 7)),
+], ids=["philox_8e5", "edges", "qblock-1", "qblock", "qblock+1",
+        "0d_far", "0d_mid", "0d_half", "0d_tail", "2d"])
+def test_quantile_is_bit_exact_against_polyval_reference(u):
+    # the blocked, in-place Horner steps repeat np.polyval's float operations;
+    # qblock+1 puts the smallest subnormal alone in the last block
+    got, ref = di.normal_quantile(u), oracles.normal_quantile(u)
+    assert np.shape(got) == np.shape(ref) == np.shape(u)
+    assert type(got) is type(ref)
+    assert np.array_equal(np.asarray(got).view(np.int64), np.asarray(ref).view(np.int64))
 
 
 def test_quantile_boundary_rejected():
@@ -366,6 +403,24 @@ def test_batch_validates_before_any_draw(monkeypatch, rng):
     short = di.strategy([[[-1.5]], [[-1.5]]], [[[1.5]], [[1.5]]])
     with pytest.raises(DimensionError):
         di.simulate_batch(kappa9_model(), short, 3, range(4))
+
+
+def test_batch_memory_stays_within_four_path_sized_buffers():
+    # four (S, n, 2) float buffers, n padded to whole chunks, bound every phase: the
+    # draws, the scan, the copy back to seed-major order and the traces' outputs; a
+    # buffer held past its use breaks the 5% slack
+    m = load_model(str(DOCS / "mimo_stable.json"))
+    sol, _ = di.feedback_capacity(m)
+    st = di.stationary_strategy(sol.gain, sol.KZ)
+    S, steps = 8, 40_000
+    n = -(-steps // sim.CHUNK) * sim.CHUNK
+    tracemalloc.start()
+    try:
+        di.simulate_batch(m, st, steps, range(S))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.05 * 4 * S * n * 2 * 8
 
 
 # -- stability report --------------------------------------------------------
