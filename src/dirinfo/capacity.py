@@ -137,7 +137,12 @@ def _riccati_pass(model: ChannelModel, stacks):
                 P[:i], gains[:i] = P[i], gains[i]
                 first = i
                 break
-    floor = float(np.trace(P[0] @ model.initial_second_moment()) + _traces(P[1:], KV[:n]).sum())
+    with np.errstate(over="ignore", invalid="ignore"):   # a non-finite floor is raised below
+        floor = float(np.trace(P[0] @ model.initial_second_moment()) + _traces(P[1:], KV[:n]).sum())
+    if not np.isfinite(floor):
+        raise PreconditionError(
+            f"backward pass: the cost floor trace(P_1(0) K_B(-1)) + sum_i trace(P_1(i+1) K_V(i)) "
+            f"is not finite over {n} steps: the cost-to-go overflows over this horizon")
     # one K_V per entry of the model's sequence: a stack of one broadcasts over the steps
     kv = np.stack([model.noise_for_inversion(i)[0] for i in range(len(model.KV_seq))])
     sigma, V = waterfill.subchannels(D[first:], kv, weights[first:])
@@ -186,7 +191,12 @@ def finite_horizon_dp(model: ChannelModel, s: float) -> FiniteHorizonSolution:
 
     # built here, PSD by construction: wrapped without the caller-input checks
     strat = Strategy(gains=tuple(_freeze(G)), innovations=tuple(_freeze(KZ)))
-    value = -float(np.trace(P[0] @ model.initial_second_moment())) + float(r[0])
+    with np.errstate(over="ignore", invalid="ignore"):   # a non-finite value is raised below
+        value = -float(np.trace(P[0] @ model.initial_second_moment())) + float(r[0])
+    if not np.isfinite(value):
+        raise PreconditionError(
+            f"fixed multiplier s = {s:.12g}: value_nats = -E<b, P(0) b> + r(0) is not finite "
+            f"over {n} steps: the cost-to-go overflows over this horizon")
     return FiniteHorizonSolution(
         s=float(s), P_seq=tuple(P), r_seq=tuple(r.tolist()), strategy=strat,
         achieved_cost=float(floor + spent.sum()) / (n + 1), value_nats=value,

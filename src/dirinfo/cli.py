@@ -37,11 +37,10 @@ rectangular array of numbers, a kappa that is not a number, a horizon,
 memory or cost_memory that is not an integer, a time_invariant that is not
 true or false) is a usage error naming the key.  A well-typed model of the
 wrong shape, a wrong-length initial mean included, exits 1 with the
-library's ModelValidationError naming the matrix (`check` reports a channel
-model's as valid: false; a memory_j file is validated as it is lowered on
-load, so its errors stay an error report).  A file's kappa and horizon are
-type-checked even when --kappa or --horizon overrides them.  An error report
-(exit 1) is printed as JSON whatever --format says.
+library's ModelValidationError naming the matrix (`check` reports it as
+valid: false, a memory_j file's as it is lowered too).  A file's kappa and
+horizon are type-checked even when --kappa or --horizon overrides them.  An
+error report (exit 1) is printed as JSON whatever --format says.
 
 Every option is declared once, as a `RunConfig` field that carries its flag's
 type, choices and help; every command takes the same flags (one parser, built
@@ -370,7 +369,7 @@ def _base_report(config: RunConfig, m: ChannelModel) -> dict:
         "version": __version__,
         "command": config.command,
         "units": config.units,
-        "model": _model_echo(m, config.model),
+        "model": {"path": config.model} if m is None else _model_echo(m, config.model),
         "tolerances": _tolerances(),
     }
 
@@ -417,13 +416,16 @@ def _is_scalar(m: ChannelModel) -> bool:
 # command handlers
 
 
-def _run_check(config: RunConfig, m: ChannelModel) -> dict:
-    report = _base_report(config, m)
+def _run_check(config: RunConfig) -> dict:
+    """Validation failures, a memory_j file's as it is lowered too, are `valid: false`."""
+    m = None
     try:
+        m = load_model(config.model, kappa_override=config.kappa, horizon_override=config.horizon)
         validate_model(m)
         errors = []
     except model_mod.ModelValidationError as exc:
         errors = exc.errors
+    report = _base_report(config, m)
     result = {"valid": not errors, "errors": errors}
     if not errors and m.time_invariant:
         C, D = m.C(0), m.D(0)
@@ -592,11 +594,11 @@ _HANDLERS = {
 def run(config: RunConfig):
     """Execute a command; returns (exit_code, report dict)."""
     try:
+        if config.command == "check":
+            report = _run_check(config)
+            return (0 if report["result"]["valid"] else 1), report
         m = load_model(config.model, kappa_override=config.kappa,
                        horizon_override=config.horizon)
-        if config.command == "check":
-            report = _run_check(config, m)
-            return (0 if report["result"]["valid"] else 1), report
         # each handler's first library call validates the model
         report = _HANDLERS[config.command](config, m)
         return 0, report

@@ -369,16 +369,16 @@ def _validate_memory(model: MemoryJModel) -> None:
         errors.append(f"expected {model.memory} channel blocks, got {len(model.C_blocks)}")
     kp = model.cost_memory * p
     errors += _check_rows([
-        ("C_blocks", model.C_blocks, (p, p), None, "dimension mismatch: C_blocks[{i}] is {shape}"),
-        ("D", (model.D,), (p, q), None, "dimension mismatch: D"),
+        ("C_blocks", model.C_blocks, (p, p), None, _MISMATCH),
+        ("D", (model.D,), (p, q), None, _MISMATCH),
         # an asymmetric K_V is left to the augmented model's check
         ("KV", (model.KV,), (p, p), (None, "noise covariance not positive definite", True),
-         "dimension mismatch: KV"),
-        ("R", (model.R,), (q, q), _PD, "dimension mismatch: R"),
+         _MISMATCH),
+        ("R", (model.R,), (q, q), _PD, _MISMATCH),
         ("Q_K", (model.Q_K,), (kp, kp), _PSD if kp else None,
          "dimension mismatch: Q_K is {shape}, expected {want}"),
         ("initial_history", (model.initial_history,), (model.order, p), None,
-         "dimension mismatch: initial history"),
+         "dimension mismatch: initial history is {shape}, expected {want}"),
     ])
     if errors:
         raise ModelValidationError(errors)

@@ -7,11 +7,17 @@ The control part of the optimal strategy comes from
 iterated backward from the terminal weight, and its fixed point for the
 stationary problem.  The gain is Gamma = -(D^T P D + sR)^{-1} D^T P C.
 
-The fixed point is found by Newton's method (Kleinman 1968, Hewer 1971) from a
-stabilizing gain, found by doubling value iteration on a Q = cI equation.  With R > 0
-and (C, D) stabilizable the iterates stay stabilizing and fall monotonically,
-quadratically at the end, to the stabilizing solution, which exists unless
-(Q^{1/2}, C) has an unobservable unit-circle mode (Q = 0: |eig C| = 1).
+With Q = 0 the stabilizing fixed point is solved directly.  It vanishes on the
+stable invariant subspace of C; on the orthogonal complement U2 of that subspace
+it is Y^{-1}, where the minimum-energy stabilization Gramian Y solves the Stein
+equation T Y T^T - Y = B (sR)^{-1} B^T, T = U2^T C U2, B = U2^T D (Elia, "When
+Bode meets Shannon", 2004).  The split comes from the matrix sign function of a
+Cayley transform of C (Higham, Functions of Matrices, ch. 5); the Stein equation
+is solved by substitution in a complex Schur form of T (Bartels & Stewart 1972),
+and Y's conditioning decides stabilizability.  With Q != 0, Newton's method (Kleinman
+1968, Hewer 1971) runs from the direct Q = 0 gain of a scaled pair, which
+stabilizes C; the stabilizing solution exists unless (Q^{1/2}, C) has an
+unobservable unit-circle mode.
 """
 
 from __future__ import annotations
@@ -26,7 +32,11 @@ from .linalg import sym
 from .model import min_eigenvalue
 
 TOL_ARE = 1e-11
-_MAX_ITER = 100         # Newton steps, and doublings of the start
+TOL_FORWARD = 1e-7      # Q = 0: solves from C and from C moved by an ulp differ by more: declined
+TOL_GRAMIAN = 1e-13     # Y's smallest / largest eigenvalue at or below it: unstabilizable
+_MAX_ITER = 100         # Newton steps, and sign-function steps
+_BETA = 1.1             # the Q != 0 start scales (C, D) by at most this
+_EPS = np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -44,7 +54,7 @@ class AreSolution:
     closed_loop: np.ndarray
     stabilizing: bool
     residual: float
-    iterations: int
+    iterations: int     # sign-function steps plus Newton steps
 
 
 def check_multiplier(s) -> None:
@@ -82,35 +92,154 @@ def optimal_gain(blocks: RiccatiStepBlocks) -> np.ndarray:
     return -blocks.X
 
 
-def _stabilizing_gain(C, D, R, s):
-    """(gain, doublings): the first stabilizing gain of value iteration from P = 0 on
-    Q = cI, c = |R| / |D|^2, among its steps 1, 2, 3, 5, 9, ..., 2^k + 1.  The doubling of
-    Chu, Fan and Lin (2005) maps H = P_N to P_2N, so a weakly actuated or nearly
-    uncontrollable mode that needs N steps costs log2 N doublings.  A stable C takes
-    step 1's zero gain before c is formed, so D = 0 is allowed there."""
-    gain = np.zeros((D.shape[1], C.shape[0]))                                 # step 1's gain
-    if stability.spectral_radius(C).stable:
-        return gain, 0
-    c = np.linalg.norm(R, 2) / np.linalg.norm(D, 2) ** 2     # D != 0: (C, D) is stabilizable
-    A, G, H = C, D @ np.linalg.solve(s * R, D.T), s * c * np.eye(C.shape[0])   # H = P_1
-    for k in range(1, _MAX_ITER):
-        gain = optimal_gain(riccati_backward_step(H, C, D, np.zeros_like(C), R, s)[1])
-        if stability.spectral_radius(C + D @ gain).stable:
-            return gain, k
-        W = np.eye(C.shape[0]) + G @ H
-        WA, WG = np.linalg.solve(W, A), np.linalg.solve(W, G)
-        A, G, H = A @ WA, sym(G + A @ WG @ A.T), sym(H + A.T @ H @ WA)
-    raise ConvergenceError(f"no stabilizing gain in {_MAX_ITER} doublings of Q = cI value iteration")
+def _sign(M):
+    """(sign(M), steps) by Newton's iteration X <- (mu X + (mu X)^{-1}) / 2, with
+    determinant scaling mu = |det X|^{-1/n} while the relative step exceeds 1e-2.
+    Stops at a step within 1e-10 (the next is at rounding), or once an unscaled
+    step stops shrinking."""
+    X, n, step = M, M.shape[0], np.inf
+    for k in range(1, _MAX_ITER + 1):
+        mu = 1.0
+        if step > 1e-2:
+            sign, logdet = np.linalg.slogdet(X)
+            if sign == 0:
+                raise PreconditionError("matrix sign function: singular iterate")
+            mu = np.exp(-logdet / n)
+        X_next = 0.5 * (mu * X + np.linalg.inv(X) / mu)
+        step, prev = np.linalg.norm(X_next - X) / np.linalg.norm(X_next), step
+        X = X_next
+        if step <= 1e-10 or (mu == 1.0 and step >= prev):
+            return X, k
+    raise PreconditionError(f"matrix sign function did not converge in {_MAX_ITER} steps")
+
+
+def _stable_basis(C, eigs):
+    """(U2, steps): an orthonormal basis of the orthogonal complement of C's stable
+    invariant subspace.  The projector onto that subspace is (I - S) / 2, S the
+    sign of the Cayley transform (C - omega I)^{-1} (C + omega I), omega the point
+    of a 64-point grid on the unit circle farthest from the spectrum; W holds its
+    left singular vectors.  While W_2^T C W_1 exceeds 16 eps |C|, up to two Newton
+    steps on the subspace (Stewart 1973) solve the Sylvester equation
+    W_2^T C W_2 X - X W_1^T C W_1 = -W_2^T C W_1 and orthonormalize
+    [W_1 + W_2 X, W_2 - W_1 X^T]."""
+    p, n_s = C.shape[0], int((np.abs(eigs) < 1.0).sum())
+    grid = np.exp(2j * np.pi * np.arange(64) / 64)
+    omega = grid[np.argmax(np.abs(grid[:, None] - eigs).min(axis=1))]
+    I = np.eye(p)
+    S, steps = _sign(np.linalg.solve(C - omega * I, C + omega * I))
+    W = np.linalg.svd(0.5 * (I - S.real))[0]
+    for _ in range(2):
+        A = W.T @ C @ W
+        if np.linalg.norm(A[n_s:, :n_s]) <= 16 * _EPS * np.linalg.norm(C):
+            break
+        K = np.kron(A[n_s:, n_s:], np.eye(n_s)) - np.kron(np.eye(p - n_s), A[:n_s, :n_s].T)
+        X = np.linalg.solve(K, -A[n_s:, :n_s].reshape(-1)).reshape(p - n_s, n_s)
+        W = np.linalg.qr(np.hstack([W[:, :n_s] + W[:, n_s:] @ X, W[:, n_s:] - W[:, :n_s] @ X.T]))[0]
+    return W[:, n_s:], steps
+
+
+def _schur(T):
+    """(U, S): the complex Schur form T = U S U^H, S upper triangular with its
+    eigenvalues in ascending modulus.  Each round orthonormalizes the eigenvectors
+    of the trailing block (QR) and keeps the leading columns whose part below the
+    diagonal is within 16 eps |T|; a cluster whose eigenvectors QR cannot separate
+    starts the next round."""
+    n, tol = len(T), 16 * _EPS * np.linalg.norm(T)
+    S, U, j = T.astype(complex), np.eye(n, dtype=complex), 0
+    while j < n - 1:
+        w, V = np.linalg.eig(S[j:, j:])
+        Z = np.linalg.qr(V[:, np.argsort(np.abs(w), kind="stable")])[0]
+        S[j:] = Z.conj().T @ S[j:]
+        S[:, j:] = S[:, j:] @ Z
+        U[:, j:] = U[:, j:] @ Z
+        below = [np.linalg.norm(S[k + 1:, k]) > tol for k in range(j + 1, n - 1)]
+        j = j + 1 + below.index(True) if True in below else n - 1
+    return U, np.triu(S)
+
+
+def _stein(S, G):
+    """Y with S Y S^H - Y = G, S upper triangular: back substitution by columns,
+    and one step of iterative refinement with the residual formed in extended
+    precision (np.clongdouble).  Y's small entries carry P = Y^{-1}, and the
+    substitution alone leaves them only about 1e-11 relative."""
+    n = len(S)
+    Minv = np.linalg.inv(np.conj(np.diag(S))[:, None, None] * S - np.eye(n))   # column j's system
+
+    def substitute(G):
+        Y = np.zeros((n, n), dtype=complex)
+        for j in range(n - 1, -1, -1):
+            Y[:, j] = Minv[j] @ (G[:, j] - S @ (Y[:, j + 1:] @ S[j, j + 1:].conj()))
+        return Y
+
+    Y = substitute(G)
+    Sx, Yx = S.astype(np.clongdouble), Y.astype(np.clongdouble)
+    Y = (Yx + substitute((G - Sx @ Yx @ Sx.conj().T + Yx).astype(complex))).astype(complex)
+    return 0.5 * (Y + Y.conj().T)
+
+
+def _direct_q0(C, D, R, s, eigs):
+    """(P, steps): the stabilizing Q = 0 solution P = V Y^{-1} V^H for a C with an
+    eigenvalue outside the unit circle and none on it.  V = U2 U, with U2 the
+    complement of the stable subspace (U2 = I if C has no stable eigenvalue) and
+    U S U^H the Schur form of T = U2^T C U2; Y solves the Stein equation
+    S Y S^H - Y = B (sR)^{-1} B^H, B = V^H D.  Y's smallest / largest eigenvalue
+    within TOL_GRAMIAN is an unstabilizable mode, a PreconditionError."""
+    U2, steps = _stable_basis(C, eigs) if (np.abs(eigs) < 1.0).any() else (np.eye(len(C)), 0)
+    U, S = _schur(U2.T @ C @ U2)
+    V = U2 @ U
+    B = V.conj().T @ D
+    Y = _stein(S, B @ np.linalg.solve(s * R, B.conj().T))
+    w = np.linalg.eigvalsh(Y)
+    if not w[-1] > 0.0 or w[0] <= TOL_GRAMIAN * w[-1]:
+        raise PreconditionError(
+            "stabilizability test failed for (C, D): the stabilization Gramian's smallest "
+            f"/ largest eigenvalue is {w[0] / w[-1] if w[-1] > 0.0 else 0.0:.3e}")
+    return sym((V @ np.linalg.solve(Y, V.conj().T)).real), steps
+
+
+def _q0_solution(C, D, R, s, checked=True):
+    """(P, steps) of the Q = 0 equation; P = 0 if C is stable, else `_direct_q0`.
+    `checked` solves again from C moved by about an ulp in each entry (a fixed
+    +-eps checkerboard), and the two must agree within TOL_FORWARD |P|; else the
+    equation is declined as too ill-conditioned to answer."""
+    eigs = np.linalg.eigvals(C)
+    modulus = np.abs(eigs)
+    if not (modulus >= 1.0 - stability.TOL_SPEC).any():
+        return np.zeros_like(C), 0
+    if (np.abs(modulus - 1.0) <= stability.TOL_SPEC).any():
+        raise PreconditionError(
+            "Q = 0 and C has an eigenvalue on the unit circle: no stabilizing solution")
+    P, steps = _direct_q0(C, D, R, s, eigs)
+    if not checked:
+        return P, steps
+    signs = np.where(np.add.outer(np.arange(len(C)), np.arange(len(C))) % 2, -1.0, 1.0)
+    P2, steps2 = _direct_q0(C * (1.0 + signs * _EPS), D, R, s, eigs)
+    differ = np.linalg.norm(P - P2) / np.linalg.norm(P)
+    if not differ <= TOL_FORWARD:
+        raise PreconditionError(
+            f"ill-conditioned Riccati equation: solves from C and from C moved by one ulp "
+            f"differ by {differ:.3e} of |P|, more than {TOL_FORWARD:g}")
+    return P, steps + steps2
 
 
 def solve_are(C, D, Q, R, s: float) -> AreSolution:
-    """Stabilizing fixed point by Newton's method from `_stabilizing_gain`;
-    requires R > 0 and (C, D) stabilizable.  P_k is the cost of the current gain,
-    a Smith-doubling Lyapunov solve that the ARE residual gates instead of TOL_LYAP.
-    Stops when its residual (the move of one backward step) is within TOL_ARE and
-    the Newton step |P_k - P_{k-1}| is below TOL_ARE |P_k| or has stopped shrinking;
-    returns P_k with that step's gain and residual.  A closed loop on the unit
-    circle raises PreconditionError.
+    """Stabilizing fixed point; requires R > 0 and (C, D) stabilizable.
+
+    Q = 0: the direct solution (`_q0_solution`), and one backward step from it
+    gives the residual and the gain.  If the residual exceeds TOL_ARE, Newton's
+    method continues from that gain, and must land within TOL_FORWARD of it.
+    Q != 0: Newton's method from the direct Q = 0 gain of (beta C, beta D),
+    beta = min(_BETA, 2 / (1 + rho_s)), rho_s the largest modulus among C's stable
+    eigenvalues (beta = 1 if rho_s is within 4 TOL_SPEC of 1).  That gain's closed
+    loop has spectral radius below 1 / beta, and no stable mode of C needs to be
+    controllable.  Newton's P_k is the cost of the
+    current gain, a Smith-doubling Lyapunov solve that the ARE residual gates
+    instead of TOL_LYAP.  It stops when the residual (the move of one backward
+    step) is within TOL_ARE and |P_k - P_{k-1}| is below TOL_ARE |P_k| or stops
+    shrinking.  Returns P with that step's gain and residual; `iterations` counts
+    sign-function steps plus Newton steps.  An eigenvalue of C on the unit circle
+    (Q = 0), an unstabilizable mode, an ill-conditioned equation or a closed loop
+    on the unit circle raises PreconditionError.
     """
     C = np.atleast_2d(np.asarray(C, dtype=float))
     D = np.atleast_2d(np.asarray(D, dtype=float))
@@ -119,10 +248,42 @@ def solve_are(C, D, Q, R, s: float) -> AreSolution:
     check_multiplier(s)
     if min_eigenvalue(R) <= 0:
         raise PreconditionError("R not positive definite")
-    if not stability.is_stabilizable(C, D):
-        raise PreconditionError("stabilizability test failed for (C, D)")
+    try:
+        if Q.any():
+            modulus = np.abs(np.linalg.eigvals(C))
+            rho_s = modulus[modulus < 1.0 - stability.TOL_SPEC].max(initial=0.0)
+            # beta rho_s must stay inside the circle by TOL_SPEC; near 1 only beta = 1 does
+            beta = 1.0 if rho_s > 1.0 - 4 * stability.TOL_SPEC else min(_BETA, 2.0 / (1.0 + rho_s))
+            try:
+                P, start = _q0_solution(beta * C, beta * D, R, s, checked=False)
+            except PreconditionError as exc:
+                raise PreconditionError(f"Newton start, Q = 0 at beta = {beta:.6g}: {exc}") from exc
+            gain = optimal_gain(_backward_step(P, beta * C, beta * D, Q, R, s)[1])
+            return _newton(C, D, Q, R, s, gain, start)
+        P, start = _q0_solution(C, D, R, s)
+        Pn, blocks = _backward_step(P, C, D, Q, R, s)
+        resid = float(np.linalg.norm(Pn - P) / (1.0 + np.linalg.norm(P)))
+        if resid <= TOL_ARE:
+            return _solution(C, D, P, optimal_gain(blocks), resid, start)
+        sol = _newton(C, D, Q, R, s, optimal_gain(blocks), start)
+    except np.linalg.LinAlgError as exc:
+        raise PreconditionError(f"Riccati solve: {exc}") from exc
+    if not np.linalg.norm(sol.P - P) <= TOL_FORWARD * np.linalg.norm(P):
+        raise PreconditionError(
+            f"ill-conditioned Riccati equation: Newton's method from the direct solution "
+            f"(ARE residual {resid:.3e}) moved P by more than {TOL_FORWARD:g} of |P|")
+    return sol
 
-    gain, start = _stabilizing_gain(C, D, R, s)
+
+def _solution(C, D, P, gain, resid, iterations) -> AreSolution:
+    closed = C + D @ gain
+    return AreSolution(P=P, gain=gain, closed_loop=closed,
+                       stabilizing=stability.spectral_radius(closed).stable,
+                       residual=resid, iterations=iterations)
+
+
+def _newton(C, D, Q, R, s, gain, start) -> AreSolution:
+    """Newton's method (Kleinman 1968, Hewer 1971) from a stabilizing gain (see `solve_are`)."""
     P, move, resid = np.full_like(C, np.nan), np.nan, np.inf   # no step yet: nan fails both tests
     for k in range(1, _MAX_ITER + 1):
         P_prev, move_prev = P, move
@@ -136,10 +297,5 @@ def solve_are(C, D, Q, R, s: float) -> AreSolution:
         gain = optimal_gain(blocks)
         move = float(np.linalg.norm(P - P_prev))
         if resid <= TOL_ARE and (move <= TOL_ARE * np.linalg.norm(P) or move >= move_prev):
-            closed = C + D @ gain
-            return AreSolution(
-                P=P, gain=gain, closed_loop=closed,
-                stabilizing=stability.spectral_radius(closed).stable,
-                residual=resid, iterations=start + k,
-            )
+            return _solution(C, D, P, gain, resid, start + k)
     raise ConvergenceError(f"{_MAX_ITER} Newton steps did not converge (last residual {resid:.3e})")

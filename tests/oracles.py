@@ -4,8 +4,9 @@ Each one is an independent, unbatched statement of a quantity that the
 library computes another way: the water-fill objective and its scalar
 closed form, the normal quantile on whole arrays with np.polyval, the
 per-step directed-information density, the uniqueness certificate of a
-Riccati solution, and the embedding of a first-order gain into
-memory-augmented coordinates.
+Riccati solution, the stabilizing Q = 0 Riccati solution in 50-digit
+arithmetic, and the embedding of a first-order gain into memory-augmented
+coordinates.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import mpmath
 import numpy as np
 
 from dirinfo import stability
@@ -144,6 +146,35 @@ def classify_are(solution: AreSolution, C, D, Q, R, s: float, KV) -> AreClassifi
         uniqueness=uniqueness, stabilizable=stabilizable, detectable=detectable,
         kv_controllable=kv_ctrb,
     )
+
+
+def stabilizing_are_q0(C, D, R, s: float = 1.0, digits: int = 50) -> np.ndarray:
+    """The stabilizing solution of the Q = 0 equation in `digits`-digit arithmetic.
+
+    Over the left eigenvectors L (rows, l_i C = lam_i l_i) of the eigenvalues with
+    |lam_i| > 1 it is P = L^H Y^{-1} L, with the Cauchy-like Gramian
+    Y_ij = (L G L^H)_ij / (lam_i conj(lam_j) - 1), G = D (sR)^{-1} D^T: the
+    minimum-energy stabilization identity, with no Schur form, no sign function
+    and no iteration.  C is taken exactly as its binary value.
+    """
+    C, D, R = (np.atleast_2d(np.asarray(a, dtype=float)) for a in (C, D, R))
+    with mpmath.workdps(digits):
+        lam, EL = mpmath.eig(mpmath.matrix(C.tolist()), left=True, right=False)
+        G = mpmath.matrix(D.tolist()) * (s * mpmath.matrix(R.tolist())) ** -1 \
+            * mpmath.matrix(D.T.tolist())
+        unstable = [i for i in range(len(lam)) if abs(lam[i]) > 1]
+        if not unstable:
+            return np.zeros_like(C)
+        L = mpmath.matrix([[EL[i, j] for j in range(C.shape[0])] for i in unstable])
+        LGL = L * G * L.H
+        k = len(unstable)
+        Y = mpmath.matrix(k, k)
+        for a in range(k):
+            for b in range(k):
+                Y[a, b] = LGL[a, b] / (lam[unstable[a]] * mpmath.conj(lam[unstable[b]]) - 1)
+        P = L.H * Y ** -1 * L
+        return np.array([[float(mpmath.re(P[i, j])) for j in range(C.shape[0])]
+                         for i in range(C.shape[0])])
 
 
 # ---------------------------------------------------------------------------

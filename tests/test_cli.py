@@ -520,6 +520,25 @@ def test_check_and_capacity_report_a_validation_error_alike(tmp_path, capsys, ch
     assert captured.err == f"error: {error}\n"
 
 
+@pytest.mark.parametrize("change, errors", [
+    ({"KV": [[1.0, 0.0], [0.0, 1.0]]}, ["dimension mismatch: KV[0] is (2, 2), expected (1, 1)"]),
+    ({"memory": -1}, ["memory order M must be >= 1", "expected -1 channel blocks, got 2"]),
+    ({"initial_history": [[0.0]]},
+     ["dimension mismatch: initial history is (1, 1), expected (2, 1)"]),
+])
+def test_check_reports_an_invalid_memory_file_as_not_valid(tmp_path, capsys, change, errors):
+    # lowering validates a memory_j file, and check reported its failure as an
+    # error report ("dimension mismatch: KV") instead of valid: false
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({**_MEMORY, **change}))
+    assert cli.main(["check", "--model", str(path)]) == 1
+    captured = capsys.readouterr()
+    report = json.loads(captured.out)
+    assert report["result"] == {"valid": False, "errors": errors}
+    assert report["model"] == {"path": str(path)}
+    assert captured.err == f"error: {'; '.join(errors)}\n"
+
+
 @pytest.mark.parametrize("command", ["capacity", "ftfi"])
 def test_lowered_memory_file_reports_kv_regularized(command):
     path = pathlib.Path(__file__).resolve().parent.parent / "docs" / "models" / "memory_order2.json"

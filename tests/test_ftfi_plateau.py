@@ -172,6 +172,30 @@ def test_cli_names_an_overflowing_fixed_multiplier(unreached):
     assert proc.stderr == f"error: {report['error']}\n"     # no warning, no traceback
 
 
+# a nonzero initial output: P_1 stays finite at horizon 511, but trace(P_1(0) K_B(-1)) does not
+FLOOR = ("backward pass: the cost floor trace(P_1(0) K_B(-1)) + sum_i trace(P_1(i+1) K_V(i)) "
+         "is not finite over 511 steps: the cost-to-go overflows over this horizon")
+VALUE = ("fixed multiplier s = 3.5: value_nats = -E<b, P(0) b> + r(0) is not finite over 510 "
+         "steps: the cost-to-go overflows over this horizon")
+
+
+@pytest.mark.parametrize("flags, error", [(["--s", "2.9", "--horizon", "511"], FLOOR),
+                                          (["--horizon", "511"], FLOOR),
+                                          (["--s", "3.5", "--horizon", "510"], VALUE)],
+                         ids=["floor-fixed-s", "floor-matched", "value-fixed-s"])
+def test_cli_names_an_overflowing_cost_floor_or_value(tmp_path, flags, error):
+    # these printed RuntimeWarnings and "achieved_cost": "inf", "value_nats": "-inf" with
+    # exit 0 (--s), or an InfeasibleError naming a cost floor of inf (no --s)
+    path = tmp_path / "initial.json"
+    path.write_text(json.dumps({**UNREACHED, "initial_output": [2.0, 0.0]}))
+    proc = subprocess.run([sys.executable, "-m", "dirinfo.cli", "ftfi", "--model", str(path)]
+                          + flags, capture_output=True, text=True)
+    assert proc.returncode == 1
+    report = json.loads(proc.stdout)
+    assert (report["error_type"], report["error"]) == ("PreconditionError", error)
+    assert proc.stderr == f"error: {error}\n"     # no warning, no traceback
+
+
 def _ftfi(capsys, horizon):
     code = cli.main(["ftfi", "--model", str(DOCS / "scalar_unstable.json"),
                      "--horizon", str(horizon)])
