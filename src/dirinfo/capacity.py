@@ -92,13 +92,11 @@ def information_rate(model: ChannelModel, strat: Strategy, steps: int) -> float:
 
 def _stacks(model: ChannelModel):
     """(C, D, K_V, R, Q) as (n+1, ., .) stacks, built by indexing the model's
-    sequences (a time-invariant model's one entry at every step); Q(n) is terminal_Q."""
+    sequences (a time-invariant model's one entry at every step)."""
     n = model.horizon
     steps = np.zeros(n + 1, dtype=np.intp) if model.time_invariant else np.arange(n + 1)
-    C, D, KV, R, Q = (np.asarray(seq)[steps] for seq in
-                      (model.C_seq, model.D_seq, model.KV_seq, model.R_seq, model.Q_seq))
-    Q[n] = model.terminal_Q
-    return C, D, KV, R, Q
+    return tuple(np.asarray(seq)[steps] for seq in
+                 (model.C_seq, model.D_seq, model.KV_seq, model.R_seq, model.Q_seq))
 
 
 def _riccati_pass(model: ChannelModel, stacks):

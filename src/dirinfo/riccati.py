@@ -8,16 +8,17 @@ iterated backward from the terminal weight, and its fixed point for the
 stationary problem.  The gain is Gamma = -(D^T P D + sR)^{-1} D^T P C.
 
 With Q = 0 the stabilizing fixed point is solved directly.  It vanishes on the
-stable invariant subspace of C; on the orthogonal complement U2 of that subspace
+stable invariant subspace of C; on the orthogonal complement V of that subspace
 it is Y^{-1}, where the minimum-energy stabilization Gramian Y solves the Stein
-equation T Y T^T - Y = B (sR)^{-1} B^T, T = U2^T C U2, B = U2^T D (Elia, "When
-Bode meets Shannon", 2004).  The split comes from the matrix sign function of a
-Cayley transform of C (Higham, Functions of Matrices, ch. 5); the Stein equation
-is solved by substitution in a complex Schur form of T (Bartels & Stewart 1972),
-and Y's conditioning decides stabilizability.  With Q != 0, Newton's method (Kleinman
-1968, Hewer 1971) runs from the direct Q = 0 gain of a scaled pair, which
-stabilizes C; the stabilizing solution exists unless (Q^{1/2}, C) has an
-unobservable unit-circle mode.
+equation T Y T^H - Y = B (sR)^{-1} B^H, T = V^H C V, B = V^H D (Elia, "When
+Bode meets Shannon", 2004).  One complex Schur form of C with its eigenvalues in
+ascending modulus gives both: its leading columns span the stable subspace, the
+rest are V, and T is its trailing triangular block, in which the Stein equation
+is solved by substitution (Bartels & Stewart 1972).  Y's conditioning decides
+stabilizability.  With Q != 0, Newton's method (Kleinman 1968, Hewer 1971)
+runs from the direct Q = 0 gain of a scaled pair, which stabilizes C; the
+stabilizing solution exists unless (Q^{1/2}, C) has an unobservable unit-circle
+mode.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from .model import min_eigenvalue
 TOL_ARE = 1e-11
 TOL_FORWARD = 1e-7      # Q = 0: solves from C and from C moved by an ulp differ by more: declined
 TOL_GRAMIAN = 1e-13     # Y's smallest / largest eigenvalue at or below it: unstabilizable
-_MAX_ITER = 100         # Newton steps, and sign-function steps
+_MAX_ITER = 100         # Newton steps
 _BETA = 1.1             # the Q != 0 start scales (C, D) by at most this
 _EPS = np.finfo(float).eps
 
@@ -54,7 +55,7 @@ class AreSolution:
     closed_loop: np.ndarray
     stabilizing: bool
     residual: float
-    iterations: int     # sign-function steps plus Newton steps
+    iterations: int     # Newton steps: 0 for a direct Q = 0 answer
 
 
 def check_multiplier(s) -> None:
@@ -90,52 +91,6 @@ def _backward_step(Pnext, C, D, Q, R, s: float):
 def optimal_gain(blocks: RiccatiStepBlocks) -> np.ndarray:
     """Gamma = -H22^{-1} H12^T, from the solve the backward step already made."""
     return -blocks.X
-
-
-def _sign(M):
-    """(sign(M), steps) by Newton's iteration X <- (mu X + (mu X)^{-1}) / 2, with
-    determinant scaling mu = |det X|^{-1/n} while the relative step exceeds 1e-2.
-    Stops at a step within 1e-10 (the next is at rounding), or once an unscaled
-    step stops shrinking."""
-    X, n, step = M, M.shape[0], np.inf
-    for k in range(1, _MAX_ITER + 1):
-        mu = 1.0
-        if step > 1e-2:
-            sign, logdet = np.linalg.slogdet(X)
-            if sign == 0:
-                raise PreconditionError("matrix sign function: singular iterate")
-            mu = np.exp(-logdet / n)
-        X_next = 0.5 * (mu * X + np.linalg.inv(X) / mu)
-        step, prev = np.linalg.norm(X_next - X) / np.linalg.norm(X_next), step
-        X = X_next
-        if step <= 1e-10 or (mu == 1.0 and step >= prev):
-            return X, k
-    raise PreconditionError(f"matrix sign function did not converge in {_MAX_ITER} steps")
-
-
-def _stable_basis(C, eigs):
-    """(U2, steps): an orthonormal basis of the orthogonal complement of C's stable
-    invariant subspace.  The projector onto that subspace is (I - S) / 2, S the
-    sign of the Cayley transform (C - omega I)^{-1} (C + omega I), omega the point
-    of a 64-point grid on the unit circle farthest from the spectrum; W holds its
-    left singular vectors.  While W_2^T C W_1 exceeds 16 eps |C|, up to two Newton
-    steps on the subspace (Stewart 1973) solve the Sylvester equation
-    W_2^T C W_2 X - X W_1^T C W_1 = -W_2^T C W_1 and orthonormalize
-    [W_1 + W_2 X, W_2 - W_1 X^T]."""
-    p, n_s = C.shape[0], int((np.abs(eigs) < 1.0).sum())
-    grid = np.exp(2j * np.pi * np.arange(64) / 64)
-    omega = grid[np.argmax(np.abs(grid[:, None] - eigs).min(axis=1))]
-    I = np.eye(p)
-    S, steps = _sign(np.linalg.solve(C - omega * I, C + omega * I))
-    W = np.linalg.svd(0.5 * (I - S.real))[0]
-    for _ in range(2):
-        A = W.T @ C @ W
-        if np.linalg.norm(A[n_s:, :n_s]) <= 16 * _EPS * np.linalg.norm(C):
-            break
-        K = np.kron(A[n_s:, n_s:], np.eye(n_s)) - np.kron(np.eye(p - n_s), A[:n_s, :n_s].T)
-        X = np.linalg.solve(K, -A[n_s:, :n_s].reshape(-1)).reshape(p - n_s, n_s)
-        W = np.linalg.qr(np.hstack([W[:, :n_s] + W[:, n_s:] @ X, W[:, n_s:] - W[:, :n_s] @ X.T]))[0]
-    return W[:, n_s:], steps
 
 
 def _schur(T):
@@ -177,16 +132,20 @@ def _stein(S, G):
     return 0.5 * (Y + Y.conj().T)
 
 
-def _direct_q0(C, D, R, s, eigs):
-    """(P, steps): the stabilizing Q = 0 solution P = V Y^{-1} V^H for a C with an
-    eigenvalue outside the unit circle and none on it.  V = U2 U, with U2 the
-    complement of the stable subspace (U2 = I if C has no stable eigenvalue) and
-    U S U^H the Schur form of T = U2^T C U2; Y solves the Stein equation
-    S Y S^H - Y = B (sR)^{-1} B^H, B = V^H D.  Y's smallest / largest eigenvalue
-    within TOL_GRAMIAN is an unstabilizable mode, a PreconditionError."""
-    U2, steps = _stable_basis(C, eigs) if (np.abs(eigs) < 1.0).any() else (np.eye(len(C)), 0)
-    U, S = _schur(U2.T @ C @ U2)
-    V = U2 @ U
+def _direct_q0(C, D, R, s, n_s):
+    """The stabilizing Q = 0 solution P = V Y^{-1} V^H for a C with n_s stable
+    eigenvalues, at least one outside the unit circle and none on it.  U S U^H is
+    the Schur form of C, so V = U[:, n_s:] spans the orthogonal complement of the
+    stable subspace and S_2 = S[n_s:, n_s:] = V^H C V; Y solves the Stein equation
+    S_2 Y S_2^H - Y = B (sR)^{-1} B^H, B = V^H D.  A |diag S| that does not split at
+    n_s, or Y's smallest / largest eigenvalue within TOL_GRAMIAN (an unstabilizable
+    mode), is a PreconditionError."""
+    U, S = _schur(C)
+    modulus = np.abs(np.diag(S))
+    if not ((modulus[:n_s] < 1.0).all() and (modulus[n_s:] > 1.0).all()):
+        raise PreconditionError(
+            f"Schur form of C does not split at its {n_s} stable eigenvalues")
+    V, S = U[:, n_s:], S[n_s:, n_s:]
     B = V.conj().T @ D
     Y = _stein(S, B @ np.linalg.solve(s * R, B.conj().T))
     w = np.linalg.eigvalsh(Y)
@@ -194,32 +153,32 @@ def _direct_q0(C, D, R, s, eigs):
         raise PreconditionError(
             "stabilizability test failed for (C, D): the stabilization Gramian's smallest "
             f"/ largest eigenvalue is {w[0] / w[-1] if w[-1] > 0.0 else 0.0:.3e}")
-    return sym((V @ np.linalg.solve(Y, V.conj().T)).real), steps
+    return sym((V @ np.linalg.solve(Y, V.conj().T)).real)
 
 
 def _q0_solution(C, D, R, s, checked=True):
-    """(P, steps) of the Q = 0 equation; P = 0 if C is stable, else `_direct_q0`.
+    """P of the Q = 0 equation; P = 0 if C is stable, else `_direct_q0`.
     `checked` solves again from C moved by about an ulp in each entry (a fixed
     +-eps checkerboard), and the two must agree within TOL_FORWARD |P|; else the
     equation is declined as too ill-conditioned to answer."""
-    eigs = np.linalg.eigvals(C)
-    modulus = np.abs(eigs)
+    modulus = np.abs(np.linalg.eigvals(C))
     if not (modulus >= 1.0 - stability.TOL_SPEC).any():
-        return np.zeros_like(C), 0
+        return np.zeros_like(C)
     if (np.abs(modulus - 1.0) <= stability.TOL_SPEC).any():
         raise PreconditionError(
             "Q = 0 and C has an eigenvalue on the unit circle: no stabilizing solution")
-    P, steps = _direct_q0(C, D, R, s, eigs)
+    n_s = int((modulus < 1.0).sum())
+    P = _direct_q0(C, D, R, s, n_s)
     if not checked:
-        return P, steps
+        return P
     signs = np.where(np.add.outer(np.arange(len(C)), np.arange(len(C))) % 2, -1.0, 1.0)
-    P2, steps2 = _direct_q0(C * (1.0 + signs * _EPS), D, R, s, eigs)
+    P2 = _direct_q0(C * (1.0 + signs * _EPS), D, R, s, n_s)
     differ = np.linalg.norm(P - P2) / np.linalg.norm(P)
     if not differ <= TOL_FORWARD:
         raise PreconditionError(
             f"ill-conditioned Riccati equation: solves from C and from C moved by one ulp "
             f"differ by {differ:.3e} of |P|, more than {TOL_FORWARD:g}")
-    return P, steps + steps2
+    return P
 
 
 def solve_are(C, D, Q, R, s: float) -> AreSolution:
@@ -237,7 +196,7 @@ def solve_are(C, D, Q, R, s: float) -> AreSolution:
     instead of TOL_LYAP.  It stops when the residual (the move of one backward
     step) is within TOL_ARE and |P_k - P_{k-1}| is below TOL_ARE |P_k| or stops
     shrinking.  Returns P with that step's gain and residual; `iterations` counts
-    sign-function steps plus Newton steps.  An eigenvalue of C on the unit circle
+    Newton steps only, 0 for a direct Q = 0 answer.  An eigenvalue of C on the unit circle
     (Q = 0), an unstabilizable mode, an ill-conditioned equation or a closed loop
     on the unit circle raises PreconditionError.
     """
@@ -255,17 +214,17 @@ def solve_are(C, D, Q, R, s: float) -> AreSolution:
             # beta rho_s must stay inside the circle by TOL_SPEC; near 1 only beta = 1 does
             beta = 1.0 if rho_s > 1.0 - 4 * stability.TOL_SPEC else min(_BETA, 2.0 / (1.0 + rho_s))
             try:
-                P, start = _q0_solution(beta * C, beta * D, R, s, checked=False)
+                P = _q0_solution(beta * C, beta * D, R, s, checked=False)
             except PreconditionError as exc:
                 raise PreconditionError(f"Newton start, Q = 0 at beta = {beta:.6g}: {exc}") from exc
             gain = optimal_gain(_backward_step(P, beta * C, beta * D, Q, R, s)[1])
-            return _newton(C, D, Q, R, s, gain, start)
-        P, start = _q0_solution(C, D, R, s)
+            return _newton(C, D, Q, R, s, gain)
+        P = _q0_solution(C, D, R, s)
         Pn, blocks = _backward_step(P, C, D, Q, R, s)
         resid = float(np.linalg.norm(Pn - P) / (1.0 + np.linalg.norm(P)))
         if resid <= TOL_ARE:
-            return _solution(C, D, P, optimal_gain(blocks), resid, start)
-        sol = _newton(C, D, Q, R, s, optimal_gain(blocks), start)
+            return _solution(C, D, P, optimal_gain(blocks), resid, 0)
+        sol = _newton(C, D, Q, R, s, optimal_gain(blocks))
     except np.linalg.LinAlgError as exc:
         raise PreconditionError(f"Riccati solve: {exc}") from exc
     if not np.linalg.norm(sol.P - P) <= TOL_FORWARD * np.linalg.norm(P):
@@ -282,7 +241,7 @@ def _solution(C, D, P, gain, resid, iterations) -> AreSolution:
                        residual=resid, iterations=iterations)
 
 
-def _newton(C, D, Q, R, s, gain, start) -> AreSolution:
+def _newton(C, D, Q, R, s, gain) -> AreSolution:
     """Newton's method (Kleinman 1968, Hewer 1971) from a stabilizing gain (see `solve_are`)."""
     P, move, resid = np.full_like(C, np.nan), np.nan, np.inf   # no step yet: nan fails both tests
     for k in range(1, _MAX_ITER + 1):
@@ -297,5 +256,5 @@ def _newton(C, D, Q, R, s, gain, start) -> AreSolution:
         gain = optimal_gain(blocks)
         move = float(np.linalg.norm(P - P_prev))
         if resid <= TOL_ARE and (move <= TOL_ARE * np.linalg.norm(P) or move >= move_prev):
-            return _solution(C, D, P, gain, resid, start + k)
+            return _solution(C, D, P, gain, resid, k)
     raise ConvergenceError(f"{_MAX_ITER} Newton steps did not converge (last residual {resid:.3e})")

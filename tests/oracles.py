@@ -154,8 +154,8 @@ def stabilizing_are_q0(C, D, R, s: float = 1.0, digits: int = 50) -> np.ndarray:
     Over the left eigenvectors L (rows, l_i C = lam_i l_i) of the eigenvalues with
     |lam_i| > 1 it is P = L^H Y^{-1} L, with the Cauchy-like Gramian
     Y_ij = (L G L^H)_ij / (lam_i conj(lam_j) - 1), G = D (sR)^{-1} D^T: the
-    minimum-energy stabilization identity, with no Schur form, no sign function
-    and no iteration.  C is taken exactly as its binary value.
+    minimum-energy stabilization identity, with no Schur form and no iteration.
+    C is taken exactly as its binary value.
     """
     C, D, R = (np.atleast_2d(np.asarray(a, dtype=float)) for a in (C, D, R))
     with mpmath.workdps(digits):
