@@ -22,6 +22,9 @@ The finite horizon has no forward pass: by the same identity (the LQ
 cost-to-go), a strategy at the s = 1 gains costs the floor
 trace(P_1(0) K_{B_{-1}}) + sum_{i<n} trace(P_1(i+1) K_V(i)) plus the
 water-fill spend of every step, so no output second moment is propagated.
+`ftfi_capacity` makes that one backward pass, matches the budget on it and
+hands it to `finite_horizon_dp(model, s*, unit)`, as `feedback_capacity`
+hands its one ARE solve to `_view`.
 
 The finite-horizon backward pass stops at its exact plateau.  On a
 time-invariant model every step applies one map to P_1(i+1), so once P_1(i)
@@ -99,12 +102,13 @@ def _stacks(model: ChannelModel):
                  (model.C_seq, model.D_seq, model.KV_seq, model.R_seq, model.Q_seq))
 
 
-def _riccati_pass(model: ChannelModel, stacks):
-    """(P_1, gains, sigma, V, floor): the backward pass at s = 1 from
+def _riccati_pass(model: ChannelModel):
+    """(P_1, gains, sigma, V, floor, K_V): the backward pass at s = 1 from
     P_1(n) = terminal_Q (terminal gain zero) over the model's `_stacks`, as
     (n+1, ., .) stacks, the subchannels of every step's weight
-    R(i) + D(i)^T P_1(i+1) D(i), its step's H22 block (R(n) at the last), and
-    the cost floor trace(P_1(0) K_{B_{-1}}) + sum_{i<n} trace(P_1(i+1) K_V(i)).
+    R(i) + D(i)^T P_1(i+1) D(i), its step's H22 block (R(n) at the last),
+    the cost floor trace(P_1(0) K_{B_{-1}}) + sum_{i<n} trace(P_1(i+1) K_V(i)),
+    and the K_V stack, which `finite_horizon_dp` reads at any multiplier.
 
     Exact plateau: on a time-invariant model every step i < n applies the same
     map to P_1(i+1), so once P_1(i) equals P_1(i+1) bit for bit, every earlier
@@ -115,7 +119,7 @@ def _riccati_pass(model: ChannelModel, stacks):
     that is not finite raises PreconditionError naming its step, before it
     reaches a solve or an SVD.
     """
-    C, D, KV, R, Q = stacks
+    C, D, KV, R, Q = _stacks(model)
     n = model.horizon
     P = np.empty_like(C)
     gains = np.empty((n + 1, model.input_dim, model.output_dim))
@@ -145,7 +149,7 @@ def _riccati_pass(model: ChannelModel, stacks):
     kv = np.stack([model.noise_for_inversion(i)[0] for i in range(len(model.KV_seq))])
     sigma, V = waterfill.subchannels(D[first:], kv, weights[first:])
     at = np.maximum(np.arange(n + 1) - first, 0)
-    return P, gains, sigma[at], V[at], floor
+    return P, gains, sigma[at], V[at], floor, KV
 
 
 def _traces(A, B) -> np.ndarray:
@@ -153,12 +157,15 @@ def _traces(A, B) -> np.ndarray:
     return np.einsum("kij,kji->k", A, B)
 
 
-def finite_horizon_dp(model: ChannelModel, s: float) -> FiniteHorizonSolution:
+def finite_horizon_dp(model: ChannelModel, s: float, unit=None) -> FiniteHorizonSolution:
     """Backward DP at a fixed multiplier; there is no forward pass.
 
     Backward: the pass at s = 1 scaled, P(i) = s P_1(i) with the same gains
     (zero at the terminal step); K_Z(i) fills step i at level 1/(2s), and r(i)
     accumulates the per-step water-fill values minus trace(P(i+1) K_V(i)).
+    `unit` is that pass, `_riccati_pass(model)`, when the caller has made it
+    (`ftfi_capacity` matches the budget on it); it is read, not written.  When
+    None the pass is made here, with the same bits.
     The pass stops at its exact plateau (`_riccati_pass`): a time-invariant
     model stops stepping once P_1 repeats bit for bit and copies that step
     into the earlier ones, bit-identical to n steps; a Q = 0 model with
@@ -171,8 +178,7 @@ def finite_horizon_dp(model: ChannelModel, s: float) -> FiniteHorizonSolution:
     validate_model(model)
     riccati.check_multiplier(s)
     n = model.horizon
-    _, _, KV, _, _ = stacks = _stacks(model)
-    P1, G, sigma, V, floor = _riccati_pass(model, stacks)
+    P1, G, sigma, V, floor, KV = _riccati_pass(model) if unit is None else unit
     KZ, rates, spent = waterfill.fill(sigma, V, 0.5 / s)
     values = rates - s * spent
     with np.errstate(over="ignore"):     # a non-finite P is raised below
@@ -207,19 +213,22 @@ def ftfi_capacity(model: ChannelModel):
 
     One backward pass at s = 1 gives the cost floor
     trace(P_1(0) K_{B_{-1}}) + sum_{i<n} trace(P_1(i+1) K_V(i)) and one water
-    level over the subchannel gains of every step.  Capacity is the
-    per-unit-time directed-information value of the solved strategy.
+    level over the subchannel gains of every step.  The gains do not depend on
+    s, so `finite_horizon_dp` at the matched s* reuses that pass and only fills
+    the innovations.  Capacity is the per-unit-time directed-information value
+    of the solved strategy.
     """
     validate_model(model)
     n = model.horizon
     kappa = model.kappa
-    _, _, sigma, _, floor = _riccati_pass(model, _stacks(model))
+    unit = _riccati_pass(model)
+    _, _, sigma, _, floor, _ = unit
     budget = (n + 1) * kappa - floor
     if budget < -COST_TOL * (1.0 + kappa) * (n + 1):
         raise InfeasibleError(
             f"ftfi_capacity: power budget {kappa} below the achievable cost floor "
             f"{floor / (n + 1):.12g}", kappa_stab=floor / (n + 1))
-    sol = finite_horizon_dp(model, 0.5 / waterfill.water_level(sigma, max(budget, 0.0)))
+    sol = finite_horizon_dp(model, 0.5 / waterfill.water_level(sigma, max(budget, 0.0)), unit)
     return sol, sol.rate_nats / (n + 1)
 
 

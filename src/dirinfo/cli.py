@@ -523,6 +523,7 @@ def _run_nofeedback(config: RunConfig, m: ChannelModel) -> dict:
 
 def _run_simulate(config: RunConfig, m: ChannelModel) -> dict:
     report = _base_report(config, m)
+    simulate.check_traces(config.seeds, config.steps)
     sol, cap, _ = _stationary(config, m)
     strat = model_mod.stationary_strategy(sol.gain, sol.KZ)
     seeds = list(range(config.seeds))
@@ -599,7 +600,7 @@ def run(config: RunConfig):
             return (0 if report["result"]["valid"] else 1), report
         m = load_model(config.model, kappa_override=config.kappa,
                        horizon_override=config.horizon)
-        # each handler's first library call validates the model
+        # each handler's first library call on the model validates it
         report = _HANDLERS[config.command](config, m)
         return 0, report
     except UsageError:

@@ -266,37 +266,43 @@ def _check_rows(rows) -> list:
     (the `mismatch` text), a non-finite entry, and for a `kind` asymmetry
     (allclose(A, A^T) at atol 1e-12 (1 + max|A|)) or a smallest eigenvalue
     at most `psd_tolerance` (definite) or below -`psd_tolerance`
-    (semidefinite).  One eigvalsh per row, on the stack of its finite
-    matrices.
+    (semidefinite).  The matrices of every row that have one shape are
+    stacked: one isfinite per distinct shape, and one eigvalsh on the stack
+    of its finite matrices that have a kind.  The errors come row by row.
     """
-    errors = []
-    for name, seq, shape, kind, mismatch in rows:
-        found = {i: mismatch.format(name=name, i=i, shape=m.shape, want=shape)
-                 for i, m in enumerate(seq) if m.shape != shape}
-        idx = [i for i in range(len(seq)) if i not in found]
-        if idx:
-            A = np.stack([seq[i] for i in idx])
-            finite = np.isfinite(A).reshape(len(idx), -1).all(axis=1)
-            if not finite.all():
-                found.update((i, f"{name}[{i}] has a non-finite entry")
-                             for i, ok in zip(idx, finite) if not ok)
-                idx, A = [i for i, ok in zip(idx, finite) if ok], A[finite]
-        if kind is not None and idx:
-            asym_text, fail_text, definite = kind
-            AT = A.swapaxes(1, 2)
-            atol = 1e-12 * (1 + np.abs(A).max(axis=(1, 2), initial=0.0))
-            asym = (np.abs(A - AT) > atol[:, None, None] + 1e-5 * np.abs(AT)).any(axis=(1, 2))
-            w = np.linalg.eigvalsh(0.5 * (A + AT))
-            lo = w.min(axis=1, initial=np.inf)
-            slack = TOL_PSD * np.maximum(1.0, np.abs(w).max(axis=1, initial=0.0))
-            fails = ~asym & ((lo <= slack) if definite else (lo < -slack))
-            for j in np.flatnonzero(asym | fails):
-                if asym[j] and asym_text:
-                    found[idx[j]] = asym_text.format(name=name, i=idx[j])
-                elif fails[j]:
-                    found[idx[j]] = fail_text.format(name=name, i=idx[j], lo=lo[j])
-        errors.extend(found[i] for i in sorted(found))
-    return errors
+    found = [{} for _ in rows]
+    by_shape = {}       # shape -> [(row, index)] of the matrices that have it
+    for r, (name, seq, shape, _, mismatch) in enumerate(rows):
+        for i, m in enumerate(seq):
+            if m.shape != shape:
+                found[r][i] = mismatch.format(name=name, i=i, shape=m.shape, want=shape)
+            else:
+                by_shape.setdefault(shape, []).append((r, i))
+    for members in by_shape.values():
+        A = np.stack([rows[r][1][i] for r, i in members])
+        finite = np.isfinite(A).reshape(len(members), -1).all(axis=1)
+        for r, i in (members[j] for j in np.flatnonzero(~finite)):
+            found[r][i] = f"{rows[r][0]}[{i}] has a non-finite entry"
+        kept = [j for j, (r, _) in enumerate(members) if finite[j] and rows[r][3] is not None]
+        if not kept:
+            continue
+        A, members = A[kept], [members[j] for j in kept]
+        AT = A.swapaxes(1, 2)
+        atol = 1e-12 * (1 + np.abs(A).max(axis=(1, 2), initial=0.0))
+        asym = (np.abs(A - AT) > atol[:, None, None] + 1e-5 * np.abs(AT)).any(axis=(1, 2))
+        w = np.linalg.eigvalsh(0.5 * (A + AT))
+        lo = w.min(axis=1, initial=np.inf)
+        slack = TOL_PSD * np.maximum(1.0, np.abs(w).max(axis=1, initial=0.0))
+        definite = np.array([rows[r][3][2] for r, _ in members])
+        fails = ~asym & np.where(definite, lo <= slack, lo < -slack)
+        for j in np.flatnonzero(asym | fails):
+            r, i = members[j]
+            name, asym_text, fail_text = rows[r][0], *rows[r][3][:2]
+            if asym[j] and asym_text:
+                found[r][i] = asym_text.format(name=name, i=i)
+            elif fails[j]:
+                found[r][i] = fail_text.format(name=name, i=i, lo=lo[j])
+    return [row[i] for row in found for i in sorted(row)]
 
 
 _VALIDATED = "_validated"     # instance attribute, not a field: `dataclasses.replace` drops it

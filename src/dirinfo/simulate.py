@@ -366,6 +366,14 @@ class StabilityReport:
     cost_histogram: tuple
 
 
+def check_traces(n_traces: int, steps: int) -> None:
+    """PreconditionError unless `stability_report` can certify n_traces traces of `steps` steps."""
+    if n_traces < 2:
+        raise PreconditionError("need at least 2 traces")
+    if steps < 1000:
+        raise PreconditionError("traces shorter than 10^3 steps are too noisy to certify")
+
+
 def stability_report(traces, target_rate: float, target_cost: float,
                      epsilon: float, cost_epsilon: float = None) -> StabilityReport:
     """Empirical check of the information/cost stability conditions.
@@ -375,11 +383,8 @@ def stability_report(traces, target_rate: float, target_cost: float,
     configuration drives both fractions to zero as steps grow.
     """
     traces = list(traces)
-    if len(traces) < 2:
-        raise PreconditionError("need at least 2 traces")
+    check_traces(len(traces), traces[0].steps if traces else 0)
     steps = traces[0].steps
-    if steps < 1000:
-        raise PreconditionError("traces shorter than 10^3 steps are too noisy to certify")
     if cost_epsilon is None:
         cost_epsilon = epsilon
     rate_dev = np.array([t.terminal_rate - target_rate for t in traces])

@@ -1,5 +1,12 @@
+import os
+from pathlib import Path
+
 import numpy as np
 import pytest
+
+# `python -m dirinfo.cli` subprocesses import the package from the source tree too
+_SRC = str(Path(__file__).resolve().parent.parent / "src")
+os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, [_SRC, os.environ.get("PYTHONPATH")]))
 
 
 @pytest.fixture

@@ -5,8 +5,8 @@ library computes another way: the water-fill objective and its scalar
 closed form, the normal quantile on whole arrays with np.polyval, the
 per-step directed-information density, the uniqueness certificate of a
 Riccati solution, the stabilizing Q = 0 Riccati solution in 50-digit
-arithmetic, and the embedding of a first-order gain into memory-augmented
-coordinates.
+arithmetic, the embedding of a first-order gain into memory-augmented
+coordinates, and model validation one row at a time.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import numpy as np
 from dirinfo import stability
 from dirinfo.errors import PreconditionError
 from dirinfo.linalg import logdet_pd, sym, sym_sqrt
-from dirinfo.model import Strategy, min_eigenvalue, psd_tolerance, strategy
+from dirinfo.model import TOL_PSD, Strategy, min_eigenvalue, psd_tolerance, strategy
 from dirinfo.riccati import AreSolution
 from dirinfo.simulate import _A, _B, _C, _D, _E, _F, _gaussian_logpdf_terms
 from dirinfo.waterfill import WaterfillProblem
@@ -196,3 +196,41 @@ def lift_strategy(strat: Strategy, p: int, order: int) -> Strategy:
         else:
             gains.append(np.hstack([g, np.zeros((g.shape[0], order * p - g.shape[1]))]))
     return strategy(gains, strat.innovations)
+
+
+# ---------------------------------------------------------------------------
+# model validation
+
+
+def check_rows(rows) -> list:
+    """`model._check_rows` one row at a time: the violations of each
+    (name, sequence, shape, kind, mismatch) row, with one isfinite and one
+    eigvalsh per row, on the stack of that row's matrices."""
+    errors = []
+    for name, seq, shape, kind, mismatch in rows:
+        found = {i: mismatch.format(name=name, i=i, shape=m.shape, want=shape)
+                 for i, m in enumerate(seq) if m.shape != shape}
+        idx = [i for i in range(len(seq)) if i not in found]
+        if idx:
+            A = np.stack([seq[i] for i in idx])
+            finite = np.isfinite(A).reshape(len(idx), -1).all(axis=1)
+            if not finite.all():
+                found.update((i, f"{name}[{i}] has a non-finite entry")
+                             for i, ok in zip(idx, finite) if not ok)
+                idx, A = [i for i, ok in zip(idx, finite) if ok], A[finite]
+        if kind is not None and idx:
+            asym_text, fail_text, definite = kind
+            AT = A.swapaxes(1, 2)
+            atol = 1e-12 * (1 + np.abs(A).max(axis=(1, 2), initial=0.0))
+            asym = (np.abs(A - AT) > atol[:, None, None] + 1e-5 * np.abs(AT)).any(axis=(1, 2))
+            w = np.linalg.eigvalsh(0.5 * (A + AT))
+            lo = w.min(axis=1, initial=np.inf)
+            slack = TOL_PSD * np.maximum(1.0, np.abs(w).max(axis=1, initial=0.0))
+            fails = ~asym & ((lo <= slack) if definite else (lo < -slack))
+            for j in np.flatnonzero(asym | fails):
+                if asym[j] and asym_text:
+                    found[idx[j]] = asym_text.format(name=name, i=idx[j])
+                elif fails[j]:
+                    found[idx[j]] = fail_text.format(name=name, i=idx[j], lo=lo[j])
+        errors.extend(found[i] for i in sorted(found))
+    return errors

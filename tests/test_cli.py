@@ -190,6 +190,26 @@ def test_simulate_csv_emits_trace(tmp_path):
     assert len(payload.strip().split("\n")) == 1501
 
 
+@pytest.mark.parametrize("flags, error", [
+    (["--seeds", "1"], "need at least 2 traces"),
+    (["--seeds", "0"], "need at least 2 traces"),
+    (["--seeds", "-1", "--s", "0.5"], "need at least 2 traces"),
+    (["--steps", "999"], "traces shorter than 10^3 steps are too noisy to certify"),
+])
+def test_simulate_that_cannot_be_certified_fails_before_the_solve(tmp_path, capsys, monkeypatch,
+                                                                  flags, error):
+    def untouched(*args, **kwargs):
+        raise AssertionError("solved or sampled a run that cannot be certified")
+
+    monkeypatch.setattr(cli.riccati, "solve_are", untouched)
+    monkeypatch.setattr(cli.simulate, "simulate_batch", untouched)
+    assert cli.main(["simulate", "--model", write_model(tmp_path)] + flags) == 1
+    captured = capsys.readouterr()
+    report = json.loads(captured.out)
+    assert (report["error_type"], report["error"]) == ("PreconditionError", error)
+    assert captured.err == f"error: {error}\n"
+
+
 def test_sweep_csv_rows(tmp_path):
     mp = write_model(tmp_path)
     cfg = parse_config(["sweep", "--model", mp, "--param", "kappa",

@@ -10,6 +10,7 @@ cost comes from the LQ cost-to-go identity, and a forward loop of
 `lyapunov_step` checks it to rel 1e-12.
 """
 
+import dataclasses
 import json
 import re
 import subprocess
@@ -95,8 +96,8 @@ def test_dp_equals_the_public_step_oracles_bit_for_bit(name, s):
     assert sol.achieved_cost == pytest.approx(_forward(m, sol), rel=1e-12)
 
 
-def _steps(monkeypatch, m):
-    """Backward steps of one finite_horizon_dp call."""
+def _steps(monkeypatch, m, solve=lambda m: capacity.finite_horizon_dp(m, 1.0)):
+    """Backward steps of one solve(m) call, by default one finite_horizon_dp call."""
     calls = []
     kernel = riccati._backward_step
 
@@ -105,8 +106,28 @@ def _steps(monkeypatch, m):
         return kernel(*args)
 
     monkeypatch.setattr(riccati, "_backward_step", counted)
-    capacity.finite_horizon_dp(m, 1.0)
+    solve(m)
     return len(calls)
+
+
+@pytest.mark.parametrize("name", sorted(MODELS))
+def test_ftfi_capacity_makes_one_backward_pass(monkeypatch, name):
+    m = dataclasses.replace(MODELS[name](), kappa=1e3)     # every member feasible
+    assert _steps(monkeypatch, m, capacity.ftfi_capacity) == _steps(monkeypatch, m)
+
+
+@pytest.mark.parametrize("name", sorted(MODELS))
+def test_dp_on_a_given_pass_equals_the_dp_that_makes_it(name):
+    m = MODELS[name]()
+    unit = capacity._riccati_pass(m)
+    for s in (0.37, 2.5):       # one pass serves every multiplier, unchanged
+        given, own = capacity.finite_horizon_dp(m, s, unit), capacity.finite_horizon_dp(m, s)
+        for seq in ("P_seq", "r_seq"):
+            assert np.array_equal(getattr(given, seq), getattr(own, seq))
+        for seq in ("gains", "innovations"):
+            assert np.array_equal(getattr(given.strategy, seq), getattr(own.strategy, seq))
+        for value in ("s", "achieved_cost", "value_nats", "rate_nats"):
+            assert getattr(given, value) == getattr(own, value)
 
 
 def test_q0_model_stops_after_one_step(monkeypatch):

@@ -3,9 +3,13 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import dirinfo as di
+from dirinfo import model as model_mod
 from dirinfo.errors import DimensionError, ModelValidationError
+from dirinfo.model import ChannelModel, MemoryJModel
 from dirinfo.simulate import _draw_noise
 import oracles
 
@@ -268,3 +272,81 @@ def test_validate_names_the_non_finite_step_and_memory_block():
         di.validate_model(mem)
     assert exc.value.errors == ["kappa not finite", "C_blocks[1] has a non-finite entry",
                                 "initial_history[0] has a non-finite entry"]
+
+
+# what `_defective` does to a matrix; None leaves it valid (symmetric positive definite if square)
+DEFECTS = (None, None, "shape", "nan", "inf", "asym", "indefinite", "zero")
+
+
+def _defective(rng, shape, defect):
+    """A frozen matrix of `shape` (a vector when 1-D) with the defect applied."""
+    A = rng.standard_normal(shape)
+    if len(shape) == 2 and shape[0] == shape[1]:
+        A = A @ A.T + 0.1 * np.eye(shape[0])
+    if defect == "shape":
+        A = rng.standard_normal((shape[0] + 1,) + shape[1:])
+    elif not A.size:
+        pass                    # an empty Q_K takes only a wrong shape
+    elif defect in ("nan", "inf"):
+        A[tuple(rng.integers(k) for k in shape)] = np.nan if defect == "nan" else -np.inf
+    elif defect == "asym" and A.ndim == 2:
+        A[0, -1] += 1.0         # a 1x1 matrix stays symmetric
+    elif defect == "indefinite":
+        A.flat[0] = -1.0 - np.abs(A).sum()
+    elif defect == "zero":
+        A[...] = 0.0            # semidefinite, not definite
+    return model_mod._freeze(A)
+
+
+def _validation_errors(m):
+    try:
+        di.validate_model(dataclasses.replace(m))     # a copy carries no validation mark
+    except ModelValidationError as exc:
+        return exc.errors
+    return []
+
+
+def _check_rows_as_oracle(m):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(model_mod, "_check_rows", oracles.check_rows)
+        return _validation_errors(m)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1), p=st.integers(1, 3), q=st.integers(1, 3),
+       n=st.integers(0, 3), time_invariant=st.booleans(), augmented=st.booleans(),
+       defects=st.lists(st.sampled_from(DEFECTS), min_size=23, max_size=23))
+def test_stacked_channel_validation_equals_the_per_row_oracle(seed, p, q, n, time_invariant,
+                                                              augmented, defects):
+    rng, steps = np.random.default_rng(seed), 1 if time_invariant else n + 1
+    draw = iter(defects)
+
+    def seq(shape):
+        return tuple(_defective(rng, shape, next(draw)) for _ in range(steps))
+
+    m = ChannelModel(
+        horizon=n, output_dim=p, input_dim=q, C_seq=seq((p, p)), D_seq=seq((p, q)),
+        KV_seq=seq((p, p)), R_seq=seq((q, q)), Q_seq=seq((p, p)),
+        terminal_Q=_defective(rng, (p, p), next(draw)), kappa=1.0,
+        initial_mean=_defective(rng, (p,), next(draw)),
+        initial_cov=_defective(rng, (p, p), next(draw)),
+        time_invariant=time_invariant, augmented=augmented)
+    assert _validation_errors(m) == _check_rows_as_oracle(m)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1), p=st.integers(1, 3), q=st.integers(1, 3),
+       memory=st.integers(1, 3), cost_memory=st.integers(0, 3),
+       defects=st.lists(st.sampled_from(DEFECTS), min_size=8, max_size=8))
+def test_stacked_memory_validation_equals_the_per_row_oracle(seed, p, q, memory, cost_memory,
+                                                             defects):
+    rng, kp = np.random.default_rng(seed), cost_memory * p
+    draw = iter(defects)
+    m = MemoryJModel(
+        horizon=4, output_dim=p, input_dim=q,
+        C_blocks=tuple(_defective(rng, (p, p), next(draw)) for _ in range(memory)),
+        D=_defective(rng, (p, q), next(draw)), KV=_defective(rng, (p, p), next(draw)),
+        R=_defective(rng, (q, q), next(draw)), Q_K=_defective(rng, (kp, kp), next(draw)),
+        memory=memory, cost_memory=cost_memory, kappa=1.0,
+        initial_history=_defective(rng, (max(memory, cost_memory), p), next(draw)))
+    assert _validation_errors(m) == _check_rows_as_oracle(m)
