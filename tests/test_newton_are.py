@@ -16,7 +16,7 @@ from scipy.linalg import solve_discrete_are, solve_discrete_lyapunov
 
 import dirinfo as di
 from dirinfo import capacity, cli, riccati, stability, waterfill
-from dirinfo.errors import ConvergenceError, PreconditionError
+from dirinfo.errors import ConvergenceError, DirinfoError, PreconditionError
 from dirinfo.linalg import sym
 from conftest import random_spd, random_stable
 
@@ -246,6 +246,33 @@ def test_stationary_solve_is_the_unit_multiplier_solution_scaled(seed, p, q_frac
     assert sol.are_residual <= riccati.TOL_ARE
     assert resid <= riccati.TOL_ARE
     assert abs(sol.are_residual - resid) <= 1e-13
+
+
+def _solve_or_error(*args):
+    try:
+        return di.solve_are(*args)
+    except DirinfoError as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1), p=st.integers(1, 6), q_frac=st.floats(0.0, 1.0),
+       radius=st.floats(0.2, 2.0), output_cost=st.booleans(), log_s=st.floats(-3.0, 3.0))
+def test_solve_are_applies_the_multiplier_as_s_q_and_s_r(seed, p, q_frac, radius, output_cost,
+                                                         log_s):
+    # the equation depends on s only through sQ and sR: the same bits either way,
+    # or the same named failure
+    q = 1 + int(q_frac * (p - 1))
+    C, D, Q, R = _stabilizable_model(seed, p, q, radius, output_cost)
+    s = 10.0 ** log_s
+    sol = _solve_or_error(C, D, Q, R, s)
+    ref = _solve_or_error(C, D, s * Q, s * R, 1.0)
+    if isinstance(ref, tuple):
+        assert sol == ref
+        return
+    assert sol.P.tobytes() == ref.P.tobytes()
+    assert sol.gain.tobytes() == ref.gain.tobytes()
+    assert (sol.residual, sol.iterations) == (ref.residual, ref.iterations)
 
 
 def test_output_covariance_failure_names_the_lyapunov_residual():

@@ -1,7 +1,9 @@
 """Report bytes, pinned: the sha256 of `dirinfo` stdout for eleven commands on
-each of the four `docs/models`, and for `simulate` at the sizes the benchmark
-runs, where the scan carries state over many chunks.  A deliberate change of
-any report edits this table, and the edit is recorded with the change."""
+each of the four `docs/models`, for `simulate` at the sizes the benchmark
+runs, where the scan carries state over many chunks, and for five commands on
+`tests/data/unstable_q_2x1`, whose Q != 0 runs Newton's method.  A deliberate
+change of any report edits this table, and the edit is recorded with the
+change."""
 
 import hashlib
 import pathlib
@@ -11,8 +13,9 @@ import pytest
 from dirinfo import cli
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
+DIRS = {"unstable_q_2x1": "tests/data"}     # model stem -> its directory, else docs/models
 
-# (command line without --model, docs/models file stem, exit code, sha256 of stdout)
+# (command line without --model, model file stem, exit code, sha256 of stdout)
 DIGESTS = [
     ("check", "memory_order2", 0,
      "99f991e27f37035c42d110deb30ffa74f36f5013eaa412138756c3b888e8e828"),
@@ -108,6 +111,16 @@ DIGESTS = [
      "d27ea4b18d082639a3fffb0dbf63b6386ca7e526c4669c692737558dd4b58959"),
     ("simulate --steps 40000 --seeds 2", "memory_order2", 0,
      "94073cd6dd7145f3bbe97c1bd5c7eb06e3d1d7e5c0d8886ca89b305b42ae4b9f"),
+    ("capacity", "unstable_q_2x1", 0,
+     "7ae413a9b60539baf638535bdadf615bf0a124c3c3f103bdf5ab419c034345fe"),
+    ("capacity --s 0.05", "unstable_q_2x1", 0,
+     "d120345d098cd78209d57f99bd6f9ec6c9287b9ab562979f9a3065de9a50383c"),
+    ("ftfi --horizon 25", "unstable_q_2x1", 0,
+     "a92a5be26fafc98d9c0799c895fc06a71851ea1d64255b5c46772cb424f37cea"),
+    ("sweep --param kappa --grid 4,6,9", "unstable_q_2x1", 0,
+     "acd905a748aeca473a7bb80ba938085ffdd2ff9b4b49180a1ff88c2e0377884b"),
+    ("simulate --steps 1200 --seeds 2", "unstable_q_2x1", 0,
+     "c9507af749ef78b549b811d52da45971cdea85b2197eb4736a9b0fd3f3875038"),
 ]
 
 
@@ -115,5 +128,6 @@ DIGESTS = [
                          ids=[f"{model}: {command}" for command, model, *_ in DIGESTS])
 def test_report_bytes_are_pinned(monkeypatch, capsys, command, model, code, digest):
     monkeypatch.chdir(ROOT)     # the report echoes the model path as given
-    assert cli.main(command.split() + ["--model", f"docs/models/{model}.json"]) == code
+    path = f"{DIRS.get(model, 'docs/models')}/{model}.json"
+    assert cli.main(command.split() + ["--model", path]) == code
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
