@@ -129,7 +129,7 @@ def _riccati_pass(model: ChannelModel):
     first = 0                    # the steps before it repeat it; their weights stay unset
     with np.errstate(over="ignore", invalid="ignore"):   # a non-finite P_1 is raised below
         for i in range(n - 1, -1, -1):
-            P[i], blocks = riccati._backward_step(P[i + 1], C[i], D[i], Q[i], R[i], 1.0)
+            P[i], blocks = riccati._backward_step(P[i + 1], C[i], D[i], Q[i], R[i])
             if not np.isfinite(P[i]).all():
                 raise PreconditionError(
                     f"backward pass: P_1({i}) is not finite at step {i} of {n}: "

@@ -5,12 +5,13 @@ The control part of the optimal strategy comes from
     P(i) = C^T P(i+1) C + sQ - C^T P(i+1) D (D^T P(i+1) D + sR)^{-1} (C^T P(i+1) D)^T
 
 iterated backward from the terminal weight, and its fixed point for the
-stationary problem.  The gain is Gamma = -(D^T P D + sR)^{-1} D^T P C.
+stationary problem.  The gain is Gamma = -(D^T P D + sR)^{-1} D^T P C.  The entry
+points apply s once, as sQ and sR; the private functions solve that unit problem.
 
 With Q = 0 the stabilizing fixed point is solved directly.  It vanishes on the
 stable invariant subspace of C; on the orthogonal complement V of that subspace
 it is Y^{-1}, where the minimum-energy stabilization Gramian Y solves the Stein
-equation T Y T^H - Y = B (sR)^{-1} B^H, T = V^H C V, B = V^H D (Elia, "When
+equation T Y T^H - Y = B R^{-1} B^H, T = V^H C V, B = V^H D (Elia, "When
 Bode meets Shannon", 2004).  One complex Schur form of C with its eigenvalues in
 ascending modulus gives both: its leading columns span the stable subspace, the
 rest are V, and T is its trailing triangular block, in which the Stein equation
@@ -72,14 +73,14 @@ def riccati_backward_step(Pnext, C, D, Q, R, s: float):
     Q = np.atleast_2d(np.asarray(Q, dtype=float))
     R = np.atleast_2d(np.asarray(R, dtype=float))
     check_multiplier(s)
-    return _backward_step(Pnext, C, D, Q, R, s)
+    return _backward_step(Pnext, C, D, s * Q, s * R)
 
 
-def _backward_step(Pnext, C, D, Q, R, s: float):
-    """`riccati_backward_step` on 2-D float arrays, Pnext symmetric and s checked."""
-    H11 = sym(C.T @ Pnext @ C + s * Q)
+def _backward_step(Pnext, C, D, Q, R):
+    """The unit-problem step (s applied as sQ, sR) on 2-D float arrays, Pnext symmetric."""
+    H11 = sym(C.T @ Pnext @ C + Q)
     H12 = C.T @ Pnext @ D
-    H22 = sym(D.T @ Pnext @ D + s * R)
+    H22 = sym(D.T @ Pnext @ D + R)
     try:
         X = np.linalg.solve(H22, H12.T)
     except np.linalg.LinAlgError as exc:
@@ -132,12 +133,12 @@ def _stein(S, G):
     return 0.5 * (Y + Y.conj().T)
 
 
-def _direct_q0(C, D, R, s, n_s):
+def _direct_q0(C, D, R, n_s):
     """The stabilizing Q = 0 solution P = V Y^{-1} V^H for a C with n_s stable
     eigenvalues, at least one outside the unit circle and none on it.  U S U^H is
     the Schur form of C, so V = U[:, n_s:] spans the orthogonal complement of the
     stable subspace and S_2 = S[n_s:, n_s:] = V^H C V; Y solves the Stein equation
-    S_2 Y S_2^H - Y = B (sR)^{-1} B^H, B = V^H D.  A |diag S| that does not split at
+    S_2 Y S_2^H - Y = B R^{-1} B^H, B = V^H D.  A |diag S| that does not split at
     n_s, or Y's smallest / largest eigenvalue within TOL_GRAMIAN (an unstabilizable
     mode), is a PreconditionError."""
     U, S = _schur(C)
@@ -147,7 +148,7 @@ def _direct_q0(C, D, R, s, n_s):
             f"Schur form of C does not split at its {n_s} stable eigenvalues")
     V, S = U[:, n_s:], S[n_s:, n_s:]
     B = V.conj().T @ D
-    Y = _stein(S, B @ np.linalg.solve(s * R, B.conj().T))
+    Y = _stein(S, B @ np.linalg.solve(R, B.conj().T))
     w = np.linalg.eigvalsh(Y)
     if not w[-1] > 0.0 or w[0] <= TOL_GRAMIAN * w[-1]:
         raise PreconditionError(
@@ -156,49 +157,44 @@ def _direct_q0(C, D, R, s, n_s):
     return sym((V @ np.linalg.solve(Y, V.conj().T)).real)
 
 
-def _q0_solution(C, D, R, s, checked=True):
-    """P of the Q = 0 equation; P = 0 if C is stable, else `_direct_q0`.
-    `checked` solves again from C moved by about an ulp in each entry (a fixed
-    +-eps checkerboard), and the two must agree within TOL_FORWARD |P|; else the
-    equation is declined as too ill-conditioned to answer."""
-    modulus = np.abs(np.linalg.eigvals(C))
+def _q0_solution(C, D, R, modulus):
+    """P of the Q = 0 equation, C's eigenvalue moduli given: 0 if C is stable, else `_direct_q0`."""
     if not (modulus >= 1.0 - stability.TOL_SPEC).any():
         return np.zeros_like(C)
     if (np.abs(modulus - 1.0) <= stability.TOL_SPEC).any():
         raise PreconditionError(
             "Q = 0 and C has an eigenvalue on the unit circle: no stabilizing solution")
-    n_s = int((modulus < 1.0).sum())
-    P = _direct_q0(C, D, R, s, n_s)
-    if not checked:
-        return P
-    signs = np.where(np.add.outer(np.arange(len(C)), np.arange(len(C))) % 2, -1.0, 1.0)
-    P2 = _direct_q0(C * (1.0 + signs * _EPS), D, R, s, n_s)
-    differ = np.linalg.norm(P - P2) / np.linalg.norm(P)
-    if not differ <= TOL_FORWARD:
-        raise PreconditionError(
-            f"ill-conditioned Riccati equation: solves from C and from C moved by one ulp "
-            f"differ by {differ:.3e} of |P|, more than {TOL_FORWARD:g}")
-    return P
+    return _direct_q0(C, D, R, int((modulus < 1.0).sum()))
+
+
+def _check_close(P, P2, text: str) -> None:
+    """PreconditionError, the equation too ill-conditioned to answer, unless P2 is within
+    TOL_FORWARD |P| of P; `text` names the two, with {differ} = |P2 - P| / |P| and {tol}."""
+    differ, size = np.linalg.norm(P2 - P), np.linalg.norm(P)
+    if not differ <= TOL_FORWARD * size:
+        raise PreconditionError("ill-conditioned Riccati equation: "
+                                + text.format(differ=differ / size, tol=TOL_FORWARD))
 
 
 def solve_are(C, D, Q, R, s: float) -> AreSolution:
     """Stabilizing fixed point; requires R > 0 and (C, D) stabilizable.
 
-    Q = 0: the direct solution (`_q0_solution`), and one backward step from it
-    gives the residual and the gain.  If the residual exceeds TOL_ARE, Newton's
-    method continues from that gain, and must land within TOL_FORWARD of it.
+    s is applied once, as sQ and sR, and one spectrum of C serves either route.
+    Q = 0: the direct solution (`_q0_solution`), which a solve from C moved by about an
+    ulp per entry (a fixed +-eps checkerboard) must match within TOL_FORWARD |P|; one
+    backward step from it gives the residual and the gain.  If the residual exceeds
+    TOL_ARE, Newton's method continues from that gain, and must land within TOL_FORWARD.
     Q != 0: Newton's method from the direct Q = 0 gain of (beta C, beta D),
     beta = min(_BETA, 2 / (1 + rho_s)), rho_s the largest modulus among C's stable
-    eigenvalues (beta = 1 if rho_s is within 4 TOL_SPEC of 1).  That gain's closed
-    loop has spectral radius below 1 / beta, and no stable mode of C needs to be
-    controllable.  Newton's P_k is the cost of the
-    current gain, a Smith-doubling Lyapunov solve that the ARE residual gates
-    instead of TOL_LYAP.  It stops when the residual (the move of one backward
-    step) is within TOL_ARE and |P_k - P_{k-1}| is below TOL_ARE |P_k| or stops
-    shrinking.  Returns P with that step's gain and residual; `iterations` counts
-    Newton steps only, 0 for a direct Q = 0 answer.  An eigenvalue of C on the unit circle
-    (Q = 0), an unstabilizable mode, an ill-conditioned equation or a closed loop
-    on the unit circle raises PreconditionError.
+    eigenvalues (beta = 1 if rho_s is within 4 TOL_SPEC of 1).  That gain's closed loop
+    has spectral radius below 1 / beta, and no stable mode of C needs to be
+    controllable.  Newton's P_k is the cost of the current gain, a Smith-doubling
+    Lyapunov solve that the ARE residual gates instead of TOL_LYAP.  It stops when the
+    residual (the move of one backward step) is within TOL_ARE and |P_k - P_{k-1}| is
+    below TOL_ARE |P_k| or stops shrinking.  Returns P with that step's gain and
+    residual; `iterations` counts Newton steps only, 0 for a direct Q = 0 answer.  An
+    eigenvalue of C on the unit circle (Q = 0), an unstabilizable mode, an
+    ill-conditioned equation or a closed loop on the unit circle raises PreconditionError.
     """
     C = np.atleast_2d(np.asarray(C, dtype=float))
     D = np.atleast_2d(np.asarray(D, dtype=float))
@@ -207,30 +203,31 @@ def solve_are(C, D, Q, R, s: float) -> AreSolution:
     check_multiplier(s)
     if min_eigenvalue(R) <= 0:
         raise PreconditionError("R not positive definite")
+    Q, R = s * Q, s * R
     try:
+        modulus = np.abs(np.linalg.eigvals(C))
         if Q.any():
-            modulus = np.abs(np.linalg.eigvals(C))
             rho_s = modulus[modulus < 1.0 - stability.TOL_SPEC].max(initial=0.0)
             # beta rho_s must stay inside the circle by TOL_SPEC; near 1 only beta = 1 does
             beta = 1.0 if rho_s > 1.0 - 4 * stability.TOL_SPEC else min(_BETA, 2.0 / (1.0 + rho_s))
             try:
-                P = _q0_solution(beta * C, beta * D, R, s, checked=False)
+                P = _q0_solution(beta * C, beta * D, R, beta * modulus)
             except PreconditionError as exc:
                 raise PreconditionError(f"Newton start, Q = 0 at beta = {beta:.6g}: {exc}") from exc
-            gain = optimal_gain(_backward_step(P, beta * C, beta * D, Q, R, s)[1])
-            return _newton(C, D, Q, R, s, gain)
-        P = _q0_solution(C, D, R, s)
-        Pn, blocks = _backward_step(P, C, D, Q, R, s)
+            return _newton(C, D, Q, R, optimal_gain(_backward_step(P, beta * C, beta * D, Q, R)[1]))
+        P = _q0_solution(C, D, R, modulus)
+        moved = C * (1.0 + (-1.0) ** np.indices(C.shape).sum(axis=0) * _EPS)
+        _check_close(P, _q0_solution(moved, D, R, modulus), "solves from C and from C "
+                     "moved by one ulp differ by {differ:.3e} of |P|, more than {tol:g}")
+        Pn, blocks = _backward_step(P, C, D, Q, R)
         resid = float(np.linalg.norm(Pn - P) / (1.0 + np.linalg.norm(P)))
         if resid <= TOL_ARE:
             return _solution(C, D, P, optimal_gain(blocks), resid, 0)
-        sol = _newton(C, D, Q, R, s, optimal_gain(blocks))
+        sol = _newton(C, D, Q, R, optimal_gain(blocks))
     except np.linalg.LinAlgError as exc:
         raise PreconditionError(f"Riccati solve: {exc}") from exc
-    if not np.linalg.norm(sol.P - P) <= TOL_FORWARD * np.linalg.norm(P):
-        raise PreconditionError(
-            f"ill-conditioned Riccati equation: Newton's method from the direct solution "
-            f"(ARE residual {resid:.3e}) moved P by more than {TOL_FORWARD:g} of |P|")
+    _check_close(P, sol.P, f"Newton's method from the direct solution (ARE residual {resid:.3e}) "
+                 "moved P by more than {tol:g} of |P|")
     return sol
 
 
@@ -241,17 +238,17 @@ def _solution(C, D, P, gain, resid, iterations) -> AreSolution:
                        residual=resid, iterations=iterations)
 
 
-def _newton(C, D, Q, R, s, gain) -> AreSolution:
+def _newton(C, D, Q, R, gain) -> AreSolution:
     """Newton's method (Kleinman 1968, Hewer 1971) from a stabilizing gain (see `solve_are`)."""
     P, move, resid = np.full_like(C, np.nan), np.nan, np.inf   # no step yet: nan fails both tests
     for k in range(1, _MAX_ITER + 1):
         P_prev, move_prev = P, move
         try:
-            P = stability.smith_doubling((C + D @ gain).T, s * Q + gain.T @ (s * R) @ gain)[0]
+            P = stability.smith_doubling((C + D @ gain).T, Q + gain.T @ R @ gain)[0]
         except PreconditionError as exc:
             raise PreconditionError(
                 f"Newton step {k}: {exc}; last ARE residual {resid:.3e}") from exc
-        Pn, blocks = riccati_backward_step(P, C, D, Q, R, s)
+        Pn, blocks = riccati_backward_step(P, C, D, Q, R, 1.0)
         resid = float(np.linalg.norm(Pn - P) / (1.0 + np.linalg.norm(P)))
         gain = optimal_gain(blocks)
         move = float(np.linalg.norm(P - P_prev))

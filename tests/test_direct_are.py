@@ -151,3 +151,21 @@ def test_q_nonzero_model_with_a_marginal_or_unreachable_stable_mode_is_solved(C,
     assert sol.stabilizing
     assert sol.residual <= riccati.TOL_ARE
     np.testing.assert_allclose(sol.P, ref, rtol=0, atol=1e-10 * np.linalg.norm(ref))
+
+
+@pytest.mark.parametrize("Q", [np.zeros((2, 2)), np.diag([0.3, 0.2])])
+def test_solve_are_takes_one_spectrum_of_c(monkeypatch, Q):
+    # either route reads C's eigenvalue moduli once: the Q != 0 start scales them by
+    # beta instead of taking the spectrum of beta C
+    C, D = np.array([[1.2, 0.3], [0.0, 0.6]]), np.array([[1.0], [0.5]])
+    spectra, eigvals = [], np.linalg.eigvals
+
+    def counted(A):
+        spectra.append(np.array(A))
+        return eigvals(A)
+
+    monkeypatch.setattr(np.linalg, "eigvals", counted)
+    di.solve_are(C, D, Q, [[1.0]], 0.5)
+    beta = riccati._BETA
+    assert sum(A.shape == C.shape and (np.array_equal(A, C) or np.array_equal(A, beta * C))
+               for A in spectra) == 1
