@@ -157,6 +157,31 @@ def _traces(A, B) -> np.ndarray:
     return np.einsum("kij,kji->k", A, B)
 
 
+def _fill(sigma, V, s: float):
+    """`waterfill.fill` at level 1/(2s), with PreconditionError naming s when the
+    level, an innovations covariance, the total rate or the total spend is not finite."""
+    with np.errstate(over="ignore", invalid="ignore"):   # a non-finite fill is raised below
+        KZ, rate, spent = waterfill.fill(sigma, V, 0.5 / s)
+        finite = np.isfinite(KZ).all() and np.isfinite(rate.sum() + spent.sum())
+    if not finite:
+        raise PreconditionError(
+            f"multiplier s = {s:.12g}: the water-fill at level 1/(2s) is not finite: "
+            "the innovations overflow")
+    return KZ, rate, spent
+
+
+def _matched_multiplier(sigma, budget: float, kappa: float) -> float:
+    """s* = 1/(2 mu) for the water level mu over the gains sigma that spends `budget`;
+    PreconditionError naming kappa when s* is not positive and finite."""
+    with np.errstate(over="ignore"):     # an overflowing level is raised below
+        s = 0.5 / waterfill.water_level(sigma, budget)
+    if not 0.0 < s < np.inf:
+        raise PreconditionError(
+            f"power budget kappa = {kappa:.12g}: the water level that spends it is not "
+            "finite, so no multiplier s* = 1/(2 mu) matches it")
+    return s
+
+
 def finite_horizon_dp(model: ChannelModel, s: float, unit=None) -> FiniteHorizonSolution:
     """Backward DP at a fixed multiplier; there is no forward pass.
 
@@ -179,7 +204,7 @@ def finite_horizon_dp(model: ChannelModel, s: float, unit=None) -> FiniteHorizon
     riccati.check_multiplier(s)
     n = model.horizon
     P1, G, sigma, V, floor, KV = _riccati_pass(model) if unit is None else unit
-    KZ, rates, spent = waterfill.fill(sigma, V, 0.5 / s)
+    KZ, rates, spent = _fill(sigma, V, s)
     values = rates - s * spent
     with np.errstate(over="ignore"):     # a non-finite P is raised below
         P = s * P1
@@ -228,7 +253,7 @@ def ftfi_capacity(model: ChannelModel):
         raise InfeasibleError(
             f"ftfi_capacity: power budget {kappa} below the achievable cost floor "
             f"{floor / (n + 1):.12g}", kappa_stab=floor / (n + 1))
-    sol = finite_horizon_dp(model, 0.5 / waterfill.water_level(sigma, max(budget, 0.0)), unit)
+    sol = finite_horizon_dp(model, _matched_multiplier(sigma, max(budget, 0.0), kappa), unit)
     return sol, sol.rate_nats / (n + 1)
 
 
@@ -264,11 +289,18 @@ def _view(model: ChannelModel, unit, s: float) -> StationarySolution:
     the move and |P| scaled by s."""
     C, D, KV, R, Q = _ti_matrices(model)
     are, sigma, V = unit
-    KZ, rate, _ = waterfill.fill(sigma, V, 0.5 / s)
+    KZ, rate, _ = _fill(sigma, V, s)
     KZ = KZ[0]
     Acl = are.closed_loop
+    W = D @ KZ @ D.T + KV
+    with np.errstate(over="ignore"):     # an overflowing norm is raised below
+        finite = np.isfinite(np.linalg.norm(W))
+    if not finite:      # the Lyapunov residual is gated against |W|
+        raise PreconditionError(
+            f"multiplier s = {s:.12g}: the output covariance overflows: |D K_Z D^T + K_V| "
+            f"is not finite at water level 1/(2s) = {0.5 / s:.6g}")
     try:
-        K = solve_lyapunov(Acl, D @ KZ @ D.T + KV)
+        K = solve_lyapunov(Acl, W)
     except PreconditionError as exc:
         raise PreconditionError(
             f"output-covariance Lyapunov equation: {exc}; closed-loop spectral radius "
@@ -336,7 +368,7 @@ def feedback_capacity(model: ChannelModel):
         raise InfeasibleError(
             f"power budget {kappa} below minimum stabilization cost {floor:.12g}",
             kappa_stab=floor)
-    sol = _view(model, unit, 0.5 / waterfill.water_level(sigma, max(kappa - floor, 0.0)))
+    sol = _view(model, unit, _matched_multiplier(sigma, max(kappa - floor, 0.0), kappa))
     return sol, sol.rate_nats
 
 

@@ -19,7 +19,7 @@ is solved by substitution (Bartels & Stewart 1972).  Y's conditioning decides
 stabilizability.  With Q != 0, Newton's method (Kleinman 1968, Hewer 1971)
 runs from the direct Q = 0 gain of a scaled pair, which stabilizes C; the
 stabilizing solution exists unless (Q^{1/2}, C) has an unobservable unit-circle
-mode.
+mode.  `solve_are` takes C's spectrum once, and it picks the route.
 """
 
 from __future__ import annotations
@@ -29,9 +29,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import stability
-from .errors import ConvergenceError, PreconditionError
+from .errors import ConvergenceError, ModelValidationError, PreconditionError
 from .linalg import sym
-from .model import min_eigenvalue
+from .model import _MISMATCH, _PD, _PSD, _check_rows
 
 TOL_ARE = 1e-11
 TOL_FORWARD = 1e-7      # Q = 0: solves from C and from C moved by an ulp differ by more: declined
@@ -179,6 +179,8 @@ def _check_close(P, P2, text: str) -> None:
 def solve_are(C, D, Q, R, s: float) -> AreSolution:
     """Stabilizing fixed point; requires R > 0 and (C, D) stabilizable.
 
+    C, D, Q and R are judged by the model's row rule (shape, finiteness, symmetry,
+    Q PSD, R PD), and a violation is a ModelValidationError naming it.
     s is applied once, as sQ and sR, and one spectrum of C serves either route.
     Q = 0: the direct solution (`_q0_solution`), which a solve from C moved by about an
     ulp per entry (a fixed +-eps checkerboard) must match within TOL_FORWARD |P|; one
@@ -201,8 +203,13 @@ def solve_are(C, D, Q, R, s: float) -> AreSolution:
     Q = np.atleast_2d(np.asarray(Q, dtype=float))
     R = np.atleast_2d(np.asarray(R, dtype=float))
     check_multiplier(s)
-    if min_eigenvalue(R) <= 0:
-        raise PreconditionError("R not positive definite")
+    p, q = len(C), D.shape[1]
+    errors = _check_rows([("C", (C,), (p, p), None, _MISMATCH),
+                          ("D", (D,), (p, q), None, _MISMATCH),
+                          ("Q", (Q,), (p, p), _PSD, _MISMATCH),
+                          ("R", (R,), (q, q), _PD, _MISMATCH)])
+    if errors:
+        raise ModelValidationError(errors)
     Q, R = s * Q, s * R
     try:
         modulus = np.abs(np.linalg.eigvals(C))

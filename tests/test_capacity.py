@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -424,3 +425,39 @@ def test_unactuated_stable_channel_solves_without_feedback():
 def test_unactuated_stable_channel_capacity_is_a_named_precondition():
     with pytest.raises(PreconditionError, match="no subchannel carries information"):
         di.feedback_capacity(_unactuated())
+
+
+# -- extreme but finite budgets and multipliers ---------------------------------
+
+@pytest.mark.parametrize("kappa", [1e150, 1e160])
+def test_feedback_capacity_at_a_huge_budget_answers_or_names_the_overflow(kappa):
+    # |D K_Z D^T + K_V| overflows above about 1e154: a named failure, not a numpy
+    # warning or a Lyapunov error that blames the closed loop
+    m = di.scalar_model(2.0, 1.0, 1.0, 1.0, 0.0, kappa)
+    if kappa < 1e154:
+        ref = cap.scalar_feedback_capacity(2.0, 1.0, 1.0, kappa)[0]
+        assert di.feedback_capacity(m)[1] == pytest.approx(ref, rel=1e-12)
+        return
+    with pytest.raises(PreconditionError, match=r"^multiplier s = 5e-161: the output covariance"):
+        di.feedback_capacity(m)
+
+
+def test_ftfi_budget_beyond_the_largest_float_names_kappa():
+    # (n + 1) kappa overflows, and so does the water level that would spend it
+    m = di.scalar_model(2.0, 1.0, 1.0, 1.0, 0.0, 1e307, horizon=30)
+    with pytest.raises(PreconditionError, match=r"^power budget kappa = 1e\+307: the water level"):
+        cap.ftfi_capacity(m)
+
+
+@pytest.mark.parametrize("s", [1e-300, 1e-308, 1e-320])
+def test_tiny_fixed_multiplier_answers_or_names_s(s):
+    # each of the 4 steps spends about 1/(2s): at 1e-308 the total overflows, and
+    # at 1e-320 the level itself; the stationary output covariance overflows first
+    m = di.scalar_model(0.5, 1.0, 1.0, 1.0, 0.0, 1.0, horizon=3)
+    if s == 1e-300:
+        assert math.isfinite(cap.finite_horizon_dp(m, s).value_nats)
+        return
+    with pytest.raises(PreconditionError, match=rf"^multiplier s = {s:.12g}: the water-fill"):
+        cap.finite_horizon_dp(m, s)
+    with pytest.raises(PreconditionError, match=rf"^multiplier s = {s:.12g}: the "):
+        cap.stationary_solve(dataclasses.replace(m, horizon=0), s)

@@ -623,3 +623,23 @@ def test_malformed_kappa_or_horizon_is_rejected_under_an_override(tmp_path, caps
     mp = write_model(tmp_path, **change)
     assert cli.main(["capacity", "--model", mp] + flag) == 2
     assert f"model key '{next(iter(change))}' must be" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, error", [
+    ("capacity --model docs/models/scalar_unstable.json --kappa 1e300",
+     "multiplier s = 5e-301: the output covariance overflows"),
+    ("ftfi --model docs/models/scalar_unstable.json --kappa 1e307 --horizon 30",
+     "power budget kappa = 1e+307: the water level that spends it is not finite"),
+    ("capacity --model docs/models/mimo_stable.json --s 1e-320",
+     "multiplier s = 9.99988867183e-321: the water-fill at level 1/(2s) is not finite"),
+    ("ftfi --model docs/models/scalar_stable.json --s 1e-320 --horizon 3",
+     "multiplier s = 9.99988867183e-321: the water-fill at level 1/(2s) is not finite"),
+], ids=["capacity-kappa", "ftfi-kappa", "capacity-s", "ftfi-s"])
+def test_extreme_budget_or_multiplier_is_one_named_error_line(argv, error):
+    # no numpy warning comes first on stderr, and the error names kappa or s
+    proc = subprocess.run([sys.executable, "-m", "dirinfo.cli", *argv.split()],
+                          cwd=pathlib.Path(__file__).resolve().parent.parent,
+                          capture_output=True, text=True)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith(f"error: {error}") and proc.stderr.count("\n") == 1
+    assert json.loads(proc.stdout)["error_type"] == "PreconditionError"

@@ -19,7 +19,7 @@ from scipy.linalg import solve_discrete_are
 
 import dirinfo as di
 from dirinfo import riccati
-from dirinfo.errors import DirinfoError, PreconditionError
+from dirinfo.errors import ConvergenceError, DirinfoError, PreconditionError
 import oracles
 
 
@@ -169,3 +169,17 @@ def test_solve_are_takes_one_spectrum_of_c(monkeypatch, Q):
     beta = riccati._BETA
     assert sum(A.shape == C.shape and (np.array_equal(A, C) or np.array_equal(A, beta * C))
                for A in spectra) == 1
+
+
+@pytest.mark.xfail(strict=True, raises=ConvergenceError,
+                   reason="the direct residual's rounding, about eps |C|^2, exceeds TOL_ARE, "
+                          "so the Newton fallback runs to its step cap")
+def test_q0_channel_with_a_large_c_answers_the_closed_form():
+    # the direct P is C^2 - 1 to the last bit at C = 1e5, but |Ric(P) - P| / (1 + |P|)
+    # cannot fall below its own rounding; Newton from its gain then never settles
+    big = np.array([[1e5]])
+    assert riccati._q0_solution(big, np.eye(1), np.eye(1), big[0])[0, 0] == 1e10 - 1.0
+    ref = di.capacity.scalar_feedback_capacity(1e4, 1.0, 1.0, 2e8)[0]
+    assert ref == pytest.approx(0.34657, abs=1e-5)
+    m = di.scalar_model(1e4, 1.0, 1.0, 1.0, 0.0, 2e8)
+    assert di.feedback_capacity(m)[1] == pytest.approx(ref, rel=1e-9)

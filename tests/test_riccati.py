@@ -1,9 +1,11 @@
+import re
+
 import numpy as np
 import pytest
 
 import dirinfo as di
 from dirinfo import riccati
-from dirinfo.errors import PreconditionError
+from dirinfo.errors import ModelValidationError, PreconditionError
 import oracles
 from conftest import random_spd, random_stable
 
@@ -66,6 +68,34 @@ def test_riccati_entry_points_reject_non_finite_or_nonpositive_s(s):
         di.solve_are([[2.0]], [[1.0]], [[0.0]], [[1.0]], s)
     with pytest.raises(PreconditionError, match="positive and finite"):
         riccati.riccati_backward_step([[1.0]], [[2.0]], [[1.0]], [[0.0]], [[1.0]], s)
+
+
+_UNSTABLE_2X1 = dict(C=[[1.2, 0.3], [0.0, 0.6]], D=[[1.0], [0.5]], Q=np.diag([0.3, 0.2]),
+                    R=[[1.0]])
+
+
+@pytest.mark.parametrize("change, error", [
+    ({"D": np.ones((3, 1))}, "dimension mismatch: D[0] is (3, 1), expected (2, 1)"),
+    ({"Q": np.eye(3)}, "dimension mismatch: Q[0] is (3, 3), expected (2, 2)"),
+    ({"R": np.eye(2)}, "dimension mismatch: R[0] is (2, 2), expected (1, 1)"),
+    ({"Q": [[0.3, 0.1], [0.0, 0.2]]}, "Q[0] not symmetric"),
+    ({"Q": np.diag([0.3, -0.2])}, "Q[0] not positive semidefinite (min eig -2.000e-01)"),
+    ({"D": np.eye(2), "R": [[1.0, 0.5], [0.0, 1.0]]}, "R[0] not symmetric"),
+    ({"D": np.eye(2), "R": np.diag([1.0, 1e-13])}, "R[0] not positive definite"),
+], ids=["D-shape", "Q-shape", "R-shape", "Q-asymmetric", "Q-indefinite", "R-asymmetric",
+        "R-nearly-singular"])
+def test_solve_are_judges_its_matrices_by_the_model_rule(change, error):
+    # the rule `validate_model` applies to a model's rows, with its texts: a wrong
+    # shape was a bare numpy error, an asymmetric Q was answered, and an indefinite Q
+    # or an asymmetric R ended in a Newton failure
+    args = {**_UNSTABLE_2X1, **change}
+    with pytest.raises(ModelValidationError) as info:
+        di.solve_are(args["C"], args["D"], args["Q"], args["R"], 1.0)
+    assert info.value.errors == [error]
+    if "R" in change and "shape" not in error:
+        with pytest.raises(ModelValidationError, match=re.escape(error)):
+            di.validate_model(di.channel_model(args["C"], args["D"], np.eye(2), args["R"],
+                                               args["Q"], 1.0, 0))
 
 
 def test_solve_are_reports_stabilizability_failure():
