@@ -16,10 +16,11 @@ Bode meets Shannon", 2004).  One complex Schur form of C with its eigenvalues in
 ascending modulus gives both: its leading columns span the stable subspace, the
 rest are V, and T is its trailing triangular block, in which the Stein equation
 is solved by substitution (Bartels & Stewart 1972).  Y's conditioning decides
-stabilizability.  With Q != 0, Newton's method (Kleinman 1968, Hewer 1971)
-runs from the direct Q = 0 gain of a scaled pair, which stabilizes C; the
-stabilizing solution exists unless (Q^{1/2}, C) has an unobservable unit-circle
-mode.  `solve_are` takes C's spectrum once, and it picks the route.
+stabilizability.  With Q != 0, Newton's method (Kleinman 1968, Hewer 1971) runs
+from the direct Q = 0 gain of a scaled pair, which stabilizes C; the stabilizing
+solution exists unless (Q^{1/2}, C) has an unobservable unit-circle mode.
+`solve_are` takes C's spectrum once and picks the route; one certificate ends
+both: the ARE residual, or else the cost of the answer's own gain.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from .linalg import sym
 from .model import _MISMATCH, _PD, _PSD, _check_rows
 
 TOL_ARE = 1e-11
-TOL_FORWARD = 1e-7      # Q = 0: solves from C and from C moved by an ulp differ by more: declined
+TOL_FORWARD = 1e-7      # P and its check (ulp-moved C, or its gain's cost) differ by more: declined
 TOL_GRAMIAN = 1e-13     # Y's smallest / largest eigenvalue at or below it: unstabilizable
 _MAX_ITER = 100         # Newton steps
 _BETA = 1.1             # the Q != 0 start scales (C, D) by at most this
@@ -55,8 +56,8 @@ class AreSolution:
     gain: np.ndarray
     closed_loop: np.ndarray
     stabilizing: bool
-    residual: float
-    iterations: int     # Newton steps: 0 for a direct Q = 0 answer
+    residual: float     # above TOL_ARE only where the cost of the answer's gain certified it
+    iterations: int     # Newton steps: 0 for Q = 0, which never iterates
 
 
 def check_multiplier(s) -> None:
@@ -67,13 +68,9 @@ def check_multiplier(s) -> None:
 
 def riccati_backward_step(Pnext, C, D, Q, R, s: float):
     """One backward step; returns (P, blocks) with blocks exposed for the gain."""
-    Pnext = sym(np.atleast_2d(np.asarray(Pnext, dtype=float)))
-    C = np.atleast_2d(np.asarray(C, dtype=float))
-    D = np.atleast_2d(np.asarray(D, dtype=float))
-    Q = np.atleast_2d(np.asarray(Q, dtype=float))
-    R = np.atleast_2d(np.asarray(R, dtype=float))
+    Pnext, C, D, Q, R = (np.atleast_2d(np.asarray(a, dtype=float)) for a in (Pnext, C, D, Q, R))
     check_multiplier(s)
-    return _backward_step(Pnext, C, D, s * Q, s * R)
+    return _backward_step(sym(Pnext), C, D, s * Q, s * R)
 
 
 def _backward_step(Pnext, C, D, Q, R):
@@ -176,32 +173,36 @@ def _check_close(P, P2, text: str) -> None:
                                 + text.format(differ=differ / size, tol=TOL_FORWARD))
 
 
+def _certify(P, closed, W, resid) -> None:
+    """Certify P, whose ARE residual is `resid`: the cost of its gain, sum_k (closed^T)^k W
+    closed^k = U Y U^H with closed^T = U S U^H and S Y S^H - Y = -U^H W U (infinite for
+    an unstable loop), must be within TOL_FORWARD |P| of P."""
+    U, S = _schur(closed.T)
+    stable = np.abs(np.diag(S)).max(initial=0.0) < 1.0 - stability.TOL_SPEC
+    cost = sym((U @ _stein(S, -(U.conj().T @ W @ U)) @ U.conj().T).real) if stable else P + np.inf
+    _check_close(P, cost, f"the ARE residual is {resid:.3e}, and the cost of P's own gain differs "
+                 "from P by {differ:.3e} of |P|, more than {tol:g}")
+
+
 def solve_are(C, D, Q, R, s: float) -> AreSolution:
     """Stabilizing fixed point; requires R > 0 and (C, D) stabilizable.
 
-    C, D, Q and R are judged by the model's row rule (shape, finiteness, symmetry,
-    Q PSD, R PD), and a violation is a ModelValidationError naming it.
-    s is applied once, as sQ and sR, and one spectrum of C serves either route.
-    Q = 0: the direct solution (`_q0_solution`), which a solve from C moved by about an
-    ulp per entry (a fixed +-eps checkerboard) must match within TOL_FORWARD |P|; one
-    backward step from it gives the residual and the gain.  If the residual exceeds
-    TOL_ARE, Newton's method continues from that gain, and must land within TOL_FORWARD.
-    Q != 0: Newton's method from the direct Q = 0 gain of (beta C, beta D),
-    beta = min(_BETA, 2 / (1 + rho_s)), rho_s the largest modulus among C's stable
-    eigenvalues (beta = 1 if rho_s is within 4 TOL_SPEC of 1).  That gain's closed loop
-    has spectral radius below 1 / beta, and no stable mode of C needs to be
-    controllable.  Newton's P_k is the cost of the current gain, a Smith-doubling
-    Lyapunov solve that the ARE residual gates instead of TOL_LYAP.  It stops when the
-    residual (the move of one backward step) is within TOL_ARE and |P_k - P_{k-1}| is
-    below TOL_ARE |P_k| or stops shrinking.  Returns P with that step's gain and
-    residual; `iterations` counts Newton steps only, 0 for a direct Q = 0 answer.  An
-    eigenvalue of C on the unit circle (Q = 0), an unstabilizable mode, an
-    ill-conditioned equation or a closed loop on the unit circle raises PreconditionError.
+    C, D, Q and R are judged by the model's row rule (shape, finiteness, symmetry, Q PSD,
+    R PD): a violation is a ModelValidationError naming it.  s is applied once, as sQ
+    and sR, and one spectrum of C serves either route.  Q = 0: the direct solution
+    (`_q0_solution`), which a solve from C moved by about an ulp per entry (a +-eps
+    checkerboard) must match within TOL_FORWARD |P|.  Q != 0: `_newton` from the direct
+    Q = 0 gain of (beta C, beta D), beta = min(_BETA, 2 / (1 + rho_s)), rho_s the largest
+    stable modulus of C (beta = 1 if rho_s is within 4 TOL_SPEC of 1): its closed loop
+    has spectral radius below 1 / beta, and no stable mode of C needs to be controllable.
+    One certificate ends both routes: the answer P, with the gain and residual of one
+    backward step from it, stands if that residual is within TOL_ARE, else (its rounding
+    grows as eps |C|^2) if the cost of its own gain is within TOL_FORWARD |P|
+    (`_certify`).  `iterations` counts Newton steps.  A unit-circle eigenvalue of C with
+    Q = 0, an unstabilizable mode, an ill-conditioned equation, an unstable closed loop
+    or a declined answer is a PreconditionError; Newton's step cap, a ConvergenceError.
     """
-    C = np.atleast_2d(np.asarray(C, dtype=float))
-    D = np.atleast_2d(np.asarray(D, dtype=float))
-    Q = np.atleast_2d(np.asarray(Q, dtype=float))
-    R = np.atleast_2d(np.asarray(R, dtype=float))
+    C, D, Q, R = (np.atleast_2d(np.asarray(a, dtype=float)) for a in (C, D, Q, R))
     check_multiplier(s)
     p, q = len(C), D.shape[1]
     errors = _check_rows([("C", (C,), (p, p), None, _MISMATCH),
@@ -221,33 +222,32 @@ def solve_are(C, D, Q, R, s: float) -> AreSolution:
                 P = _q0_solution(beta * C, beta * D, R, beta * modulus)
             except PreconditionError as exc:
                 raise PreconditionError(f"Newton start, Q = 0 at beta = {beta:.6g}: {exc}") from exc
-            return _newton(C, D, Q, R, optimal_gain(_backward_step(P, beta * C, beta * D, Q, R)[1]))
-        P = _q0_solution(C, D, R, modulus)
-        moved = C * (1.0 + (-1.0) ** np.indices(C.shape).sum(axis=0) * _EPS)
-        _check_close(P, _q0_solution(moved, D, R, modulus), "solves from C and from C "
-                     "moved by one ulp differ by {differ:.3e} of |P|, more than {tol:g}")
-        Pn, blocks = _backward_step(P, C, D, Q, R)
-        resid = float(np.linalg.norm(Pn - P) / (1.0 + np.linalg.norm(P)))
-        if resid <= TOL_ARE:
-            return _solution(C, D, P, optimal_gain(blocks), resid, 0)
-        sol = _newton(C, D, Q, R, optimal_gain(blocks))
+            P, gain, resid, iterations = _newton(
+                C, D, Q, R, optimal_gain(_backward_step(P, beta * C, beta * D, Q, R)[1]))
+        else:
+            P, iterations = _q0_solution(C, D, R, modulus), 0
+            moved = C * (1.0 + (-1.0) ** np.indices(C.shape).sum(axis=0) * _EPS)
+            _check_close(P, _q0_solution(moved, D, R, modulus), "solves from C and from C "
+                         "moved by one ulp differ by {differ:.3e} of |P|, more than {tol:g}")
+            gain, resid = _step(P, _backward_step(P, C, D, Q, R))
+        closed = C + D @ gain
+        if not resid <= TOL_ARE:
+            _certify(P, closed, Q + gain.T @ R @ gain, resid)
     except np.linalg.LinAlgError as exc:
         raise PreconditionError(f"Riccati solve: {exc}") from exc
-    _check_close(P, sol.P, f"Newton's method from the direct solution (ARE residual {resid:.3e}) "
-                 "moved P by more than {tol:g} of |P|")
-    return sol
+    return AreSolution(P=P, gain=gain, closed_loop=closed, residual=resid, iterations=iterations,
+                       stabilizing=stability.spectral_radius(closed).stable)
 
 
-def _solution(C, D, P, gain, resid, iterations) -> AreSolution:
-    closed = C + D @ gain
-    return AreSolution(P=P, gain=gain, closed_loop=closed,
-                       stabilizing=stability.spectral_radius(closed).stable,
-                       residual=resid, iterations=iterations)
+def _step(P, step):
+    """(gain, ARE residual |Ric(P) - P| / (1 + |P|)) of `step` = (Ric(P), blocks) from P."""
+    return optimal_gain(step[1]), float(np.linalg.norm(step[0] - P) / (1.0 + np.linalg.norm(P)))
 
 
-def _newton(C, D, Q, R, gain) -> AreSolution:
-    """Newton's method (Kleinman 1968, Hewer 1971) from a stabilizing gain (see `solve_are`)."""
-    P, move, resid = np.full_like(C, np.nan), np.nan, np.inf   # no step yet: nan fails both tests
+def _newton(C, D, Q, R, gain):
+    """Newton's method (Kleinman 1968, Hewer 1971) from a stabilizing gain, P_k the cost of
+    the current gain (Smith doubling): (P_k, `_step` of P_k, k) at its last iterate."""
+    P, move, resid = np.full_like(C, np.nan), np.nan, np.inf   # no step yet: nan fails every test
     for k in range(1, _MAX_ITER + 1):
         P_prev, move_prev = P, move
         try:
@@ -255,10 +255,10 @@ def _newton(C, D, Q, R, gain) -> AreSolution:
         except PreconditionError as exc:
             raise PreconditionError(
                 f"Newton step {k}: {exc}; last ARE residual {resid:.3e}") from exc
-        Pn, blocks = riccati_backward_step(P, C, D, Q, R, 1.0)
-        resid = float(np.linalg.norm(Pn - P) / (1.0 + np.linalg.norm(P)))
-        gain = optimal_gain(blocks)
-        move = float(np.linalg.norm(P - P_prev))
-        if resid <= TOL_ARE and (move <= TOL_ARE * np.linalg.norm(P) or move >= move_prev):
-            return _solution(C, D, P, gain, resid, k)
+        gain, resid = _step(P, riccati_backward_step(P, C, D, Q, R, 1.0))
+        move, size = float(np.linalg.norm(P - P_prev)), np.linalg.norm(P)
+        stalled = move >= move_prev     # the move has stopped shrinking: at its rounding floor
+        if stalled and move <= TOL_FORWARD * size or resid <= TOL_ARE and (
+                stalled or move <= TOL_ARE * size):
+            return P, gain, resid, k
     raise ConvergenceError(f"{_MAX_ITER} Newton steps did not converge (last residual {resid:.3e})")
