@@ -4,9 +4,10 @@ Each one is an independent, unbatched statement of a quantity that the
 library computes another way: the water-fill objective and its scalar
 closed form, the normal quantile on whole arrays with np.polyval, the
 per-step directed-information density, the uniqueness certificate of a
-Riccati solution, the stabilizing Q = 0 Riccati solution in 50-digit
-arithmetic, the embedding of a first-order gain into memory-augmented
-coordinates, and model validation one row at a time.
+Riccati solution, the stabilizing Riccati solution in 50-digit arithmetic
+(closed form for Q = 0, Kleinman's iteration for Q != 0) with the seeded
+random channels it is checked on, the embedding of a first-order gain into
+memory-augmented coordinates, and model validation one row at a time.
 """
 
 from __future__ import annotations
@@ -175,6 +176,67 @@ def stabilizing_are_q0(C, D, R, s: float = 1.0, digits: int = 50) -> np.ndarray:
         P = L.H * Y ** -1 * L
         return np.array([[float(mpmath.re(P[i, j])) for j in range(C.shape[0])]
                          for i in range(C.shape[0])])
+
+
+def stabilizing_are_kleinman(C, D, Q, R, s: float = 1.0, digits: int = 50) -> np.ndarray:
+    """The stabilizing solution of the equation with Q in `digits`-digit arithmetic, by
+    Kleinman's iteration (1968): from the gain of `stabilizing_are_q0`, which stabilizes
+    C, each step solves the closed loop's Lyapunov equation P = A^T P A + sQ + G^T sR G
+    in its Kronecker form (p^2 unknowns; meant for p <= 5) and takes the next gain
+    G = -(D^T P D + sR)^{-1} D^T P C, until P moves by less than 10^(-digits/2) |P|;
+    the quadratic convergence puts it about that move squared from the answer.  C has
+    no eigenvalue on the unit circle."""
+    C, D, Q, R = (np.atleast_2d(np.asarray(a, dtype=float)) for a in (C, D, Q, R))
+    p = C.shape[0]
+    with mpmath.workdps(digits):
+        Cm, Dm = mpmath.matrix(C.tolist()), mpmath.matrix(D.tolist())
+        Qm, Rm = s * mpmath.matrix(Q.tolist()), s * mpmath.matrix(R.tolist())
+
+        def gain(P):
+            return -(Dm.T * P * Dm + Rm) ** -1 * Dm.T * P * Cm
+
+        P = mpmath.matrix(stabilizing_are_q0(C, D, R, s, digits).tolist())
+        G = gain(P)
+        for _ in range(100):
+            A = Cm + Dm * G
+            W = Qm + G.T * Rm * G
+            # vec(P) - (A^T kron A^T) vec(P) = vec(W), vec by rows
+            K = mpmath.matrix(p * p, p * p)
+            for i in range(p):
+                for j in range(p):
+                    for k in range(p):
+                        for m in range(p):
+                            K[i * p + j, k * p + m] = (i == k and j == m) - A[k, i] * A[m, j]
+            x = mpmath.lu_solve(K, mpmath.matrix([W[i, j] for i in range(p) for j in range(p)]))
+            P_next = mpmath.matrix(p, p)
+            for i in range(p):
+                for j in range(p):
+                    P_next[i, j] = (x[i * p + j] + x[j * p + i]) / 2
+            moved = mpmath.mnorm(P_next - P, "f")
+            P, G = P_next, gain(P_next)
+            if moved <= mpmath.mpf(10) ** (-digits / 2) * mpmath.mnorm(P, "f"):
+                return np.array([[float(P[i, j]) for j in range(p)] for i in range(p)])
+    raise RuntimeError("Kleinman's iteration did not settle in 100 steps")
+
+
+SWEEP_SCALES = (10, 100, 1e3, 1e4, 1e6)
+
+
+def are_sweep(scales=SWEEP_SCALES):
+    """(index, scale, C, D) for 200 random channels at each |C| scale of `scales`, in the
+    order of SWEEP_SCALES, from one `default_rng(1)` stream: p in 1..5, q in 1..p,
+    C ~ N(0, 1) scale / sqrt(p), D ~ N(0, 1) 10^U(-3, 3); R = I.  Models at a scale not
+    in `scales` are drawn and skipped, so an index names the same model in every subset.
+    CHANGES.md counts the answers of the whole sweep with Q = 0, I and e_1 e_1^T."""
+    rng = np.random.default_rng(1)
+    for position, scale in enumerate(SWEEP_SCALES):
+        for k in range(200):
+            p = int(rng.integers(1, 6))
+            q = int(rng.integers(1, p + 1))
+            C = rng.normal(size=(p, p)) * scale / np.sqrt(p)
+            D = rng.normal(size=(p, q)) * 10 ** rng.uniform(-3, 3)
+            if scale in scales:
+                yield position * 200 + k, scale, C, D
 
 
 # ---------------------------------------------------------------------------
