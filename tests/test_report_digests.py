@@ -1,9 +1,10 @@
 """Report bytes, pinned: the sha256 of `dirinfo` stdout for eleven commands on
 each of the four `docs/models`, for `simulate` at the sizes the benchmark
-runs, where the scan carries state over many chunks, and for five commands on
-`tests/data/unstable_q_2x1`, whose Q != 0 runs Newton's method.  A deliberate
-change of any report edits this table, and the edit is recorded with the
-change."""
+runs, where the scan carries state over many chunks, for five commands on
+`tests/data/unstable_q_2x1`, whose Q != 0 runs Newton's method, and for four
+on `tests/data/mimo_p8`, an unstable p = 8 model with Q != 0 whose reports
+hold 8 x 8 matrices.  A deliberate change of any report edits this table, and
+the edit is recorded with the change."""
 
 import hashlib
 import pathlib
@@ -13,7 +14,8 @@ import pytest
 from dirinfo import cli
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
-DIRS = {"unstable_q_2x1": "tests/data"}     # model stem -> its directory, else docs/models
+# model stem -> its directory, else docs/models
+DIRS = {"unstable_q_2x1": "tests/data", "mimo_p8": "tests/data"}
 
 # (command line without --model, model file stem, exit code, sha256 of stdout)
 DIGESTS = [
@@ -121,6 +123,14 @@ DIGESTS = [
      "acd905a748aeca473a7bb80ba938085ffdd2ff9b4b49180a1ff88c2e0377884b"),
     ("simulate --steps 1200 --seeds 2", "unstable_q_2x1", 0,
      "c9507af749ef78b549b811d52da45971cdea85b2197eb4736a9b0fd3f3875038"),
+    ("check", "mimo_p8", 0,
+     "9b1fcc9d0bdb5e3604745f009e8a9f39f81131a76b3f210cce9cda53d54fa56c"),
+    ("capacity", "mimo_p8", 0,
+     "f9a76af6ae469a03843bdc10f4f7daf6d12f8448f55c7098b5ec9faac98482da"),
+    ("capacity --s 0.5", "mimo_p8", 0,
+     "1edf8881c60253cd9c96f25cc0ba5c4010edf8d98da59079ed8f963840d957c5"),
+    ("ftfi --horizon 40", "mimo_p8", 0,
+     "3951221866a870f24b80a931c5034304712ff97d4dbbab9e41affcf8bdeacf47"),
 ]
 
 
