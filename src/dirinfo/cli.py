@@ -292,8 +292,10 @@ def load_model(path: str, kappa_override=None, horizon_override=None) -> Channel
 
 
 def _canon(value, exact: bool = False) -> str:
-    """Sorted keys, %.12g floats; `exact` writes a float that %.12g would round
-    with all the digits that read it back equal."""
+    """Sorted keys, %.12g floats, "inf"/"nan" strings for non-finite floats;
+    `exact` writes a float that %.12g would round with all the digits that read
+    it back equal.  A non-empty, all-finite float64 array is written by one
+    %-format built from its shape; any other array goes through `tolist`."""
     if value is None or value is True or value is False:   # bools before ints
         return json.dumps(value)
     if isinstance(value, (int, np.integer)):
@@ -306,6 +308,12 @@ def _canon(value, exact: bool = False) -> str:
     if isinstance(value, str):
         return json.dumps(value)
     if isinstance(value, np.ndarray):
+        if (not exact and value.dtype == np.float64 and value.size
+                and np.isfinite(value).all()):
+            fmt = "%.12g"
+            for n in reversed(value.shape):     # innermost axis first
+                fmt = "[" + ", ".join([fmt] * n) + "]"
+            return fmt % tuple(value.ravel().tolist())
         return _canon(value.tolist(), exact)
     if isinstance(value, (list, tuple)):
         return "[" + ", ".join(map(_canon, value, repeat(exact))) + "]"
