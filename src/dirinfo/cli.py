@@ -54,7 +54,9 @@ a given flag wins.
 from __future__ import annotations
 
 import argparse
+import csv
 import dataclasses
+import io
 import json
 import math
 import sys
@@ -325,7 +327,8 @@ def _canon(value, exact: bool = False) -> str:
 
 def emit_report(report: dict, fmt: str = "json") -> bytes:
     """Canonical serialization: sorted keys, %.12g floats; CSV for sweep and
-    simulate reports (`_parse` allows csv for those commands only)."""
+    simulate reports (`_parse` allows csv for those commands only), with a
+    cell that holds a comma, a quote or a newline quoted."""
     if fmt == "json":
         return (_canon(report) + "\n").encode()
     if fmt == "csv":
@@ -333,17 +336,13 @@ def emit_report(report: dict, fmt: str = "json") -> bytes:
             return report["trace_csv"].encode()
         rows = report["rows"]
         cols = sorted({k for row in rows for k in row})
-        lines = [",".join(cols)]
+        out = io.StringIO()
+        writer = csv.writer(out, quoting=csv.QUOTE_MINIMAL, lineterminator="\n")
+        writer.writerow(cols)
         for row in rows:
-            cells = []
-            for c in cols:
-                v = row.get(c, "")
-                if isinstance(v, float):
-                    cells.append(f"{v:.12g}")
-                else:
-                    cells.append(str(v))
-            lines.append(",".join(cells))
-        return ("\n".join(lines) + "\n").encode()
+            cells = (row.get(c, "") for c in cols)
+            writer.writerow([f"{v:.12g}" if isinstance(v, float) else str(v) for v in cells])
+        return out.getvalue().encode()
     raise UsageError(f"unknown format {fmt!r}")
 
 

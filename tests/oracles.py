@@ -7,11 +7,13 @@ per-step directed-information density, the uniqueness certificate of a
 Riccati solution, the stabilizing Riccati solution in 50-digit arithmetic
 (closed form for Q = 0, Kleinman's iteration for Q != 0) with the seeded
 random channels it is checked on, the embedding of a first-order gain into
-memory-augmented coordinates, and model validation one row at a time.
+memory-augmented coordinates, model validation one row at a time, and the
+canonical report serialization one element at a time.
 """
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass
 
@@ -296,3 +298,32 @@ def check_rows(rows) -> list:
                     found[idx[j]] = fail_text.format(name=name, i=idx[j], lo=lo[j])
         errors.extend(found[i] for i in sorted(found))
     return errors
+
+
+# ---------------------------------------------------------------------------
+# report serialization
+
+
+def canon(value, exact: bool = False) -> str:
+    """`cli._canon` one element at a time: sorted keys, %.12g floats,
+    "inf"/"nan" strings, and with `exact` the digits that read a float back
+    equal where %.12g would round it; an array is written by its `tolist`."""
+    if value is None or value is True or value is False:   # bools before ints
+        return json.dumps(value)
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    if isinstance(value, (float, np.floating)):
+        if not math.isfinite(value):
+            return json.dumps(str(value))
+        text = f"{float(value):.12g}"
+        return repr(float(value)) if exact and float(text) != value else text
+    if isinstance(value, str):
+        return json.dumps(value)
+    if isinstance(value, np.ndarray):
+        return canon(value.tolist(), exact)
+    if isinstance(value, (list, tuple)):
+        return "[" + ", ".join(canon(v, exact) for v in value) + "]"
+    if isinstance(value, dict):
+        return "{" + ", ".join(f"{json.dumps(str(k))}: {canon(value[k], exact)}"
+                               for k in sorted(value)) + "}"
+    raise TypeError(f"cannot serialize {type(value)!r}")

@@ -1,6 +1,9 @@
-"""Every CLI call the benchmark makes must parse, and its --dump-config output,
-read back with --config, must give the same configuration; a break here
-would otherwise show only as failed benchmark ops."""
+"""Every CLI call the benchmark makes must parse, its --dump-config output,
+read back with --config, must give the same configuration, and its report
+must serialize to the bytes of the element-by-element reference; a break
+here would otherwise show only as failed benchmark ops, or as report bytes
+that drift between revisions unseen (the benchmark compares digests only
+within one source tree)."""
 
 import importlib.util
 import pathlib
@@ -9,6 +12,7 @@ import sys
 import pytest
 
 from dirinfo import cli
+import oracles
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
@@ -38,3 +42,13 @@ def test_benchmark_ops_parse_and_round_trip_through_dump_config(workload, tmp_pa
         assert cli.main(op.argv + ["--dump-config"]) == 0, op.op_id
         dumped.write_text(capsys.readouterr().out)
         assert cli.parse_config([config.command, "--config", str(dumped)]) == config, op.op_id
+
+
+@pytest.mark.parametrize("workload", list(WORKLOADS.WORKLOADS))
+def test_benchmark_op_reports_serialize_as_the_reference_does(workload, tmp_path, monkeypatch):
+    monkeypatch.chdir(ROOT)
+    warm, ops = WORKLOADS.build(workload, 1, str(ROOT), str(tmp_path), tiny=True)
+    for op in warm + ops:
+        code, report = cli.run(cli.parse_config(op.argv))
+        assert code == 0, op.op_id
+        assert cli.emit_report(report) == (oracles.canon(report) + "\n").encode(), op.op_id

@@ -1,5 +1,7 @@
 import argparse
+import csv
 import dataclasses
+import io
 import json
 import math
 import pathlib
@@ -221,6 +223,19 @@ def test_sweep_csv_rows(tmp_path):
     lines = text.strip().split("\n")
     assert len(lines) == 4
     assert "capacity_nats" in lines[0]
+
+
+def test_sweep_csv_quotes_an_error_cell_that_holds_a_comma(tmp_path):
+    # D = 0 fails the stabilizability test at C = 2, and its text names "(C, D)"
+    mp = write_model(tmp_path, D=0.0, kappa=3.0)
+    code, report = run(parse_config(["sweep", "--model", mp, "--param", "C",
+                                     "--grid", "2,0.5", "--format", "csv"]))
+    assert code == 0
+    rows = list(csv.reader(io.StringIO(emit_report(report, "csv").decode())))
+    assert [len(row) for row in rows] == [3, 3, 3]
+    assert rows[0] == ["error", "param", "value"]
+    assert rows[1] == [report["rows"][0]["error"], "C", "2"]
+    assert "," in rows[1][0]
 
 
 def test_sweep_over_channel_coefficient(tmp_path):
