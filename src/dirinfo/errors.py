@@ -25,7 +25,12 @@ class PreconditionError(DirinfoError, RuntimeError):
 
 
 class ConvergenceError(DirinfoError, RuntimeError):
-    """An iterative solver did not converge within its iteration budget."""
+    """An iterative solver did not converge within its iteration budget.
+
+    No solver raises it any more: Newton's step cap hands its last iterate to the
+    Riccati certificate, which answers or raises PreconditionError.  It stays in
+    the public API for callers that catch it.
+    """
 
 
 class UnboundedError(DirinfoError, RuntimeError):

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import stability
-from .errors import ConvergenceError, ModelValidationError, PreconditionError
+from .errors import ModelValidationError, PreconditionError
 from .linalg import sym
 from .model import _MISMATCH, _PD, _PSD, _check_rows
 
@@ -198,9 +198,9 @@ def solve_are(C, D, Q, R, s: float) -> AreSolution:
     One certificate ends both routes: the answer P, with the gain and residual of one
     backward step from it, stands if that residual is within TOL_ARE, else (its rounding
     grows as eps |C|^2) if the cost of its own gain is within TOL_FORWARD |P|
-    (`_certify`).  `iterations` counts Newton steps.  A unit-circle eigenvalue of C with
-    Q = 0, an unstabilizable mode, an ill-conditioned equation, an unstable closed loop
-    or a declined answer is a PreconditionError; Newton's step cap, a ConvergenceError.
+    (`_certify`), which judges Newton's iterate at its step cap whatever its residual.
+    `iterations` counts Newton steps.  A unit-circle eigenvalue of C with Q = 0, an unstabilizable
+    mode, an ill-conditioned equation, an unstable loop or a declined answer: PreconditionError.
     """
     C, D, Q, R = (np.atleast_2d(np.asarray(a, dtype=float)) for a in (C, D, Q, R))
     check_multiplier(s)
@@ -231,7 +231,7 @@ def solve_are(C, D, Q, R, s: float) -> AreSolution:
                          "moved by one ulp differ by {differ:.3e} of |P|, more than {tol:g}")
             gain, resid = _step(P, _backward_step(P, C, D, Q, R))
         closed = C + D @ gain
-        if not resid <= TOL_ARE:
+        if not resid <= TOL_ARE or iterations == _MAX_ITER:
             _certify(P, closed, Q + gain.T @ R @ gain, resid)
     except np.linalg.LinAlgError as exc:
         raise PreconditionError(f"Riccati solve: {exc}") from exc
@@ -246,7 +246,7 @@ def _step(P, step):
 
 def _newton(C, D, Q, R, gain):
     """Newton's method (Kleinman 1968, Hewer 1971) from a stabilizing gain, P_k the cost of
-    the current gain (Smith doubling): (P_k, `_step` of P_k, k) at its last iterate."""
+    the current gain (Smith doubling): (P_k, `_step` of P_k, k) at its stop or its step cap."""
     P, move, resid = np.full_like(C, np.nan), np.nan, np.inf   # no step yet: nan fails every test
     for k in range(1, _MAX_ITER + 1):
         P_prev, move_prev = P, move
@@ -261,4 +261,4 @@ def _newton(C, D, Q, R, gain):
         if stalled and move <= TOL_FORWARD * size or resid <= TOL_ARE and (
                 stalled or move <= TOL_ARE * size):
             return P, gain, resid, k
-    raise ConvergenceError(f"{_MAX_ITER} Newton steps did not converge (last residual {resid:.3e})")
+    return P, gain, resid, _MAX_ITER

@@ -110,6 +110,26 @@ def test_q_identity_sweep_models_match_the_kleinman_oracle(index):
     assert np.linalg.norm(sol.P - ref) <= 1e-6 * np.linalg.norm(ref)
 
 
+@pytest.mark.parametrize("output_cost, index", [("I", 279), ("I", 430), ("I", 938),
+                                                 ("e1", 232), ("e1", 793), ("e1", 797),
+                                                 ("e1", 938)])
+def test_newton_step_cap_ends_in_an_answer_or_a_precondition_error(output_cost, index):
+    # each of these used to end in "100 Newton steps did not converge": the move
+    # wanders on a deadbeat-like closed loop and never stalls within TOL_FORWARD |P|.
+    # The certificate now judges the last iterate; only Q = e1 e1^T model 793 passes
+    C, D = next((C, D) for k, _, C, D in oracles.are_sweep() if k == index)
+    p, q = D.shape
+    Q = np.eye(p) if output_cost == "I" else np.diag([1.0] + [0.0] * (p - 1))
+    try:
+        sol = di.solve_are(C, D, Q, np.eye(q), 1.0)
+    except PreconditionError:
+        assert (output_cost, index) != ("e1", 793)
+        return
+    assert sol.iterations == riccati._MAX_ITER
+    ref = oracles.stabilizing_are_kleinman(C, D, Q, np.eye(q))
+    assert np.linalg.norm(sol.P - ref) <= 1e-6 * np.linalg.norm(ref)
+
+
 def test_kleinman_oracle_matches_the_scalar_closed_form():
     ref = oracles.stabilizing_are_kleinman([[1e4]], [[1.0]], [[1.0]], [[1.0]])
     assert ref[0, 0] == pytest.approx(scalar_dare(1e4, 1.0, 1.0, 1.0), rel=1e-15)

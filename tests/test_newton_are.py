@@ -16,7 +16,7 @@ from scipy.linalg import solve_discrete_are, solve_discrete_lyapunov
 
 import dirinfo as di
 from dirinfo import capacity, cli, riccati, stability, waterfill
-from dirinfo.errors import ConvergenceError, DirinfoError, PreconditionError
+from dirinfo.errors import DirinfoError, PreconditionError
 from dirinfo.linalg import sym
 from conftest import random_spd, random_stable
 
@@ -66,11 +66,28 @@ def test_solve_are_start_does_not_depend_on_the_scale_of_r(C, R):
     assert sol.iterations <= 30
 
 
-def test_newton_cap_names_steps_and_residual(monkeypatch):
-    # Q = 0 takes no Newton step; with Q != 0 Newton runs from the zero gain of a stable C
+def test_newton_cap_hands_its_last_iterate_to_the_certificate(monkeypatch):
+    # Q = 0 takes no Newton step; with Q != 0 Newton runs from the zero gain of a stable C.
+    # Three steps leave the residual at 2.8e-4, and the cost of the gain declines it
     monkeypatch.setattr(riccati, "_MAX_ITER", 3)
-    with pytest.raises(ConvergenceError, match=r"^3 Newton steps did not converge \(last residual \d"):
+    with pytest.raises(PreconditionError, match=r"^ill-conditioned Riccati equation: the ARE "
+                       r"residual is 2\.8\d*e-04, and the cost of P's own gain differs"):
         di.solve_are([[0.9]], [[1.0]], [[1.0]], [[1.0]], 1.0)
+
+
+def test_newton_cap_iterate_is_certified_whatever_its_residual(monkeypatch):
+    # at five steps the residual is within TOL_ARE but the move has not stopped
+    # shrinking: the cap, not the stop rule, ends Newton, so the certificate judges
+    certify, calls = riccati._certify, []
+    monkeypatch.setattr(riccati, "_certify", lambda *a: calls.append(a[3]) or certify(*a))
+    sol = di.solve_are([[0.9]], [[1.0]], [[1.0]], [[1.0]], 1.0)
+    assert (sol.iterations, calls) == (6, [])      # the stop rule ends it: no certificate
+    monkeypatch.setattr(riccati, "_MAX_ITER", 5)
+    capped = di.solve_are([[0.9]], [[1.0]], [[1.0]], [[1.0]], 1.0)
+    assert capped.iterations == 5
+    assert capped.residual <= riccati.TOL_ARE
+    assert calls == [capped.residual]
+    assert capped.P[0, 0] == pytest.approx(sol.P[0, 0], rel=1e-14)
 
 
 def _stabilizable_model(seed, p, q, radius, output_cost):
