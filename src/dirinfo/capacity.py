@@ -328,15 +328,14 @@ def stationary_solve(model: ChannelModel, s: float) -> StationarySolution:
     return _view(model, _unit_solution(model), s)
 
 
-def cost_floor(model: ChannelModel, P, gain, s: float = 1.0) -> float:
-    """kappa_min from a stationary ARE solution (P, gain) at multiplier s.
+def cost_floor(model: ChannelModel, P, s: float = 1.0) -> float:
+    """kappa_min from a stationary ARE solution P at multiplier s.
 
-    P = s P_1 by homogeneity, so the floor is trace(P K_V) / s.  Zero when
-    the channel needs no feedback (gain 0) and carries no output cost.
+    P = s P_1 by homogeneity, so the floor is trace(P K_V) / s.  It is exactly
+    zero when the channel needs no feedback and carries no output cost: the
+    Q = 0 solve returns P = 0 for a stable C.
     """
-    C, _, KV, _, Q = _ti_matrices(model)
-    if _gain_is_zero(gain, C) and not Q.any():
-        return 0.0
+    KV = _ti_matrices(model)[2]
     return float(np.trace(P @ KV)) / s
 
 
@@ -347,7 +346,7 @@ def kappa_min(model: ChannelModel) -> float:
     Reproduces (C^2-1) K_V / D^2 on scalar models.
     """
     are = _unit_solution(model)[0]
-    return cost_floor(model, are.P, are.gain)
+    return cost_floor(model, are.P)
 
 
 def feedback_capacity(model: ChannelModel):
@@ -363,7 +362,7 @@ def feedback_capacity(model: ChannelModel):
     unit = _unit_solution(model)
     are, sigma, _ = unit
     kappa = model.kappa
-    floor = cost_floor(model, are.P, are.gain)
+    floor = cost_floor(model, are.P)
     if model.Q_seq[0].any() and kappa < floor - COST_TOL * (1.0 + kappa):
         raise InfeasibleError(
             f"power budget {kappa} below minimum stabilization cost {floor:.12g}",

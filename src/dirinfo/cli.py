@@ -466,7 +466,7 @@ def _stationary_result(config: RunConfig, m: ChannelModel, sol, cap_nats: float)
         "KB": sol.KB,
         "P": sol.P,
         "achieved_cost": sol.achieved_cost,
-        "kappa_min": capacity.cost_floor(m, sol.P, sol.gain, sol.s),
+        "kappa_min": capacity.cost_floor(m, sol.P, sol.s),
         "kappa_min_definition": "stabilization cost of the zero-innovations strategy",
         "residuals": {"are": sol.are_residual, "lyapunov": lyap_resid},
         "kv_regularized": m.kv_regularized,
@@ -581,7 +581,7 @@ def _run_sweep(config: RunConfig, m: ChannelModel) -> dict:
                 "capacity": _units_value(cap_nats, config.units),
                 "s_star": sol.s, "regime": sol.regime,
                 "achieved_cost": sol.achieved_cost,
-                "kappa_min": capacity.cost_floor(variant, sol.P, sol.gain, sol.s),
+                "kappa_min": capacity.cost_floor(variant, sol.P, sol.s),
             }
         except DirinfoError as exc:
             return {"param": config.param, "value": float(value), "error": str(exc)}

@@ -20,7 +20,10 @@ def sym_sqrt(a: np.ndarray) -> np.ndarray:
 
 
 def logdet_pd(a: np.ndarray) -> float:
-    sign, ld = np.linalg.slogdet(a)
-    if sign <= 0:
-        raise PreconditionError("matrix not positive definite in logdet")
-    return float(ld)
+    """log det a = 2 sum log diag L for the Cholesky factor L of a; PreconditionError when
+    there is none (a is not positive definite, whatever the sign of its determinant)."""
+    try:
+        L = np.linalg.cholesky(a)
+    except np.linalg.LinAlgError as exc:
+        raise PreconditionError("matrix not positive definite in logdet") from exc
+    return 2.0 * float(np.log(np.diagonal(L)).sum())

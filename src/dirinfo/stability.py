@@ -100,9 +100,9 @@ def solve_lyapunov(Acl, W) -> np.ndarray:
     """Unique solution of Sigma = Acl Sigma Acl^T + W for exponentially stable Acl.
 
     Smith doubling, O(p^3) per step: Sigma <- Sigma + A Sigma A^T, A <- A^2
-    from Sigma = W, A = Acl, until |A|^2 < eps; repeated on the residual while
-    it exceeds TOL_LYAP (squaring loses accuracy on non-normal Acl).  Raises
-    PreconditionError when Acl is not exponentially stable or it stays above.
+    from Sigma = W, A = Acl, until |A|^2 <= eps, which is also the stability test;
+    repeated on the residual while it exceeds TOL_LYAP (squaring loses accuracy on
+    non-normal Acl).  PreconditionError if A never vanishes or the residual stays above.
     """
     Sigma, resid = smith_doubling(Acl, W)
     if not resid <= TOL_LYAP:
@@ -113,24 +113,23 @@ def solve_lyapunov(Acl, W) -> np.ndarray:
 def smith_doubling(Acl, W):
     """(Sigma, |W - Sigma + Acl Sigma Acl^T| / (1 + |W|)): `solve_lyapunov` without its
     residual gate, for iterations that gate their own result (`riccati.solve_are`).
-    Raises PreconditionError when a power of Acl or Sigma overflows, as squaring a
-    strongly non-normal Acl can."""
+    Unless Acl's last power vanishes (|Acl^(2^k)|^2 <= eps; Smith 1968), PreconditionError
+    names Acl's spectral radius if it is 1 - TOL_SPEC or more, else the power that overflowed."""
     Acl = _square(Acl)
     W = np.atleast_2d(np.asarray(W, dtype=float))
     if W.shape != Acl.shape:
         raise DimensionError("W shape mismatch")
-    rep = spectral_radius(Acl)
-    if not rep.stable:
-        raise PreconditionError(
-            f"closed loop not exponentially stable (spectral radius {rep.spectral_radius:.6g})")
     Wsym = 0.5 * (W + W.T)
     powers, eps = [Acl], np.finfo(float).eps
-    with np.errstate(over="ignore", invalid="ignore"):   # overflow is raised below
+    with np.errstate(over="ignore", invalid="ignore"):   # overflow is judged below
         while len(powers) < _MAX_DOUBLINGS and np.linalg.norm(powers[-1]) ** 2 > eps:
             powers.append(powers[-1] @ powers[-1])
-        if not np.isfinite(powers[-1]).all():
+        if not np.linalg.norm(powers[-1]) ** 2 <= eps:   # inf and nan fail it too
+            rep = spectral_radius(Acl)
             raise PreconditionError(
-                f"Lyapunov solve: power {2 ** (len(powers) - 1)} of the closed loop is not finite")
+                f"Lyapunov solve: power {2 ** (len(powers) - 1)} of the closed loop is not finite"
+                if rep.stable else
+                f"closed loop not exponentially stable (spectral radius {rep.spectral_radius:.6g})")
         Sigma, E = np.zeros_like(Wsym), Wsym
         for _ in range(_MAX_PASSES):
             for A in powers:

@@ -19,6 +19,7 @@ from dirinfo import capacity, cli, riccati, stability, waterfill
 from dirinfo.errors import DirinfoError, PreconditionError
 from dirinfo.linalg import sym
 from conftest import random_spd, random_stable
+import oracles
 
 MARGINS = (1e-2, 1e-4, 1e-5, 1e-6, 1e-8)
 NEAR_MARGINAL = [sign * (1.0 + side * margin)
@@ -309,8 +310,16 @@ def test_cost_floor_at_any_multiplier_matches_kappa_min(C, Q):
     m = di.channel_model(C, 1.0, 1.3, 0.8, Q, 20.0, 0)
     for s in (0.05, 1.0, 3.0):
         sol = capacity.stationary_solve(m, s)
-        assert capacity.cost_floor(m, sol.P, sol.gain, sol.s) == pytest.approx(
+        assert capacity.cost_floor(m, sol.P, sol.s) == pytest.approx(
             capacity.kappa_min(m), rel=1e-12, abs=0.0)
+
+
+def test_kappa_min_of_an_unstable_channel_with_a_tiny_gain_is_the_closed_form():
+    # the gain, -2e-10, is below the regime's zero-gain threshold, yet C is unstable
+    C, D = 1.0 + 1e-6, 1e4
+    m = di.channel_model(C, D, 1.0, 1.0, 0.0, 5.0, 0)
+    assert capacity.kappa_min(m) == pytest.approx(capacity.scalar_kappa_min(C, D, 1.0),
+                                                  rel=1e-9, abs=0.0)
 
 
 def test_finite_horizon_strategy_is_frozen_and_valid():
@@ -331,3 +340,40 @@ def test_lyapunov_solve_raises_when_squaring_overflows(p, c, solve):
     A = 0.99 * np.eye(p) + c * np.eye(p, k=1)
     with pytest.raises(PreconditionError, match="not finite"):
         solve(A, np.eye(p))
+
+
+@pytest.mark.parametrize("solve", [stability.smith_doubling, stability.solve_lyapunov])
+def test_lyapunov_solve_of_a_stable_loop_takes_no_spectrum(solve, rng, monkeypatch):
+    # the doubling's own powers judge the loop; its spectrum is taken only on failure
+    A = random_stable(rng, 32, radius=0.99)
+    W = random_spd(rng, 32)
+    ref = solve_discrete_lyapunov(A, W)
+
+    def no_spectrum(_):
+        raise AssertionError("spectral_radius called on a stable loop")
+
+    monkeypatch.setattr(stability, "spectral_radius", no_spectrum)
+    ours = solve(A, W)
+    ours = ours[0] if solve is stability.smith_doubling else ours
+    np.testing.assert_allclose(ours, ref, rtol=0, atol=1e-10 * np.abs(ref).max())
+
+
+@pytest.mark.parametrize("A", [[[0.0, -1.0], [1.0, 0.0]], [[1.0 + 1e-12]]],
+                         ids=["rotation", "1+1e-12"])
+@pytest.mark.parametrize("solve", [stability.smith_doubling, stability.solve_lyapunov])
+def test_lyapunov_solve_names_a_loop_on_the_unit_circle(A, solve):
+    with pytest.raises(PreconditionError) as info:
+        solve(A, np.eye(len(A)))
+    assert str(info.value) == "closed loop not exponentially stable (spectral radius 1)"
+
+
+@pytest.mark.parametrize("C", [1.0 + 1e-10, 1.0 - 1e-10, -(1.0 + 5e-10)])
+def test_q_nonzero_channel_at_the_circle_answers_the_kleinman_oracle(C):
+    # Newton's closed loops lie within TOL_SPEC of the unit circle (about 1 - 1.4e-10):
+    # the doubling solves them, and the ARE residual judges the answer
+    sol = di.solve_are([[C]], [[1.0]], [[1e-20]], [[1.0]], 1.0)
+    ref = oracles.stabilizing_are_kleinman([[C]], [[1.0]], [[1e-20]], [[1.0]])
+    np.testing.assert_allclose(sol.P, ref, rtol=1e-6, atol=0.0)
+    kappa = 5.0
+    fb, _ = di.feedback_capacity(di.channel_model(C, 1.0, 1.0, 1.0, 1e-20, kappa, 0))
+    assert abs(fb.achieved_cost - kappa) <= capacity.COST_TOL * (1.0 + kappa)

@@ -8,8 +8,9 @@ import json
 import numpy as np
 import pytest
 
-from dirinfo import stability
+from dirinfo import solve_are, stability
 from dirinfo.cli import parse_config, run
+from dirinfo.errors import PreconditionError
 
 JORDAN = -1.386 * np.eye(3) + np.diag([1.0, 1.0], 1)
 
@@ -88,3 +89,17 @@ def test_capacity_of_an_unstabilizable_rounded_model_is_a_precondition_failure(t
     assert code == 1
     assert report["error_type"] == "PreconditionError"
     assert "stabilizability" in report["error"]
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="PBH at the computed eigenvalues misses the rotated Jordan pair's "
+                          "unreachable mode; the Riccati solve's Gramian names it")
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_rotated_jordan_block_with_an_unreachable_last_mode_is_not_stabilizable(k):
+    # Q J Q^T with J the k x k Jordan block at -1.386 and b = Q (1, ..., 1, 0)^T
+    Q, _ = np.linalg.qr(np.random.default_rng(0).normal(size=(k, k)))
+    A = Q @ (-1.386 * np.eye(k) + np.eye(k, k=1)) @ Q.T
+    b = Q @ np.r_[np.ones(k - 1), 0.0][:, None]
+    with pytest.raises(PreconditionError, match="stabilizability test failed"):
+        solve_are(A, b, np.zeros((k, k)), [[1.0]], 1.0)
+    assert not stability.is_stabilizable(A, b)
