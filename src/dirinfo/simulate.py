@@ -6,7 +6,8 @@ CDF and the symmetric square root of the covariance, so the uniform-variable
 realization of the innovations is literally the sampling path.  The inverse
 CDF is Wichura's AS241 (PPND16), evaluated elementwise in blocks of QBLOCK
 elements: the central rational on every element by in-place Horner steps,
-which repeat np.polyval's float operations, then the tails on their subset.
+which repeat np.polyval's float operations, then the tails on their subset,
+then the sign of u - 0.5 by one copysign (see `normal_quantile`).
 
 Draw order per trace (fixed, part of the determinism contract): the initial
 output (only if its covariance is nonzero), then all innovation uniforms as a
@@ -28,7 +29,8 @@ scan's buffers are time-major, (CHUNK, S*K, .) for K chunks per seed: slab j
 holds step j of every chunk of every seed, so each step reads and writes
 contiguous memory.  Each seed's noise is written straight into its rows, the
 scan stores the path over the noise it has used, and the paths are copied
-back to seed-major (S, K*CHUNK, .) once after the scan.
+back to seed-major (S, K*CHUNK, .) once after the scan.  Both copies move a
+row of d doubles as one np.void element: they move bytes, not values.
 
 Bit contract.  A trace of at most CHUNK steps is the per-step recursion on
 the (S, p) state of its batch.  In a longer trace the first two chunks run
@@ -88,10 +90,14 @@ def normal_quantile(u):
     """Inverse standard normal CDF (AS241), relative error about 1e-16.
 
     Accepts scalars or arrays strictly inside (0, 1); elementwise, so a value
-    maps to the same bits whatever array holds it.  Computed on min(u, 1 - u),
-    which is exact, and negated above 0.5: q(u) == -q(1 - u) whenever 1 - u is
-    exact.  The flat input is walked in blocks of QBLOCK elements, so every
-    temporary stays in cache.
+    maps to the same bits whatever array holds it.  Computed on w = min(u, 1 - u),
+    which is exact; the sign then comes from u - 0.5 by copysign.  That is
+    exact: the quantile of w is <= 0, as the central value (w - 0.5) A(r) / B(r)
+    has w <= 0.5 and positive coefficients and the tail value is -y with y > 0
+    (stored as y), and u - 0.5 is +0.0 only at u = 0.5, where the central value
+    is already +0.0.  So q(u) == -q(1 - u) whenever 1 - u is exact.  The flat
+    input is walked in blocks of QBLOCK elements, so every temporary stays in
+    cache.
     """
     u = np.asarray(u, dtype=float)
     if u.size and not (u.min() > 0.0 and u.max() < 1.0):
@@ -115,7 +121,8 @@ def _horner(coef, r):
 
 def _quantile_block(u, x):
     """AS241 of a 1-D block u into x: the central rational on every element,
-    then the tail on the elements below 0.075 (after the reflection)."""
+    then the tail on the elements below 0.075 (after the reflection), then
+    the sign of u - 0.5 (written into the spent w) by one copysign."""
     w = np.subtract(1.0, u)
     np.minimum(w, u, out=w)
     np.subtract(w, 0.5, out=x)
@@ -133,8 +140,9 @@ def _quantile_block(u, x):
         if far.size:
             t = r[far] - 5.0
             y[far] = _horner(_E, t) / _horner(_F, t)
-        x[tail] = np.negative(y, out=y)
-    np.negative(x, out=x, where=u > 0.5)
+        x[tail] = y
+    np.subtract(u, 0.5, out=w)
+    np.copysign(x, w, out=x)
 
 
 def innovation_from_uniform(u, KZ) -> np.ndarray:
@@ -290,17 +298,25 @@ def _draw_slabs(model: ChannelModel, strat: Strategy, steps: int, seed: int, Z, 
     b0, z, v = _draw_noise(model, strat, steps, seed)
     chunk = len(Z)
     whole, tail = divmod(steps, chunk)
-    for buf, x in ((Z, z), (V, v)):
-        buf[:, row:row + whole] = x[:steps - tail].reshape(whole, chunk, x.shape[1]).swapaxes(0, 1)
+    for rows, x in ((_rows(Z), _rows(z)), (_rows(V), _rows(v))):
+        rows[:, row:row + whole] = x[:steps - tail].reshape(whole, chunk).T
         if tail:
-            buf[:tail, row + whole] = x[steps - tail:]
+            rows[:tail, row + whole] = x[steps - tail:]
     return b0
 
 
+def _rows(X):
+    """X (..., d) as (...) of one np.void element per row of d doubles, so
+    that a copy moves whole rows instead of d doubles at a time."""
+    return X.view(np.dtype((np.void, X.shape[-1] * X.itemsize)))[..., 0]
+
+
 def _seed_major(X, S: int):
-    """A time-major (chunk, S*K, d) buffer as (S, K*chunk, d), copied once."""
-    chunk, SK, d = X.shape
-    return X.reshape(chunk, S, SK // S, d).transpose(1, 2, 0, 3).reshape(S, -1, d)
+    """A time-major (chunk, S*K, d) buffer as (S, K*chunk, d): one copy, or a
+    view of X when K = 1."""
+    chunk, SK, _ = X.shape
+    rows = _rows(X).reshape(chunk, S, SK // S).transpose(1, 2, 0)
+    return rows.reshape(S, -1, 1).view(np.float64)
 
 
 def _scan(C, D, G, b0, Z, V, steps: int) -> None:

@@ -3,6 +3,7 @@
 Each one is an independent, unbatched statement of a quantity that the
 library computes another way: the water-fill objective and its scalar
 closed form, the normal quantile on whole arrays with np.polyval, the
+Monte Carlo scan's time-major buffer layout by swapaxes and transpose, the
 per-step directed-information density, the uniqueness certificate of a
 Riccati solution, the stabilizing Riccati solution in 50-digit arithmetic
 (closed form for Q = 0, Kleinman's iteration for Q != 0) with the seeded
@@ -86,6 +87,28 @@ def normal_quantile(u):
                          np.polyval(_E, t) / np.polyval(_F, t))
     np.negative(x, out=x, where=upper)
     return x.reshape(u.shape)[()]
+
+
+def time_major(paths, chunk: int):
+    """(S, steps, d) paths in the scan's (chunk, S*K, d) layout, K = ceil(steps / chunk)
+    chunks per seed, zero past `steps`: row s*K + k of slab j is step k*chunk + j of
+    seed s.  Written a seed at a time by swapaxes on (steps, d) float rows."""
+    S, steps, d = paths.shape
+    K = -(-steps // chunk)
+    whole, tail = divmod(steps, chunk)
+    buf = np.zeros((chunk, S * K, d))
+    for s, x in enumerate(paths):
+        row = s * K
+        buf[:, row:row + whole] = x[:steps - tail].reshape(whole, chunk, d).swapaxes(0, 1)
+        if tail:
+            buf[:tail, row + whole] = x[steps - tail:]
+    return buf
+
+
+def seed_major(X, S: int):
+    """A (chunk, S*K, d) time-major buffer as (S, K*chunk, d), by one transpose."""
+    chunk, SK, d = X.shape
+    return X.reshape(chunk, S, SK // S, d).transpose(1, 2, 0, 3).reshape(S, -1, d)
 
 
 def info_density_step(b_prev, a, b, C, D, KV, gain, KZ) -> float:

@@ -289,6 +289,15 @@ def test_mimo_unstable_q0_feedback_capacity_positive(rng):
     assert c0 == 0.0 and sol0.regime == "zero_rate"
 
 
+def test_tiny_stabilizing_gain_is_unstable_stabilized():
+    # C = 1 + 1e-6 is stabilized by a gain of about -2e-10: the regime follows
+    # a nonzero gain, whatever its size, as the closed form's does
+    sol, _ = di.feedback_capacity(di.scalar_model(1.0 + 1e-6, 1e4, 1.0, 1.0, 0.0, 5.0))
+    *_, regime = di.scalar_feedback_capacity(1.0 + 1e-6, 1e4, 1.0, 5.0)
+    assert sol.regime == regime == "unstable_stabilized"
+    assert sol.gain[0, 0] < 0.0
+
+
 def test_scalar_chain_fuzz_against_closed_form(rng):
     # random (C, D, KV, R, kappa) cells, general R, both D signs
     for _ in range(40):

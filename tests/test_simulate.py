@@ -1,3 +1,4 @@
+import hashlib
 import math
 import pathlib
 import tracemalloc
@@ -94,6 +95,23 @@ def test_quantile_is_bit_exact_against_polyval_reference(u):
     assert np.shape(got) == np.shape(ref) == np.shape(u)
     assert type(got) is type(ref)
     assert np.array_equal(np.asarray(got).view(np.int64), np.asarray(ref).view(np.int64))
+
+
+def test_quantile_sign_step_is_bit_exact_across_qblock_boundaries():
+    # the sign comes from u - 0.5 by copysign: compared as bytes, so a signed
+    # zero shows, at the median and its neighbours, the central/tail boundary,
+    # the far tails past r = 5 (u or 1 - u at most 1e-11) and the extremes,
+    # placed across the boundaries of three blocks
+    edges = np.array([0.5, np.nextafter(0.5, 0.0), np.nextafter(0.5, 1.0),
+                      0.075, 0.925, np.nextafter(0.075, 0.0), np.nextafter(0.925, 1.0),
+                      1e-11, 1e-15, 1e-300, 1.0 - 1e-11, 1.0 - 1e-15, 5e-324, 1.0 - 2.0 ** -53])
+    u = np.random.Generator(np.random.Philox(key=16)).random(3 * sim.QBLOCK)
+    for start in (0, sim.QBLOCK - 7, 2 * sim.QBLOCK - 3, len(u) - len(edges)):
+        u[start:start + len(edges)] = edges
+    got = di.normal_quantile(u)
+    assert got.tobytes() == oracles.normal_quantile(u).tobytes()
+    assert not np.signbit(got[u == 0.5]).any()
+    assert not np.signbit(di.normal_quantile(0.5))
 
 
 def test_quantile_boundary_rejected():
@@ -421,6 +439,46 @@ def test_batch_memory_stays_within_four_path_sized_buffers():
     finally:
         tracemalloc.stop()
     assert peak <= 1.05 * 4 * S * n * 2 * 8
+
+
+def _layout_model(d):
+    m = di.channel_model(0.5 * np.eye(d), np.eye(d), np.eye(d), np.eye(d), np.zeros((d, d)), 1.0, 0)
+    return m, di.stationary_strategy(np.zeros((d, d)), np.eye(d))
+
+
+@pytest.mark.parametrize("steps", [1, sim.CHUNK - 1, sim.CHUNK, sim.CHUNK + 1, 3 * sim.CHUNK + 7])
+@pytest.mark.parametrize("S", [1, 3])
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_layout_copies_match_the_swapaxes_reference(d, S, steps):
+    # the whole-row copies into the time-major buffers and back to seed-major
+    # order move the same bytes as the swapaxes / transpose layout
+    m, st = _layout_model(d)
+    K = -(-steps // sim.CHUNK)
+    Z = np.zeros((sim.CHUNK, S * K, d))
+    V = np.zeros_like(Z)
+    b0 = [sim._draw_slabs(m, st, steps, seed, Z, V, seed * K) for seed in range(S)]
+    draws = [sim._draw_noise(m, st, steps, seed) for seed in range(S)]
+    assert np.array(b0).tobytes() == np.array([dr[0] for dr in draws]).tobytes()
+    for buf, k in ((Z, 1), (V, 2)):
+        assert buf.tobytes() == oracles.time_major(np.stack([dr[k] for dr in draws]), sim.CHUNK).tobytes()
+        got, ref = sim._seed_major(buf, S), oracles.seed_major(buf, S)
+        assert got.shape == ref.shape and got.tobytes() == ref.tobytes()
+
+
+def test_mimo_p3_batch_keeps_the_bits_of_the_swapaxes_layout():
+    # sha256 of the traces as the swapaxes / transpose layout gave them: three
+    # seeds over four chunks, the last partial, with an initial-output draw
+    C = [[0.5, 0.2, 0.0], [0.0, -0.5, 0.3], [0.1, 0.0, 0.7]]
+    D = [[1.0, 0.1, 0.0], [0.0, 1.0, -0.2], [0.3, 0.0, 1.0]]
+    KV = [[1.0, 0.3, 0.0], [0.3, 2.0, 0.1], [0.0, 0.1, 0.7]]
+    KZ = [[1.0, 0.2, 0.0], [0.2, 0.8, 0.1], [0.0, 0.1, 0.5]]
+    m = di.channel_model(C, D, KV, np.eye(3), np.eye(3), 5.0, 0, initial_cov=0.5 * np.eye(3))
+    st = di.stationary_strategy(-0.3 * np.eye(3), KZ)
+    h = hashlib.sha256()
+    for tr in di.simulate_batch(m, st, 3 * sim.CHUNK + 7, [0, 4, 9]):
+        for x in (tr.B_path, tr.A_path, tr.info_density_path, tr.cost_path, tr.running_rate):
+            h.update(np.ascontiguousarray(x).tobytes())
+    assert h.hexdigest() == "2bf0cc5d0daffcd9217e675cbb247a814a4fca2c8e0725e521d52e755803fadf"
 
 
 # -- stability report --------------------------------------------------------
