@@ -2,8 +2,9 @@
 closed-form budget match, scalar closed forms, and the no-feedback comparator.
 
 The control part (gains) comes from the Riccati module, the innovations
-part from the water-fill module, and output covariances from the Lyapunov
-solvers; this module wires them together.
+part from the water-fill module, and the stationary output covariance, which
+only the report reads, from the Lyapunov solver; this module wires them
+together.
 
 The power budget is matched in closed form.  The Riccati map is positively
 homogeneous in the multiplier s, so P(s) = s P_1 and the gain does not
@@ -18,13 +19,15 @@ trace(W_1 K_Z) = sum_j (1/(2s) - sigma_j^{-2})_+ over the subchannel gains
 sigma_j of W_1.  One water level mu for the budget above the floor gives
 s* = 1/(2 mu).
 
-The finite horizon has no forward pass: by the same identity (the LQ
-cost-to-go), a strategy at the s = 1 gains costs the floor
+One cost identity, the LQ cost-to-go, serves both horizons, so no output
+second moment enters a cost.  The finite horizon has no forward pass: a
+strategy at the s = 1 gains costs the floor
 trace(P_1(0) K_{B_{-1}}) + sum_{i<n} trace(P_1(i+1) K_V(i)) plus the
-water-fill spend of every step, so no output second moment is propagated.
-`ftfi_capacity` makes that one backward pass, matches the budget on it and
-hands it to `finite_horizon_dp(model, s*, unit)`, as `feedback_capacity`
-hands its one ARE solve to `_view`.
+water-fill spend of every step.  `ftfi_capacity` makes that one backward
+pass, matches the budget on it and hands it to
+`finite_horizon_dp(model, s*, unit)`, as `feedback_capacity` hands its one
+ARE solve to `_view`, whose output covariance K_B only the report reads
+(None, with the reason in `KB_declined`, where its Lyapunov solve fails).
 
 The finite-horizon backward pass stops at its exact plateau.  On a
 time-invariant model every step applies one map to P_1(i+1), so once P_1(i)
@@ -71,7 +74,8 @@ class StationarySolution:
     P: np.ndarray
     gain: np.ndarray
     KZ: np.ndarray
-    KB: np.ndarray
+    KB: np.ndarray | None      # None where its Lyapunov solve is declined
+    KB_declined: str | None    # the reason K_B is None, else None
     rate_nats: float
     achieved_cost: float
     regime: str
@@ -280,12 +284,19 @@ def _unit_solution(model: ChannelModel):
 
 def _view(model: ChannelModel, unit, s: float) -> StationarySolution:
     """The stationary solution at multiplier s as a view of the one at s = 1: P = s P_1,
-    the same gain, K_Z filled at level 1/(2s), the output covariance from the
-    Lyapunov equation.  The ARE residual |Ric(P) - P| / (1 + |P|) is P_1's with
-    the move and |P| scaled by s."""
-    _, D, KV, R, Q = _ti_matrices(model)
+    the same gain, K_Z filled at level 1/(2s).  The ARE residual |Ric(P) - P| / (1 + |P|)
+    is P_1's with the move and |P| scaled by s.
+
+    The achieved cost is the identity `finite_horizon_dp` uses, the floor
+    trace(P_1 K_V) plus the water-fill spend trace(W_1 K_Z), so it needs no
+    output covariance.  K_B = Acl K_B Acl^T + D K_Z D^T + K_V is solved for the
+    report only.  Where that solve fails on a loop of spectral radius below
+    1 - TOL_SPEC, K_B is None and `KB_declined` names the failure; a loop that
+    is not exponentially stable (the identity needs K_B's series to converge)
+    and an overflowing |D K_Z D^T + K_V| raise PreconditionError."""
+    _, D, KV, _, _ = _ti_matrices(model)
     are, sigma, V = unit
-    KZ, rate, _ = _fill(sigma, V, s)
+    KZ, rate, spent = _fill(sigma, V, s)
     KZ = KZ[0]
     Acl = are.closed_loop
     W = D @ KZ @ D.T + KV
@@ -295,14 +306,16 @@ def _view(model: ChannelModel, unit, s: float) -> StationarySolution:
         raise PreconditionError(
             f"multiplier s = {s:.12g}: the output covariance overflows: |D K_Z D^T + K_V| "
             f"is not finite at water level 1/(2s) = {0.5 / s:.6g}")
+    K, declined = None, None
     try:
         K = solve_lyapunov(Acl, W)
     except PreconditionError as exc:
-        raise PreconditionError(
-            f"output-covariance Lyapunov equation: {exc}; closed-loop spectral radius "
-            f"{stability.spectral_radius(Acl).spectral_radius:.6g}") from exc
+        rep = stability.spectral_radius(Acl)
+        declined = (f"output-covariance Lyapunov equation: {exc}; closed-loop spectral radius "
+                    f"{rep.spectral_radius:.6g}")
+        if not rep.stable:
+            raise PreconditionError(declined) from exc
     g = are.gain
-    cost = float(np.trace(R @ g @ K @ g.T) + np.trace(R @ KZ) + np.trace(Q @ K))
     kz_zero = float(np.abs(KZ).max(initial=0.0)) <= 1e-12
     if not g.any():     # the Q = 0 route returns exact zeros for a stable C
         regime = REGIME_STABLE_NO_FEEDBACK
@@ -312,9 +325,9 @@ def _view(model: ChannelModel, unit, s: float) -> StationarySolution:
         regime = REGIME_UNSTABLE_STABILIZED
     norm_P = float(np.linalg.norm(are.P))
     return StationarySolution(
-        s=float(s), P=s * are.P, gain=g, KZ=KZ, KB=K, rate_nats=float(rate[0]),
-        achieved_cost=cost, regime=regime,
-        are_residual=are.residual * s * (1.0 + norm_P) / (1.0 + s * norm_P),
+        s=float(s), P=s * are.P, gain=g, KZ=KZ, KB=K, KB_declined=declined,
+        rate_nats=float(rate[0]), achieved_cost=cost_floor(model, are.P) + float(spent[0]),
+        regime=regime, are_residual=are.residual * s * (1.0 + norm_P) / (1.0 + s * norm_P),
     )
 
 

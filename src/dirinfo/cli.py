@@ -452,11 +452,9 @@ def _run_check(config: RunConfig) -> dict:
 
 
 def _stationary_result(config: RunConfig, m: ChannelModel, sol, cap_nats: float) -> dict:
-    C, D = m.C(0), m.D(0)
-    W = D @ sol.KZ @ D.T + m.KV(0)
-    Acl = C + D @ sol.gain
-    lyap_resid = float(np.linalg.norm(sol.KB - Acl @ sol.KB @ Acl.T - W))
-    return {
+    """The stationary result block; where K_B was declined, `KB` and
+    `residuals.lyapunov` are null and `KB_declined` holds the reason."""
+    result = {
         "capacity": _units_value(cap_nats, config.units),
         "capacity_nats": cap_nats,
         "regime": sol.regime,
@@ -468,9 +466,17 @@ def _stationary_result(config: RunConfig, m: ChannelModel, sol, cap_nats: float)
         "achieved_cost": sol.achieved_cost,
         "kappa_min": capacity.cost_floor(m, sol.P, sol.s),
         "kappa_min_definition": "stabilization cost of the zero-innovations strategy",
-        "residuals": {"are": sol.are_residual, "lyapunov": lyap_resid},
+        "residuals": {"are": sol.are_residual, "lyapunov": None},
         "kv_regularized": m.kv_regularized,
     }
+    if sol.KB is None:
+        result["KB_declined"] = sol.KB_declined
+    else:
+        C, D = m.C(0), m.D(0)
+        W = D @ sol.KZ @ D.T + m.KV(0)
+        Acl = C + D @ sol.gain
+        result["residuals"]["lyapunov"] = float(np.linalg.norm(sol.KB - Acl @ sol.KB @ Acl.T - W))
+    return result
 
 
 def _stationary(config: RunConfig, m: ChannelModel):

@@ -30,7 +30,7 @@ import numpy as np
 
 from .errors import DimensionError, PreconditionError, UnboundedError
 from .linalg import sym
-from .model import _PSD, TOL_PSD, _check_rows, min_eigenvalue, psd_tolerance
+from .model import _PSD, TOL_PSD, _check_rows, min_eigenvalue
 
 TOL_WF = 1e-9       # subchannels with mu sigma_j^2 - 1 <= TOL_WF stay dry
 
@@ -109,7 +109,7 @@ def solve(problem: WaterfillProblem):
     UnboundedError iff the weight annihilates a direction that D does not."""
     W = sym(problem.weight)
     w, U = np.linalg.eigh(W)
-    null = w <= psd_tolerance(W)
+    null = w <= TOL_PSD * max(1.0, np.abs(w).max())     # `subchannels`' null directions
     if null.any() and np.linalg.norm(problem.D @ U[:, null]) > 1e-12 * (1 + np.linalg.norm(problem.D)):
         raise UnboundedError(
             "objective unbounded: weight has a null direction the channel matrix does not kill")

@@ -77,6 +77,29 @@ def test_non_normal_family_answer_count_holds_its_floor(seed, floor):
     assert answered >= floor
 
 
+@pytest.mark.parametrize("seed, floor", [(7, 173), (11, 172)])
+def test_non_normal_family_capacity_waits_on_no_output_covariance(seed, floor):
+    # through `feedback_capacity` (kappa = 2p, K_V = R = I, Q = 0) every model whose
+    # ARE and water-fill succeed answers, K_B or no K_B; where K_B is present, the
+    # cost it gives, trace(G^T R G K_B) + trace(R K_Z) with Q = 0, checks the identity's
+    answered = 0
+    for _, C, D in family_stream(seed):
+        p, q = D.shape
+        R = np.eye(q)
+        try:
+            sol, _ = di.feedback_capacity(di.channel_model(C, D, np.eye(p), R, np.zeros((p, p)),
+                                                           2.0 * p, 0))
+        except DirinfoError:
+            continue
+        answered += 1
+        ref = oracles.stabilizing_are_q0(C, D, R, sol.s)
+        assert np.linalg.norm(sol.P - ref) <= 1e-6 * np.linalg.norm(ref)
+        if sol.KB is not None:
+            cost = np.trace(sol.gain.T @ R @ sol.gain @ sol.KB) + np.trace(R @ sol.KZ)
+            assert abs(cost - sol.achieved_cost) <= 1e-9 * abs(sol.achieved_cost)
+    assert answered >= floor
+
+
 @pytest.mark.parametrize("seed, position", [(7, 84), (7, 173), (7, 184), (11, 163)])
 def test_well_conditioned_family_models_answer_near_the_oracle(seed, position):
     # a one-ulp move of C moves the oracle P by under 5e-8 on these models, so

@@ -298,11 +298,13 @@ def test_output_covariance_failure_names_the_lyapunov_residual():
     # |Sigma| >> |W| puts the Lyapunov residual above TOL_LYAP (see above)
     C = 0.9 * np.eye(4) + 10.0 * np.eye(4, k=1)
     m = di.channel_model(C, np.eye(4), np.eye(4), np.eye(4), np.zeros((4, 4)), 4.0, 0)
-    assert di.nofeedback_capacity_q0(m) == pytest.approx(4 * np.log(2.0) / 2, rel=1e-12)
-    with pytest.raises(PreconditionError, match="Lyapunov") as info:
-        di.feedback_capacity(m)
-    assert "unstable closed loop" not in str(info.value)
-    assert "spectral radius 0.9" in str(info.value)
+    sol, cap = di.feedback_capacity(m)
+    assert cap == pytest.approx(di.nofeedback_capacity_q0(m), rel=1e-12)
+    assert cap == pytest.approx(2 * np.log(2.0), rel=1e-12)
+    # the capacity and its cost need no K_B: it is absent, with the decline as its reason
+    assert sol.KB is None
+    assert "Lyapunov solve residual too large" in sol.KB_declined
+    assert "spectral radius 0.9" in sol.KB_declined
 
 
 @pytest.mark.parametrize("C,Q", [(0.5, 0.0), (2.0, 0.0), (0.5, 0.3), (1.5, 0.2)])

@@ -12,14 +12,16 @@ such model must answer through `feedback_capacity` and `ftfi_capacity` with
 the budget spent, or be infeasible.
 """
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import dirinfo as di
-from dirinfo import capacity
-from dirinfo.errors import DirinfoError, InfeasibleError, PreconditionError
+from dirinfo import capacity, cli
+from dirinfo.errors import DirinfoError, InfeasibleError
 from conftest import random_spd
 
 OFFSETS = (-1e-9, -1e-12, 0.0, 1e-12, 1e-9)     # kappa - kappa_min, relative to 1 + kappa_min
@@ -69,9 +71,6 @@ def test_budget_at_and_around_kappa_min(seed, p, q_frac, radius, output_cost):
             _check_budget_at(C, D, KV, R, Q, kmin, kappa)
 
 
-@pytest.mark.xfail(strict=True, raises=PreconditionError,
-                   reason="the output covariance's Smith solve misses its residual gate at "
-                          "kappa <= kappa_min, where K_Z = 0 leaves W = K_V small against K")
 def test_q0_budget_at_kappa_min_on_a_non_normal_closed_loop():
     # |C| 1.8, closed-loop spectral radius 0.805: the residual relative to 1 + |W|
     # is 3.9e-10 at kappa_min, yet kappa_min + (1 + kappa_min) answers
@@ -79,6 +78,30 @@ def test_q0_budget_at_kappa_min_on_a_non_normal_closed_loop():
     kmin = di.kappa_min(di.channel_model(C, D, KV, R, Q, 0.0, 0))
     di.feedback_capacity(di.channel_model(C, D, KV, R, Q, 2.0 * kmin + 1.0, 0))
     _check_budget_at(C, D, KV, R, Q, kmin, kmin)
+
+
+def test_cli_at_kappa_min_reports_the_declined_output_covariance(tmp_path):
+    # the model above at kappa_min: `capacity` answers with K_B null and its reason;
+    # `simulate` and `sweep` read no K_B, so they answer too
+    C, D, KV, R, Q = _channel(67, 2, 1, 1.8, False)
+    kmin = di.kappa_min(di.channel_model(C, D, KV, R, Q, 0.0, 0))
+    model = tmp_path / "m.json"
+    model.write_text(json.dumps({"type": "channel", "C": C.tolist(), "D": D.tolist(),
+                                 "KV": KV.tolist(), "R": R.tolist(), "Q": Q.tolist(),
+                                 "kappa": kmin}))
+
+    def report(*argv):
+        out = tmp_path / "r.json"
+        assert cli.main([*argv, "--model", str(model), "--output", str(out)]) == 0
+        return json.loads(out.read_text())
+
+    res = report("capacity")["result"]
+    assert res["KB"] is None and res["residuals"]["lyapunov"] is None
+    assert "Lyapunov solve residual too large" in res["KB_declined"]
+    assert res["capacity_nats"] == 0.0
+    report("simulate", "--steps", "1000", "--seeds", "2")
+    rows = report("sweep", "--param", "kappa", "--grid", f"{kmin!r},{2.0 * kmin + 1.0!r}")["rows"]
+    assert len(rows) == 2 and not any("error" in row for row in rows)
 
 
 def _memory_model(seed, p, memory, cost_memory, radius):
