@@ -45,6 +45,20 @@ byte-stable for a given seed list.  In a time-varying trace, row i of the
 noise is the bits of `innovation_from_uniform` at step i, while the density
 and cost come from stacked products and may move in their last bits against
 the same log-densities and quadratic forms evaluated one step at a time.
+
+A product whose inner dimension is one (a p = 1 or q = 1 model has many) is
+a broadcast multiply with matmul's bits.  Matmul sums its terms from +0.0,
+so it never returns -0.0; `_rowwise` adds +0.0 after its multiply to match.
+The scan leaves that add out: each of its products reaches the path only
+through an add of Z or V (in the carry, of y, a state that ended with such
+an add), none of which holds -0.0, and x + v has the same bits for x = -0.0
+and x = +0.0 whenever v is not -0.0.  Z and V come from `_rowwise` or from
+zero padding.  Products with two or more inner terms stay on BLAS, which
+fuses multiply-adds, so no elementwise form gives its bits.  With Q = 0 at
+every step (terminal_Q included) the output-cost form is left out: on a
+finite path it is exactly +0.0, and the input form, a sum from +0.0, is
+never -0.0, so the cost keeps its bits.  Where a path has overflowed, the
+cost is the input form alone (inf) where adding 0 * inf would read nan.
 """
 
 from __future__ import annotations
@@ -185,12 +199,22 @@ def _gaussian_logpdf_terms(cov: np.ndarray):
 
 
 def _rowwise(M, X):
-    """Row i of X times M(i)^T.
+    """Row i of X times M(i)^T, with the bits of matmul.
 
-    A stack M of one matrix takes the single 2-D product, keeping the bits and
-    speed of `X @ M[0].T`; a per-row stack takes stacked matmul, whose row i
-    has the bits of M(i) @ X[i] (gemv).
+    An inner dimension of one (M is (m, r, 1)) takes one broadcast multiply
+    for either kind of stack: one product per entry, all that matmul computes
+    there, without BLAS's call cost on a thin column.  Matmul sums from +0.0,
+    so a -0.0 product comes out +0.0; the `+= 0.0` does the same (-0.0 + 0.0
+    is +0.0, and the add changes no other value, inf and nan included), and
+    the multiply warns where matmul does (inf * 0).  Otherwise a stack of one
+    matrix takes the single 2-D product, keeping the bits and speed of
+    `X @ M[0].T`; a per-row stack takes stacked matmul, whose row i has the
+    bits of M(i) @ X[i] (gemv).
     """
+    if M.shape[2] == 1:
+        Y = X * M[:, :, 0]
+        Y += 0.0
+        return Y
     return X @ M[0].T if len(M) == 1 else np.matmul(M, X[:, :, None])[:, :, 0]
 
 
@@ -217,7 +241,8 @@ def _draw_noise(model: ChannelModel, strat: Strategy, steps: int, seed: int):
 
 def _traces(model: ChannelModel, seeds, b0, B, A, C, D, G, KZ, Q) -> list:
     """Information density and cost along each seed's path, from the batch's
-    per-step stacks."""
+    per-step stacks.  A Q stack of zeros adds no output form (see the module
+    docstring)."""
     steps = B.shape[1]
     R = np.stack(model.R_seq[:steps])
     KV = np.stack([model.noise_for_inversion(i)[0]
@@ -225,13 +250,16 @@ def _traces(model: ChannelModel, seeds, b0, B, A, C, D, G, KZ, Q) -> list:
     KVi, ldKV = _gaussian_logpdf_terms(KV)
     Mi, ldM = _gaussian_logpdf_terms(D @ KZ @ D.swapaxes(1, 2) + KV)
     Acl = C + D @ G
+    weighs_b = Q.any()
 
     def trace(seed, b0, B, A):
         Bprev = np.vstack([b0, B[:-1]])
         R1 = B - _rowwise(C, Bprev) - _rowwise(D, A)
         R2 = B - _rowwise(Acl, Bprev)
         info = -0.5 * (ldKV + _form(KVi, R1)) + 0.5 * (ldM + _form(Mi, R2))
-        cost = _form(R, A) + _form(Q, Bprev)
+        cost = _form(R, A)
+        if weighs_b:
+            cost += _form(Q, Bprev)
         return SimulationTrace(
             seed=int(seed), steps=int(steps), B_path=B, A_path=A,
             info_density_path=info, cost_path=cost,
@@ -333,12 +361,16 @@ def _scan(C, D, G, b0, Z, V, steps: int) -> None:
     start and stores step j's a and b over slab j of Z and V, which no later
     step reads.  Each pass loops `chunk` times and the carry K - 2 times,
     whatever the number of seeds; with K = 1 only pass 2 runs, `steps` times.
+    A product with one inner term is a broadcast multiply without `_rowwise`'s
+    `+= 0.0`: the adds of Z, V and y that follow give matmul's bits (see the
+    module docstring).
     """
     chunk, SK, p = V.shape
     S = len(b0)
     K = SK // S
     last = steps - (K - 1) * chunk      # real steps in the last chunk
     GT, CT, DT = (M.swapaxes(1, 2) for M in (G, C, D))
+    by_b, by_a = (np.multiply if n == 1 else np.matmul for n in (p, D.shape[2]))
 
     def run(b, store):
         for j in range(min(chunk, steps)):
@@ -346,10 +378,10 @@ def _scan(C, D, G, b0, Z, V, steps: int) -> None:
                 # the last chunk is past `steps`: hold its rows at zero so a
                 # divergent loop cannot overflow in the padding
                 b.reshape(S, K, p)[:, -1] = 0.0
-            a = b @ GT[j % len(GT)]
+            a = by_b(b, GT[j % len(GT)])
             a += Z[j]
-            b = b @ CT[j % len(CT)]
-            b += a @ DT[j % len(DT)]
+            b = by_b(b, CT[j % len(CT)])
+            b += by_a(a, DT[j % len(DT)])
             b += V[j]
             if store:
                 Z[j] = a
@@ -363,7 +395,7 @@ def _scan(C, D, G, b0, Z, V, steps: int) -> None:
         x[:, 1] = y[:, 0]
         ALT = np.linalg.matrix_power(C[0] + D[0] @ G[0], chunk).T
         for k in range(2, K):
-            x[:, k] = x[:, k - 1] @ ALT + y[:, k - 1]
+            x[:, k] = by_b(x[:, k - 1], ALT) + y[:, k - 1]
     run(x.reshape(SK, p), True)
 
 

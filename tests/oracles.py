@@ -111,6 +111,12 @@ def seed_major(X, S: int):
     return X.reshape(chunk, S, SK // S, d).transpose(1, 2, 0, 3).reshape(S, -1, d)
 
 
+def rowwise(M, X):
+    """Row i of X times M(i)^T by matmul alone, whatever the inner dimension:
+    the 2-D product for a stack of one, stacked matmul for a per-row stack."""
+    return X @ M[0].T if len(M) == 1 else np.matmul(M, X[:, :, None])[:, :, 0]
+
+
 def info_density_step(b_prev, a, b, C, D, KV, gain, KZ) -> float:
     """Per-step directed-information density (nats).
 

@@ -2,6 +2,7 @@ import hashlib
 import math
 import pathlib
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -481,6 +482,51 @@ def test_mimo_p3_batch_keeps_the_bits_of_the_swapaxes_layout():
     assert h.hexdigest() == "2bf0cc5d0daffcd9217e675cbb247a814a4fca2c8e0725e521d52e755803fadf"
 
 
+# -- products with one inner term ---------------------------------------------
+
+_EDGE_VALUES = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 1.5, -2.25, 1e300, -1e-300])
+
+
+def _with_warnings(fn, *args):
+    with warnings.catch_warnings(record=True) as seen:
+        warnings.simplefilter("always")
+        out = fn(*args)
+    return out, sorted(w.category.__name__ for w in seen)
+
+
+@pytest.mark.parametrize("per_row", [False, True])
+@pytest.mark.parametrize("width", [1, 2, 3])
+def test_inner_dimension_one_product_keeps_the_bytes_and_warnings_of_matmul(width, per_row):
+    # the broadcast product against X @ M[0].T and stacked matmul, on entries
+    # drawn from +-0.0, +-inf, nan and finite values: -0.0 products come out
+    # +0.0, and inf * 0 warns as it does in matmul
+    rng = np.random.default_rng(width)
+    warned = 0
+    for n in [1, 2, 5, 33, 1000] * 20:
+        X = rng.choice(_EDGE_VALUES, size=(n, 1))
+        M = rng.choice(_EDGE_VALUES, size=(n if per_row else 1, width, 1))
+        got, got_warnings = _with_warnings(sim._rowwise, M, X)
+        ref, ref_warnings = _with_warnings(oracles.rowwise, M, X)
+        assert got.shape == ref.shape and got.tobytes() == ref.tobytes()
+        assert got_warnings == ref_warnings
+        warned += bool(ref_warnings)
+    assert 0 < warned < 100
+
+
+def test_time_varying_q1_batch_keeps_the_bits_of_stacked_matmul():
+    # sha256 of per-row-stack traces as stacked matmul gave them: with q = 1
+    # every D, R and K_Z product has one inner term, and at p = 1 every product
+    # does; per-step R and Q and a terminal_Q keep the output-cost form in play
+    rng = np.random.default_rng(11)
+    h = hashlib.sha256()
+    for p in (1, 2):
+        m, st = _tv_weighted(rng, n=40, p=p, q=1)
+        for tr in di.simulate_batch(m, st, 41, [0, 4, 9]):
+            for x in (tr.B_path, tr.A_path, tr.info_density_path, tr.cost_path, tr.running_rate):
+                h.update(np.ascontiguousarray(x).tobytes())
+    assert h.hexdigest() == "6ff388f563f40735ee1e3bb015862dfb84ed6e84895e7a952b7e70e56b0febaf"
+
+
 # -- stability report --------------------------------------------------------
 
 def test_stability_report_zero_innovations_gives_exactly_zero_rates():
@@ -573,7 +619,16 @@ def _ftfi_terminal_q(rng):
     return m, sol.strategy
 
 
-@pytest.mark.parametrize("make", [_tv_weighted, _ftfi_terminal_q])
+def _tv_terminal_q_only(rng, n=20, p=2, q=1):
+    # running Q = 0, so only the last step weighs its output, by terminal_Q
+    m, st = _tv_model_and_strategy(n, rng, p, q)
+    m = di.channel_model(m.C_seq, m.D_seq, m.KV_seq, m.R_seq, m.Q_seq, 1.0, n,
+                         terminal_Q=random_spd(rng, p), initial_cov=np.eye(p),
+                         time_invariant=False)
+    return m, st
+
+
+@pytest.mark.parametrize("make", [_tv_weighted, _ftfi_terminal_q, _tv_terminal_q_only])
 def test_stacked_trace_matches_per_step_operation(make, rng):
     # the stacked densities and costs against the per-step oracle; the last
     # step weighs its output with terminal_Q
@@ -589,6 +644,24 @@ def test_stacked_trace_matches_per_step_operation(make, rng):
             for i, (a, b) in enumerate(zip(tr.A_path, Bprev))]
     np.testing.assert_allclose(tr.info_density_path, info, rtol=1e-12, atol=1e-12)
     np.testing.assert_allclose(tr.cost_path, cost, rtol=1e-12)
+
+
+@pytest.mark.parametrize("make", [
+    lambda rng: (kappa9_model(), kappa9_strategy()),
+    lambda rng: _tv_model_and_strategy(30, rng),
+    lambda rng: _tv_model_and_strategy(30, rng, p=1),
+    lambda rng: (load_model(str(DOCS / "mimo_stable.json")),
+                 di.stationary_strategy(-0.2 * np.eye(2), np.eye(2))),
+])
+def test_zero_output_weight_cost_is_the_input_form(make, rng):
+    # with Q = 0 and terminal_Q = 0 on every step, the cost is the input form
+    # a R a alone, byte for byte: the skipped output form is exactly +0.0
+    m, st = make(rng)
+    steps = 31 if len(st.gains) > 1 else 600
+    assert not any(Q.any() for Q in (*m.Q_seq, m.terminal_Q))
+    R = np.stack(m.R_seq[:steps])
+    for tr in di.simulate_batch(m, st, steps, [0, 7]):
+        assert tr.cost_path.tobytes() == sim._form(R, tr.A_path).tobytes()
 
 
 def test_time_varying_batch_builds_stacks_once_per_seed(monkeypatch, rng):
@@ -620,3 +693,48 @@ def test_stationary_mimo_trace_matches_per_step_operation():
     cost = [a @ m.R(0) @ a + b @ m.Q(0) @ b for a, b in zip(tr.A_path, Bprev)]
     np.testing.assert_allclose(tr.info_density_path, info, rtol=1e-12)
     np.testing.assert_allclose(tr.cost_path, cost, rtol=1e-12)
+
+
+# -- FTFI strategies by Monte Carlo -------------------------------------------
+
+# seeds per model, and how many seed standard errors a mean may lie from its
+# target: both fixed before the first run
+FTFI_SEEDS = 256
+FTFI_K = 4.0
+
+
+def _scalar_unstable_n50(rng):
+    return load_model(str(DOCS / "scalar_unstable.json"), horizon_override=50)
+
+
+def _time_varying_4_step(rng):
+    # the model of tests/test_integration.py::test_time_varying_ftfi_constraint_activity
+    return di.channel_model(
+        [[[0.9]], [[0.5]], [[1.1]], [[0.7]]], [[[1.0]], [[1.0]], [[1.0]], [[1.0]]],
+        [[[1.0]], [[0.8]], [[1.2]], [[1.0]]], [[[1.0]], [[1.0]], [[1.0]], [[1.0]]],
+        [[[0.1]], [[0.0]], [[0.2]], [[0.0]]], 2.0, 3, time_invariant=False)
+
+
+def _q_with_terminal_weight(rng):
+    return _ftfi_terminal_q(rng)[0]
+
+
+def _memory_order2(rng):
+    return load_model(str(DOCS / "memory_order2.json"))
+
+
+@pytest.mark.parametrize("make", [_scalar_unstable_n50, _time_varying_4_step,
+                                  _q_with_terminal_weight, _memory_order2])
+def test_sampled_ftfi_strategy_carries_its_value_and_cost(make, rng):
+    # the information-lossless strategy u_i = Gamma(i) b_{i-1} + Z_i sampled over
+    # the horizon: the seed mean of each trace's summed information density is
+    # the FTFI directed information, and its mean cost the achieved cost, each
+    # within FTFI_K standard errors of the seed mean
+    m = make(rng)
+    sol, _ = di.ftfi_capacity(m)
+    assert len(sol.strategy.gains) == m.horizon + 1
+    traces = di.simulate_batch(m, sol.strategy, m.horizon + 1, range(FTFI_SEEDS))
+    for got, want in (([tr.info_density_path.sum() for tr in traces], sol.rate_nats),
+                      ([tr.terminal_cost for tr in traces], sol.achieved_cost)):
+        se = np.std(got, ddof=1) / math.sqrt(FTFI_SEEDS)
+        assert abs(np.mean(got) - want) <= FTFI_K * se
