@@ -277,7 +277,7 @@ def _unit_solution(model: ChannelModel):
     of W_1 = R + D^T P_1 D as a stack of one."""
     validate_model(model)
     C, D, _, R, Q = _ti_matrices(model)
-    are = riccati.solve_are(C, D, Q, R, 1.0, True)     # judged by validate_model
+    are = riccati.solve_are(C, D, Q, R, 1.0)
     kv_eff, _ = model.noise_for_inversion(0)
     return (are, *waterfill.subchannels(D, kv_eff, sym(R + D.T @ are.P @ D)[None]))
 

@@ -184,14 +184,12 @@ def _certify(P, closed, W, resid) -> None:
                  "from P by {differ:.3e} of |P|, more than {tol:g}")
 
 
-def solve_are(C, D, Q, R, s: float, judged: bool = False) -> AreSolution:
+def solve_are(C, D, Q, R, s: float) -> AreSolution:
     """Stabilizing fixed point; requires R > 0 and (C, D) stabilizable.
 
     C, D, Q and R are judged by the model's row rule (shape, finiteness, symmetry, Q PSD,
-    R PD): a violation is a ModelValidationError naming it.  `judged` skips that check
-    for a caller that took them from a model `validate_model` passed (the stationary
-    solve), since that judged them by the same rule.  s is applied once, as sQ and sR,
-    and one spectrum of C serves either route.  Q = 0: the direct solution
+    R PD): a violation is a ModelValidationError naming it.  s is applied once, as sQ
+    and sR, and one spectrum of C serves either route.  Q = 0: the direct solution
     (`_q0_solution`), which a solve from C moved by about an ulp per entry (a +-eps
     checkerboard) must match within TOL_FORWARD |P|.  Q != 0: `_newton` from the direct
     Q = 0 gain of (beta C, beta D), beta = min(_BETA, 2 / (1 + rho_s)), rho_s the largest
@@ -207,13 +205,12 @@ def solve_are(C, D, Q, R, s: float, judged: bool = False) -> AreSolution:
     C, D, Q, R = (np.atleast_2d(np.asarray(a, dtype=float)) for a in (C, D, Q, R))
     check_multiplier(s)
     p, q = len(C), D.shape[1]
-    if not judged:
-        errors = _check_rows([("C", (C,), (p, p), None, _MISMATCH),
-                              ("D", (D,), (p, q), None, _MISMATCH),
-                              ("Q", (Q,), (p, p), _PSD, _MISMATCH),
-                              ("R", (R,), (q, q), _PD, _MISMATCH)])
-        if errors:
-            raise ModelValidationError(errors)
+    errors = _check_rows([("C", (C,), (p, p), None, _MISMATCH),
+                          ("D", (D,), (p, q), None, _MISMATCH),
+                          ("Q", (Q,), (p, p), _PSD, _MISMATCH),
+                          ("R", (R,), (q, q), _PD, _MISMATCH)])
+    if errors:
+        raise ModelValidationError(errors)
     Q, R = s * Q, s * R
     try:
         modulus = np.abs(np.linalg.eigvals(C))

@@ -654,14 +654,39 @@ def test_stacked_trace_matches_per_step_operation(make, rng):
                  di.stationary_strategy(-0.2 * np.eye(2), np.eye(2))),
 ])
 def test_zero_output_weight_cost_is_the_input_form(make, rng):
-    # with Q = 0 and terminal_Q = 0 on every step, the cost is the input form
-    # a R a alone, byte for byte: the skipped output form is exactly +0.0
+    # with Q = 0 and terminal_Q = 0 on every step, the cost has the bytes of
+    # the full sum a R a + b' 0 b built from the trace: the skipped output form
+    # is exactly +0.0 and adding it changes no bit
     m, st = make(rng)
     steps = 31 if len(st.gains) > 1 else 600
     assert not any(Q.any() for Q in (*m.Q_seq, m.terminal_Q))
-    R = np.stack(m.R_seq[:steps])
-    for tr in di.simulate_batch(m, st, steps, [0, 7]):
-        assert tr.cost_path.tobytes() == sim._form(R, tr.A_path).tobytes()
+    for seed, tr in zip([0, 7], di.simulate_batch(m, st, steps, [0, 7])):
+        assert tr.cost_path.tobytes() == _full_cost(m, st, seed, tr).tobytes()
+
+
+def _full_cost(m, st, seed, tr):
+    # a R a + b' 0 b over the trace of a Q = 0 model, both forms added, as the
+    # cost was summed before a zero Q stack dropped its form
+    steps, p = tr.B_path.shape
+    Bprev = np.vstack([sim._draw_noise(m, st, steps, seed)[0], tr.B_path[:-1]])
+    return (sim._form(np.stack(m.R_seq[:steps]), tr.A_path)
+            + sim._form(np.zeros((steps, p, p)), Bprev))
+
+
+def test_overflowed_zero_output_weight_cost_reads_inf():
+    # a Q = 0 loop that overflows: where b_{i-1} and a_i are infinite, the
+    # cost is the input form, inf, where the full sum reads inf + 0 * inf = nan
+    m = kappa9_model()
+    st = di.stationary_strategy([[-0.5]], [[1.5]])     # closed loop 1.5
+    with np.errstate(over="ignore", invalid="ignore"):
+        tr = di.simulate_batch(m, st, 2000, [3])[0]
+        full = _full_cost(m, st, 3, tr)
+    turned = np.isposinf(tr.cost_path) & np.isnan(full)
+    assert turned.any()
+    assert np.isinf(tr.B_path).any() and np.isnan(tr.cost_path[-1])
+    nan = np.isnan(full)
+    assert (np.isnan(tr.cost_path) == nan & ~turned).all()
+    np.testing.assert_array_equal(tr.cost_path[~nan], full[~nan])
 
 
 def test_time_varying_batch_builds_stacks_once_per_seed(monkeypatch, rng):
