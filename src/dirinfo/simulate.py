@@ -46,6 +46,24 @@ noise is the bits of `innovation_from_uniform` at step i, while the density
 and cost come from stacked products and may move in their last bits against
 the same log-densities and quadratic forms evaluated one step at a time.
 
+Right operands.  A BLAS product of two or more rows multiplies by a
+C-contiguous copy of its right operand, made once per call (`_right`):
+`_rowwise`'s M[0]^T, and the scan's G^T, C^T, D^T and carry (Acl^CHUNK)^T.
+OpenBLAS takes that layout several times faster than the transposed view.
+A product of one row keeps the view: numpy takes it as the gemv M x, and
+against a copy as the transposed gemv, which rounds otherwise.  So a scan
+on one row (one seed, at most CHUNK steps) is the per-step recursion
+C b + D a + V bit for bit, and the carry of one seed is Acl^CHUNK x.  On
+OpenBLAS 0.3.31 the copy gives the view's bits wherever the inner
+dimension is below 16.  From 16 on, a product of up to some thousands of
+rows may round otherwise in the two layouts: traces at p = 32, and at p or
+q = 16 against the other at 2 to 4, differ in their last bits from those
+of the transposed views (5e-15 relative at most where measured); no report
+or test pinned them.  With the same bytes, the copy's product may also
+warn 'invalid' on a row holding +-inf where the view's does not; that
+row's product is +-inf or nan either way, and a path that has overflowed
+warns 'invalid' in `_traces` as well.
+
 A product whose inner dimension is one (a p = 1 or q = 1 model has many) is
 a broadcast multiply with matmul's bits.  Matmul sums its terms from +0.0,
 so it never returns -0.0; `_rowwise` adds +0.0 after its multiply to match.
@@ -207,15 +225,24 @@ def _rowwise(M, X):
     so a -0.0 product comes out +0.0; the `+= 0.0` does the same (-0.0 + 0.0
     is +0.0, and the add changes no other value, inf and nan included), and
     the multiply warns where matmul does (inf * 0).  Otherwise a stack of one
-    matrix takes the single 2-D product, keeping the bits and speed of
-    `X @ M[0].T`; a per-row stack takes stacked matmul, whose row i has the
-    bits of M(i) @ X[i] (gemv).
+    matrix takes the single 2-D product against a C-contiguous copy of
+    M[0]^T, or against the view M[0].T for one row (see `_right`); a per-row
+    stack takes stacked matmul, whose row i has the bits of M(i) @ X[i]
+    (gemv).
     """
     if M.shape[2] == 1:
         Y = X * M[:, :, 0]
         Y += 0.0
         return Y
-    return X @ M[0].T if len(M) == 1 else np.matmul(M, X[:, :, None])[:, :, 0]
+    return X @ _right(M[0].T, len(X)) if len(M) == 1 else np.matmul(M, X[:, :, None])[:, :, 0]
+
+
+def _right(MT, rows: int):
+    """MT as the right operand of a product of `rows` rows: a C-contiguous
+    copy, which BLAS takes faster than a transposed view, or MT itself for
+    one row, whose product keeps the bits of the gemv M @ x (see "Right
+    operands" in the module docstring)."""
+    return MT if rows == 1 else np.ascontiguousarray(MT)
 
 
 def _form(M, X):
@@ -363,13 +390,15 @@ def _scan(C, D, G, b0, Z, V, steps: int) -> None:
     whatever the number of seeds; with K = 1 only pass 2 runs, `steps` times.
     A product with one inner term is a broadcast multiply without `_rowwise`'s
     `+= 0.0`: the adds of Z, V and y that follow give matmul's bits (see the
-    module docstring).
+    module docstring).  The others multiply by C-contiguous copies of G^T,
+    C^T, D^T and (Acl^chunk)^T, made once, or by the views themselves where
+    the state (S*K rows), or the carried one (S rows), is a single row.
     """
     chunk, SK, p = V.shape
     S = len(b0)
     K = SK // S
     last = steps - (K - 1) * chunk      # real steps in the last chunk
-    GT, CT, DT = (M.swapaxes(1, 2) for M in (G, C, D))
+    GT, CT, DT = (_right(M.swapaxes(1, 2), SK) for M in (G, C, D))
     by_b, by_a = (np.multiply if n == 1 else np.matmul for n in (p, D.shape[2]))
 
     def run(b, store):
@@ -393,7 +422,7 @@ def _scan(C, D, G, b0, Z, V, steps: int) -> None:
     if K > 1:
         y = run(x.reshape(SK, p), False).reshape(S, K, p)
         x[:, 1] = y[:, 0]
-        ALT = np.linalg.matrix_power(C[0] + D[0] @ G[0], chunk).T
+        ALT = _right(np.linalg.matrix_power(C[0] + D[0] @ G[0], chunk).T, S)
         for k in range(2, K):
             x[:, k] = by_b(x[:, k - 1], ALT) + y[:, k - 1]
     run(x.reshape(SK, p), True)

@@ -527,6 +527,156 @@ def test_time_varying_q1_batch_keeps_the_bits_of_stacked_matmul():
     assert h.hexdigest() == "6ff388f563f40735ee1e3bb015862dfb84ed6e84895e7a952b7e70e56b0febaf"
 
 
+# -- right operands of tall products ------------------------------------------
+
+_INVALID = "invalid value encountered in matmul"
+
+
+def _messages(fn, *args):
+    with warnings.catch_warnings(record=True) as seen:
+        warnings.simplefilter("always")
+        out = fn(*args)
+    return out, sorted(str(w.message) for w in seen)
+
+
+def _sprinkled(rng, shape, share):
+    """Normal entries, about `share` of them replaced by _EDGE_VALUES."""
+    X = rng.normal(size=shape)
+    edge = rng.random(shape) < share
+    X[edge] = rng.choice(_EDGE_VALUES, size=edge.sum())
+    return X
+
+
+@pytest.mark.parametrize("rows", [1, 2, 3, 257, 40_000])
+def test_stack_of_one_product_keeps_the_bytes_of_the_transposed_view(rows):
+    # a stack of one multiplies by a C-contiguous copy of M[0].T, and one row
+    # by the view itself: against matmul on the view, on inner dimensions 2-8
+    # and widths 1-8 with +-0.0, +-inf and nan among the entries, the bytes
+    # match.  The warnings match too, but for one: OpenBLAS's product with a
+    # contiguous operand may warn 'invalid' on a row holding +-inf where the
+    # view's does not; that row's product is +-inf or nan either way
+    rng = np.random.default_rng(rows)
+    extra = 0
+    for inner in range(2, 9):
+        share = (0.02, 0.3, 1.0)[inner % 3]
+        X = _sprinkled(rng, (rows, inner), share)
+        for width in range(1, 9):
+            M = _sprinkled(rng, (1, width, inner), share)
+            got, got_warnings = _messages(sim._rowwise, M, X)
+            ref, ref_warnings = _messages(oracles.rowwise, M, X)
+            assert got.shape == ref.shape and got.tobytes() == ref.tobytes()
+            if got_warnings != ref_warnings:
+                assert rows > 1 and got_warnings == sorted(ref_warnings + [_INVALID])
+                assert not np.isfinite(got[np.isinf(X).any(axis=1)]).any()
+                extra += 1
+    assert extra < 7 * 8
+
+
+@pytest.mark.parametrize("steps", [1, 2, 100, sim.CHUNK])
+def test_one_seed_trace_is_the_per_step_recursion(steps):
+    # one seed over at most CHUNK steps runs the scan on a one-row state, whose
+    # products keep the transposed views: the trace is the gemv recursion
+    # a = g b + Z, b = C b + D a + V bit for bit (a contiguous copy of the
+    # same matrix rounds one row otherwise)
+    m = di.channel_model([[0.5, 0.2], [-0.1, 0.7]], [[1.0, 0.3], [0.2, 1.0]],
+                         [[1.0, 0.3], [0.3, 2.0]], np.eye(2), np.eye(2), 5.0, 0,
+                         initial_cov=0.5 * np.eye(2))
+    st = di.stationary_strategy([[-0.3, 0.1], [0.05, -0.2]], [[1.0, 0.2], [0.2, 0.8]])
+    tr = di.sample_trajectory(m, st, steps, seed=3)
+    b, Z, V = sim._draw_noise(m, st, steps, 3)
+    C, D, g = m.C(0), m.D(0), st.gain(0)
+    for i in range(steps):
+        a = g @ b + Z[i]
+        b = C @ b + D @ a + V[i]
+        assert tr.A_path[i].tobytes() == a.tobytes()
+        assert tr.B_path[i].tobytes() == b.tobytes()
+
+
+_GRID_DIMS = (2, 3, 4, 8, 16)
+# a time-varying loop runs as one chunk of `steps`, so 257 steps pass CHUNK
+_GRID_STEPS = {"stationary": (1, 200, 257, 600, 3000), "time-varying": (1, 200, 257)}
+
+
+def _contraction(rng, n, norm=0.9):
+    A = rng.normal(size=(n, n))
+    return A * (norm / np.linalg.norm(A, 2))
+
+
+def _grid_loop(kind, p, q):
+    """A random p x q loop under a non-zero gain: C + D g has spectral radius
+    0.99, so the carry through (C + D g)^CHUNK reaches the path, or,
+    time-varying, norm 0.9 at each step (three loops in turn); R, Q, K_V and
+    K_Z are random and positive definite."""
+    rng = np.random.default_rng([p, q])
+    loops = []
+    for _ in range(1 if kind == "stationary" else 3):
+        D = rng.normal(size=(p, q))
+        g = rng.normal(size=(q, p)) / math.sqrt(p)
+        Acl = random_stable(rng, p, 0.99) if kind == "stationary" else _contraction(rng, p)
+        loops.append((Acl - D @ g, D, g))
+    KV, R, Q, KZ = random_spd(rng, p), random_spd(rng, q), random_spd(rng, p), random_spd(rng, q)
+    if kind == "stationary":
+        C, D, g = loops[0]
+        return (di.channel_model(C, D, KV, R, Q, 1.0, 0, initial_cov=np.eye(p)),
+                di.stationary_strategy(g, KZ))
+    n = max(_GRID_STEPS[kind])
+    C, D, G = ([loops[i % 3][k] for i in range(n)] for k in range(3))
+    m = di.channel_model(C, D, [KV] * n, [R] * n, [Q] * n, 1.0, n - 1,
+                         initial_cov=np.eye(p), time_invariant=False)
+    return m, di.strategy(G, [KZ] * n)
+
+
+def _grid_digests(kind, p):
+    """q -> the first 16 hex digits of the sha256 of the paths (B, A,
+    information density, cost) of 1, 2 and 5 seeds over each grid length."""
+    out = {}
+    for q in _GRID_DIMS:
+        m, st = _grid_loop(kind, p, q)
+        h = hashlib.sha256()
+        for S in (1, 2, 5):
+            for steps in _GRID_STEPS[kind]:
+                for tr in di.simulate_batch(m, st, steps, range(S)):
+                    for x in (tr.B_path, tr.A_path, tr.info_density_path, tr.cost_path):
+                        h.update(np.ascontiguousarray(x).tobytes())
+        out[q] = h.hexdigest()[:16]
+    return out
+
+
+# the grid's digests as the products on transposed views gave them, but for
+# the shapes marked "moved": there one inner dimension is 16 against an
+# output width of 2 to 4, where OpenBLAS rounds a product of few rows
+# otherwise for a C-contiguous right operand than for a transposed one;
+# those entries are the bits after the move ("Right operands" in simulate.py)
+_GRID_DIGESTS = {
+    ("stationary", 2): {2: "79436101dde70ec7", 3: "b2ba8a93f769496f", 4: "2f6fd21c0cc5ecda",
+                        8: "693414b29fa86b2c", 16: "0bf8d6643061aaf0"},  # q = 16 moved
+    ("stationary", 3): {2: "7c90393269b8a4f7", 3: "e14d41f865911bb7", 4: "05cec0fddb64dfef",
+                        8: "79043cb49a15da25", 16: "a657a805c0442771"},  # q = 16 moved
+    ("stationary", 4): {2: "74abec35754f774c", 3: "ea2c425c21a8400d", 4: "0d0c57d67f73f2e2",
+                        8: "bb73de5306693f48", 16: "d217e361e43361b3"},  # q = 16 moved
+    ("stationary", 8): {2: "157ec01de6fc8584", 3: "40d08b870d002632", 4: "838f693d9ad461dc",
+                        8: "0ed4c6a96f6953eb", 16: "957aafc15c2e44c9"},
+    ("stationary", 16): {2: "79d47cc058494459", 3: "7353055d2f6074ba", 4: "2bd4d1f2623f7143",
+                         8: "50d48a3b2c7e4bb7", 16: "6717af724d00e5cd"},  # q = 2, 3, 4 moved
+    ("time-varying", 2): {2: "c7e97624def0ded2", 3: "813a4bb62f68c95c", 4: "19e781bdc08bcf68",
+                          8: "dbcf8a2dee1a71d3", 16: "e6666c605b0d5307"},  # q = 16 moved
+    ("time-varying", 3): {2: "d696312f4964eb18", 3: "49b21189554c84e6", 4: "12a8bdb8fcd59fa9",
+                          8: "4ab4068cb7638d2b", 16: "d09c64f3eaeecb76"},  # q = 16 moved
+    ("time-varying", 4): {2: "1541d22278c7f657", 3: "4a7d0008c909f19e", 4: "35ce5f3e5add6c38",
+                          8: "15dc98ef8aa9a4c4", 16: "159a4dcef715febc"},  # q = 16 moved
+    ("time-varying", 8): {2: "9d322fb1b581b13b", 3: "fbf81c7ea91b70e5", 4: "a5f4d83cdc58ba68",
+                          8: "129f46971ec68ff8", 16: "c91482ff3e48699b"},
+    ("time-varying", 16): {2: "3aa0b57ff608f05a", 3: "2d5ab2a7c13623ed", 4: "8ecae4ebcd35bd4f",
+                           8: "e0f6df0def3d9364", 16: "2c442534c1ea8d28"},  # q = 2, 3, 4 moved
+}
+
+
+@pytest.mark.parametrize("p", _GRID_DIMS)
+@pytest.mark.parametrize("kind", sorted(_GRID_STEPS))
+def test_contiguous_right_operands_keep_the_grid_bits(kind, p):
+    assert _grid_digests(kind, p) == _GRID_DIGESTS[kind, p]
+
+
 # -- stability report --------------------------------------------------------
 
 def test_stability_report_zero_innovations_gives_exactly_zero_rates():
