@@ -568,11 +568,22 @@ def _run_simulate(config: RunConfig, m: ChannelModel) -> dict:
 def _run_sweep(config: RunConfig, m: ChannelModel) -> dict:
     validate_model(m)   # before the cells, which turn errors into rows
     report = _base_report(config, m)
+    unit = None
+    if config.param == "kappa":
+        # the unit solution does not depend on kappa: one serves the grid, and where it
+        # fails its error is every cell's that passes validation
+        try:
+            unit = capacity._unit_solution(m)
+        except DirinfoError as exc:
+            unit = exc
 
     def cell(value):
         try:
             if config.param == "kappa":
-                variant = dataclasses.replace(m, kappa=float(value))
+                variant = validate_model(dataclasses.replace(m, kappa=float(value)))
+                if isinstance(unit, DirinfoError):
+                    raise unit
+                sol, cap_nats = capacity._match_budget(variant, unit)
             else:
                 if not _is_scalar(m):
                     raise UsageError("sweep over C requires a scalar time-invariant model")
@@ -580,7 +591,7 @@ def _run_sweep(config: RunConfig, m: ChannelModel) -> dict:
                 variant = channel_model(
                     float(value), view.D, view.KV, view.R, view.Q, m.kappa, m.horizon,
                     terminal_Q=m.terminal_Q)
-            sol, cap_nats = capacity.feedback_capacity(variant)
+                sol, cap_nats = capacity.feedback_capacity(variant)
             return {
                 "param": config.param, "value": float(value),
                 "capacity_nats": cap_nats,

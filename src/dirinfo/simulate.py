@@ -16,7 +16,8 @@ output (only if its covariance is nonzero), then all innovation uniforms as a
 Per-step matrices are (m, ., .) stacks: m = 1 for what every step shares (a
 time-invariant model, a stationary strategy), else one entry per step.  Square
 roots, inverses and log-determinants are taken once per stack, batched, and a
-stack of one multiplies as a single 2-D product.
+stack of one multiplies as a single 2-D product.  A batch takes the roots of
+the initial covariance and of the K_Z and K_V stacks once, for every seed.
 
 `simulate_batch` draws each seed in that order and then steps all seeds
 together.  A time-invariant model under one gain is a linear time-invariant
@@ -250,20 +251,28 @@ def _form(M, X):
     return np.einsum("ij,ij->i", _rowwise(M, X), X)
 
 
-def _draw_noise(model: ChannelModel, strat: Strategy, steps: int, seed: int):
-    """Deterministic noise block for one trace; the documented draw order."""
+def _roots(model: ChannelModel, strat: Strategy, steps: int):
+    """The square roots a draw multiplies: of the initial covariance (None where
+    it is zero) and of the K_Z and K_V stacks over `steps`."""
+    return (sym_sqrt(model.initial_cov) if model.initial_cov.any() else None,
+            sym_sqrt(np.stack(strat.innovations[:steps])),
+            sym_sqrt(np.stack(model.KV_seq[:steps])))
+
+
+def _draw_noise(model: ChannelModel, strat: Strategy, steps: int, seed: int, roots=None):
+    """Deterministic noise block for one trace; the documented draw order.
+    `roots` is `_roots(model, strat, steps)` when the caller holds it (a batch
+    takes it once); when None it is taken here, with the same bits."""
     gen = np.random.Generator(np.random.Philox(key=seed))
     p, q = model.output_dim, model.input_dim
-    if model.initial_cov.any():
-        u0 = gen.random(p)
-        b0 = model.initial_mean + innovation_from_uniform(u0, model.initial_cov)
+    root0, root_z, root_v = _roots(model, strat, steps) if roots is None else roots
+    if root0 is not None:
+        b0 = model.initial_mean + root0 @ normal_quantile(gen.random(p))
     else:
         b0 = model.initial_mean.copy()
     Nz = normal_quantile(gen.random((steps, q)))
     Nv = normal_quantile(gen.random((steps, p)))
-    Z = _rowwise(sym_sqrt(np.stack(strat.innovations[:steps])), Nz)
-    V = _rowwise(sym_sqrt(np.stack(model.KV_seq[:steps])), Nv)
-    return b0, Z, V
+    return b0, _rowwise(root_z, Nz), _rowwise(root_v, Nv)
 
 
 def _traces(model: ChannelModel, seeds, b0, B, A, C, D, G, KZ, Q) -> list:
@@ -332,8 +341,9 @@ def simulate_batch(model: ChannelModel, strat: Strategy, steps: int, seeds) -> l
     b0 = np.empty((S, p))
     Z = np.zeros((chunk, S * K, q))
     V = np.zeros((chunk, S * K, p))
+    roots = _roots(model, strat, steps)
     for s, seed in enumerate(seeds):
-        b0[s] = _draw_slabs(model, strat, steps, seed, Z, V, s * K)
+        b0[s] = _draw_slabs(model, strat, steps, seed, Z, V, s * K, roots)
     C, D, G, KZ = (np.stack(seq[:steps]) for seq in (
         model.C_seq, model.D_seq, strat.gains, strat.innovations))
     # a stationary loop weighs every output with the running Q; otherwise
@@ -347,10 +357,12 @@ def simulate_batch(model: ChannelModel, strat: Strategy, steps: int, seeds) -> l
     return _traces(model, seeds, b0, B[:, :steps], A[:, :steps], C, D, G, KZ, Q)
 
 
-def _draw_slabs(model: ChannelModel, strat: Strategy, steps: int, seed: int, Z, V, row: int):
-    """Draw one seed's noise and write it into the time-major (chunk, S*K, .)
-    buffers Z and V at rows row .. row + K - 1, one per chunk; returns b0."""
-    b0, z, v = _draw_noise(model, strat, steps, seed)
+def _draw_slabs(model: ChannelModel, strat: Strategy, steps: int, seed: int, Z, V, row: int,
+                roots=None):
+    """Draw one seed's noise (`_draw_noise`, `roots` as there) and write it into the
+    time-major (chunk, S*K, .) buffers Z and V at rows row .. row + K - 1, one per
+    chunk; returns b0."""
+    b0, z, v = _draw_noise(model, strat, steps, seed, roots)
     chunk = len(Z)
     whole, tail = divmod(steps, chunk)
     for rows, x in ((_rows(Z), _rows(z)), (_rows(V), _rows(v))):

@@ -133,3 +133,22 @@ def test_newton_step_cap_ends_in_an_answer_or_a_precondition_error(output_cost, 
 def test_kleinman_oracle_matches_the_scalar_closed_form():
     ref = oracles.stabilizing_are_kleinman([[1e4]], [[1.0]], [[1.0]], [[1.0]])
     assert ref[0, 0] == pytest.approx(scalar_dare(1e4, 1.0, 1.0, 1.0), rel=1e-15)
+
+
+def test_public_solve_are_flags_the_spectrum_of_every_sweep_answer():
+    # the public entry judges its inputs, enters the core and reads `stabilizing`
+    # from the closed loop's spectrum; the answer counts of the whole sweep hold
+    answered = {}
+    for output_cost in ("0", "I", "e1"):
+        answered[output_cost] = 0
+        for index, _, C, D in oracles.are_sweep():
+            p, q = D.shape
+            Q = {"0": np.zeros((p, p)), "I": np.eye(p),
+                 "e1": np.diag([1.0] + [0.0] * (p - 1))}[output_cost]
+            try:
+                sol = di.solve_are(C, D, Q, np.eye(q), 1.0)
+            except PreconditionError:
+                continue
+            assert sol.stabilizing == di.spectral_radius(sol.closed_loop).stable, index
+            answered[output_cost] += 1
+    assert answered == {"0": 791, "I": 781, "e1": 782}

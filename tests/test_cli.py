@@ -14,6 +14,7 @@ import pytest
 from dirinfo import cli
 from dirinfo import model as model_mod
 from dirinfo.cli import RunConfig, UsageError, emit_report, parse_config, run
+from dirinfo.errors import DirinfoError
 
 
 def write_model(tmp_path, name="m.json", **overrides):
@@ -203,7 +204,7 @@ def test_simulate_that_cannot_be_certified_fails_before_the_solve(tmp_path, caps
     def untouched(*args, **kwargs):
         raise AssertionError("solved or sampled a run that cannot be certified")
 
-    monkeypatch.setattr(cli.riccati, "solve_are", untouched)
+    monkeypatch.setattr(cli.riccati, "_solve_are", untouched)
     monkeypatch.setattr(cli.simulate, "simulate_batch", untouched)
     assert cli.main(["simulate", "--model", write_model(tmp_path)] + flags) == 1
     captured = capsys.readouterr()
@@ -256,6 +257,69 @@ def test_sweep_records_errors_per_cell(tmp_path):
     assert code == 0
     assert "error" in report["rows"][0]
     assert "capacity_nats" in report["rows"][1]
+
+
+def _counted_core(monkeypatch):
+    calls = []
+    core = cli.riccati._solve_are
+    monkeypatch.setattr(cli.riccati, "_solve_are", lambda *a: calls.append(a) or core(*a))
+    return calls
+
+
+def _capacity_row(m, value, units="nats"):
+    """The row `feedback_capacity` gives the sweep cell at kappa = `value` on its own."""
+    variant = dataclasses.replace(m, kappa=value)
+    try:
+        sol, cap = cli.capacity.feedback_capacity(variant)
+    except DirinfoError as exc:
+        return {"param": "kappa", "value": value, "error": str(exc)}
+    return {"param": "kappa", "value": value, "capacity_nats": cap,
+            "capacity": cli._units_value(cap, units), "s_star": sol.s, "regime": sol.regime,
+            "achieved_cost": sol.achieved_cost,
+            "kappa_min": cli.capacity.cost_floor(variant, sol.P, sol.s)}
+
+
+def test_kappa_sweep_makes_one_unit_solve_and_keeps_every_row(tmp_path, monkeypatch):
+    # Q != 0, floor 3.64: a negative and a nan kappa fail validation in their own cells,
+    # 1.0 is below the floor, the rest are matched on the grid's one unit solution
+    grid = [-1.0, math.nan, 1.0, 4.0, 9.0, 50.0]
+    mp = write_model(tmp_path, Q=0.5)
+    calls = _counted_core(monkeypatch)
+    code, report = run(parse_config(["sweep", "--model", mp, "--param", "kappa", "--units",
+                                     "bits", "--grid=" + ",".join(map(str, grid))]))
+    assert code == 0
+    assert len(calls) == 1
+    rows = report["rows"]
+    assert ["error" in row for row in rows] == [True, True, True, False, False, False]
+    assert rows[0]["error"] == "negative kappa"
+    assert rows[1]["error"] == "kappa not finite"
+    assert "below minimum stabilization cost" in rows[2]["error"]
+    m = cli.load_model(mp)
+    for value, row in zip(grid, rows):
+        want = _capacity_row(m, value, "bits")
+        assert cli._canon(row, exact=True) == cli._canon(want, exact=True), value
+
+
+def test_kappa_sweep_of_an_unstabilizable_model_carries_one_error(tmp_path, monkeypatch):
+    mp = write_model(tmp_path, D=0.0)
+    calls = _counted_core(monkeypatch)
+    code, report = run(parse_config(["sweep", "--model", mp, "--param", "kappa",
+                                     "--grid", "1,5,9"]))
+    assert code == 0
+    assert len(calls) == 1
+    errors = [row["error"] for row in report["rows"]]
+    assert errors == [_capacity_row(cli.load_model(mp), 1.0)["error"]] * 3
+    assert "stabilizability test failed for (C, D)" in errors[0]
+
+
+def test_sweep_over_c_makes_one_solve_per_cell(tmp_path, monkeypatch):
+    mp = write_model(tmp_path, kappa=5.0)
+    calls = _counted_core(monkeypatch)
+    code, report = run(parse_config(["sweep", "--model", mp, "--param", "C",
+                                     "--grid", "0.5,2,3"]))
+    assert code == 0
+    assert [float(c[0][0, 0]) for c in calls] == [0.5, 2.0, 3.0]
+    assert all("capacity_nats" in row for row in report["rows"])
 
 
 def test_sweep_requires_param_and_grid(tmp_path):

@@ -841,7 +841,7 @@ def test_overflowed_zero_output_weight_cost_reads_inf():
 
 def test_time_varying_batch_builds_stacks_once_per_seed(monkeypatch, rng):
     # the per-step oracle stays off the sampling path, and the square roots
-    # of K_Z(i) and K_V(i) are one batched call each per seed
+    # of K_Z(i) and K_V(i) are one batched call each per batch
     m, st = _tv_model_and_strategy(300, rng)
     assert not hasattr(sim, "info_density_step")
     roots = []
@@ -849,9 +849,8 @@ def test_time_varying_batch_builds_stacks_once_per_seed(monkeypatch, rng):
     monkeypatch.setattr(sim, "sym_sqrt", lambda a: roots.append(np.shape(a)) or real(a))
     traces = di.simulate_batch(m, st, 301, range(4))
     assert len(traces) == 4
-    # per seed: the initial output, then the K_Z and K_V stacks
-    assert len(roots) == 3 * 4
-    assert sorted(roots).count((301, 2, 2)) == 4
+    # per batch: the initial output, then the K_Z and K_V stacks
+    assert roots == [(2, 2), (301, 1, 1), (301, 2, 2)]
 
 
 def test_stationary_mimo_trace_matches_per_step_operation():
