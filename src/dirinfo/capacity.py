@@ -29,13 +29,10 @@ pass, matches the budget on it and hands it to
 ARE solve to `_view`, whose output covariance K_B only the report reads
 (None, with the reason in `KB_declined`, where its Lyapunov solve fails).
 
-`validate_model` judges C, D, Q and R by the rows `riccati.solve_are` would,
-so the stationary path (`_unit_solution`) enters the Riccati core,
-`riccati._solve_are`, and takes no closed-loop spectrum: `_view` rejects a
-loop that is not exponentially stable by Smith's powers, and takes a spectrum
-only where they do not vanish.  The unit solution does not depend on kappa,
-so a kappa sweep (`sweep --param kappa`) makes one for its whole grid and
-matches each cell's budget on it (`_match_budget`).
+The unit solution does not depend on kappa, so a kappa sweep
+(`sweep --param kappa`, `_kappa_cells`) makes one ARE solve and one
+water-fill decomposition for its whole grid, and matches each cell's budget
+on it (`_match_budget`); each cell still validates its own kappa.
 
 The finite-horizon backward pass stops at its exact plateau.  On a
 time-invariant model every step applies one map to P_1(i+1), so once P_1(i)
@@ -48,12 +45,12 @@ plateaus.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import riccati, stability, waterfill
-from .errors import InfeasibleError, PreconditionError
+from .errors import DirinfoError, InfeasibleError, PreconditionError
 from .linalg import logdet_pd, sym
 from .model import ChannelModel, Strategy, _freeze, validate_model
 from .stability import solve_lyapunov
@@ -281,15 +278,13 @@ def _ti_matrices(model: ChannelModel):
 
 
 def _unit_solution(model: ChannelModel):
-    """The stationary solution at s = 1: (P_1, gain, closed loop, ARE residual, sigma, V),
-    the last two the subchannels of W_1 = R + D^T P_1 D as a stack of one.  The ARE goes
-    to `riccati._solve_are` once `validate_model` has judged its matrices."""
+    """The stationary solution at s = 1: (ARE solution, sigma, V), the subchannels
+    of W_1 = R + D^T P_1 D as a stack of one."""
     validate_model(model)
     C, D, _, R, Q = _ti_matrices(model)
-    P1, gain, closed, resid, _ = riccati._solve_are(C, D, Q, R, 1.0)
+    are = riccati.solve_are(C, D, Q, R, 1.0)
     kv_eff, _ = model.noise_for_inversion(0)
-    sigma, V = waterfill.subchannels(D, kv_eff, sym(R + D.T @ P1 @ D)[None])
-    return P1, gain, closed, resid, sigma, V
+    return (are, *waterfill.subchannels(D, kv_eff, sym(R + D.T @ are.P @ D)[None]))
 
 
 def _view(model: ChannelModel, unit, s: float) -> StationarySolution:
@@ -305,9 +300,10 @@ def _view(model: ChannelModel, unit, s: float) -> StationarySolution:
     is not exponentially stable (the identity needs K_B's series to converge)
     and an overflowing |D K_Z D^T + K_V| raise PreconditionError."""
     _, D, KV, _, _ = _ti_matrices(model)
-    P1, g, Acl, resid, sigma, V = unit
+    are, sigma, V = unit
     KZ, rate, spent = _fill(sigma, V, s)
     KZ = KZ[0]
+    Acl = are.closed_loop
     W = D @ KZ @ D.T + KV
     with np.errstate(over="ignore"):     # an overflowing norm is raised below
         finite = np.isfinite(np.linalg.norm(W))
@@ -324,6 +320,7 @@ def _view(model: ChannelModel, unit, s: float) -> StationarySolution:
                     f"{rep.spectral_radius:.6g}")
         if not rep.stable:
             raise PreconditionError(declined) from exc
+    g = are.gain
     kz_zero = float(np.abs(KZ).max(initial=0.0)) <= 1e-12
     if not g.any():     # the Q = 0 route returns exact zeros for a stable C
         regime = REGIME_STABLE_NO_FEEDBACK
@@ -331,11 +328,11 @@ def _view(model: ChannelModel, unit, s: float) -> StationarySolution:
         regime = REGIME_ZERO_RATE
     else:
         regime = REGIME_UNSTABLE_STABILIZED
-    norm_P = float(np.linalg.norm(P1))
+    norm_P = float(np.linalg.norm(are.P))
     return StationarySolution(
-        s=float(s), P=s * P1, gain=g, KZ=KZ, KB=K, KB_declined=declined,
-        rate_nats=float(rate[0]), achieved_cost=cost_floor(model, P1) + float(spent[0]),
-        regime=regime, are_residual=resid * s * (1.0 + norm_P) / (1.0 + s * norm_P),
+        s=float(s), P=s * are.P, gain=g, KZ=KZ, KB=K, KB_declined=declined,
+        rate_nats=float(rate[0]), achieved_cost=cost_floor(model, are.P) + float(spent[0]),
+        regime=regime, are_residual=are.residual * s * (1.0 + norm_P) / (1.0 + s * norm_P),
     )
 
 
@@ -362,7 +359,8 @@ def kappa_min(model: ChannelModel) -> float:
 
     Reproduces (C^2-1) K_V / D^2 on scalar models.
     """
-    return cost_floor(model, _unit_solution(model)[0])
+    are = _unit_solution(model)[0]
+    return cost_floor(model, are.P)
 
 
 def feedback_capacity(model: ChannelModel):
@@ -380,17 +378,38 @@ def feedback_capacity(model: ChannelModel):
 
 def _match_budget(model: ChannelModel, unit):
     """`feedback_capacity` on `unit`, the `_unit_solution` of a model that differs from
-    `model` at most in kappa (a kappa sweep makes one for its grid): the infeasible
-    check, the matched multiplier and its `_view`."""
-    P1, _, _, _, sigma, _ = unit
+    `model` at most in kappa: the infeasible check, the matched multiplier and its
+    `_view`."""
+    are, sigma, _ = unit
     kappa = model.kappa
-    floor = cost_floor(model, P1)
+    floor = cost_floor(model, are.P)
     if model.Q_seq[0].any() and kappa < floor - COST_TOL * (1.0 + kappa):
         raise InfeasibleError(
             f"power budget {kappa} below minimum stabilization cost {floor:.12g}",
             kappa_stab=floor)
     sol = _view(model, unit, _matched_multiplier(sigma, max(kappa - floor, 0.0), kappa))
     return sol, sol.rate_nats
+
+
+def _kappa_cells(model: ChannelModel, kappas) -> list:
+    """The cells of a kappa sweep: for each v, (variant, solution, capacity_nats) with
+    variant = `dataclasses.replace(model, kappa=v)`, exactly as `feedback_capacity(variant)`
+    gives them, or the DirinfoError that cell raises.  The unit solution does not depend
+    on kappa, so one serves the grid.  A cell whose kappa fails validation (negative, not
+    finite) carries that error; otherwise, where the unit solve failed, its error."""
+    try:
+        unit = _unit_solution(model)
+    except DirinfoError as exc:
+        unit = exc
+    cells = []
+    for v in kappas:
+        try:
+            variant = validate_model(replace(model, kappa=v))
+            cells.append(unit if isinstance(unit, DirinfoError)
+                         else (variant, *_match_budget(variant, unit)))
+        except DirinfoError as exc:
+            cells.append(exc)
+    return cells
 
 
 # ---------------------------------------------------------------------------

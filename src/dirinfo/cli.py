@@ -568,43 +568,40 @@ def _run_simulate(config: RunConfig, m: ChannelModel) -> dict:
 def _run_sweep(config: RunConfig, m: ChannelModel) -> dict:
     validate_model(m)   # before the cells, which turn errors into rows
     report = _base_report(config, m)
-    unit = None
+    grid = [float(v) for v in config.grid]
     if config.param == "kappa":
-        # the unit solution does not depend on kappa: one serves the grid, and where it
-        # fails its error is every cell's that passes validation
-        try:
-            unit = capacity._unit_solution(m)
-        except DirinfoError as exc:
-            unit = exc
+        cells = capacity._kappa_cells(m, grid)     # one ARE solve for the grid
+    else:
+        cells = [_c_cell(m, v) for v in grid]
 
-    def cell(value):
-        try:
-            if config.param == "kappa":
-                variant = validate_model(dataclasses.replace(m, kappa=float(value)))
-                if isinstance(unit, DirinfoError):
-                    raise unit
-                sol, cap_nats = capacity._match_budget(variant, unit)
-            else:
-                if not _is_scalar(m):
-                    raise UsageError("sweep over C requires a scalar time-invariant model")
-                view = scalar_view(m)
-                variant = channel_model(
-                    float(value), view.D, view.KV, view.R, view.Q, m.kappa, m.horizon,
-                    terminal_Q=m.terminal_Q)
-                sol, cap_nats = capacity.feedback_capacity(variant)
-            return {
-                "param": config.param, "value": float(value),
-                "capacity_nats": cap_nats,
-                "capacity": _units_value(cap_nats, config.units),
-                "s_star": sol.s, "regime": sol.regime,
-                "achieved_cost": sol.achieved_cost,
-                "kappa_min": capacity.cost_floor(variant, sol.P, sol.s),
-            }
-        except DirinfoError as exc:
-            return {"param": config.param, "value": float(value), "error": str(exc)}
+    def row(value, cell):
+        if isinstance(cell, DirinfoError):
+            return {"param": config.param, "value": value, "error": str(cell)}
+        variant, sol, cap_nats = cell
+        return {
+            "param": config.param, "value": value,
+            "capacity_nats": cap_nats,
+            "capacity": _units_value(cap_nats, config.units),
+            "s_star": sol.s, "regime": sol.regime,
+            "achieved_cost": sol.achieved_cost,
+            "kappa_min": capacity.cost_floor(variant, sol.P, sol.s),
+        }
 
-    report["rows"] = [cell(v) for v in config.grid]
+    report["rows"] = [row(v, cell) for v, cell in zip(grid, cells)]
     return report
+
+
+def _c_cell(m: ChannelModel, value: float):
+    """A cell of a sweep over C: (variant, solution, capacity_nats), or its error."""
+    try:
+        if not _is_scalar(m):
+            raise UsageError("sweep over C requires a scalar time-invariant model")
+        view = scalar_view(m)
+        variant = channel_model(value, view.D, view.KV, view.R, view.Q, m.kappa, m.horizon,
+                                terminal_Q=m.terminal_Q)
+        return (variant, *capacity.feedback_capacity(variant))
+    except DirinfoError as exc:
+        return exc
 
 
 _HANDLERS = {

@@ -19,14 +19,8 @@ is solved by substitution (Bartels & Stewart 1972).  Y's conditioning decides
 stabilizability.  With Q != 0, Newton's method (Kleinman 1968, Hewer 1971) runs
 from the direct Q = 0 gain of a scaled pair, which stabilizes C; the stabilizing
 solution exists unless (Q^{1/2}, C) has an unobservable unit-circle mode.
-`_solve_are` takes C's spectrum once and picks the route; one certificate ends
+`solve_are` takes C's spectrum once and picks the route; one certificate ends
 both: the ARE residual, or else the cost of the answer's own gain.
-
-The public `solve_are` judges its inputs by the model's row rule, enters that
-core, and flags whether the closed loop's spectrum lies inside the unit circle.
-The capacity path has judged the same matrices in `validate_model`, and reads
-no flag: it enters the core directly, and `capacity._view` rejects a closed
-loop that is not exponentially stable by Smith's powers.
 """
 
 from __future__ import annotations
@@ -194,8 +188,19 @@ def solve_are(C, D, Q, R, s: float) -> AreSolution:
     """Stabilizing fixed point; requires R > 0 and (C, D) stabilizable.
 
     C, D, Q and R are judged by the model's row rule (shape, finiteness, symmetry, Q PSD,
-    R PD): a violation is a ModelValidationError naming it.  The judged equation goes to
-    `_solve_are`, and `stabilizing` is read from the spectrum of its closed loop.
+    R PD): a violation is a ModelValidationError naming it.  s is applied once, as sQ
+    and sR, and one spectrum of C serves either route.  Q = 0: the direct solution
+    (`_q0_solution`), which a solve from C moved by about an ulp per entry (a +-eps
+    checkerboard) must match within TOL_FORWARD |P|.  Q != 0: `_newton` from the direct
+    Q = 0 gain of (beta C, beta D), beta = min(_BETA, 2 / (1 + rho_s)), rho_s the largest
+    stable modulus of C (beta = 1 if rho_s is within 4 TOL_SPEC of 1): its closed loop
+    has spectral radius below 1 / beta, and no stable mode of C needs to be controllable.
+    One certificate ends both routes: the answer P, with the gain and residual of one
+    backward step from it, stands if that residual is within TOL_ARE, else (its rounding
+    grows as eps |C|^2) if the cost of its own gain is within TOL_FORWARD |P|
+    (`_certify`), which judges Newton's iterate at its step cap whatever its residual.
+    `iterations` counts Newton steps.  A unit-circle eigenvalue of C with Q = 0, an unstabilizable
+    mode, an ill-conditioned equation, an unstable loop or a declined answer: PreconditionError.
     """
     C, D, Q, R = (np.atleast_2d(np.asarray(a, dtype=float)) for a in (C, D, Q, R))
     check_multiplier(s)
@@ -206,29 +211,6 @@ def solve_are(C, D, Q, R, s: float) -> AreSolution:
                           ("R", (R,), (q, q), _PD, _MISMATCH)])
     if errors:
         raise ModelValidationError(errors)
-    P, gain, closed, resid, iterations = _solve_are(C, D, Q, R, s)
-    return AreSolution(P=P, gain=gain, closed_loop=closed, residual=resid, iterations=iterations,
-                       stabilizing=stability.spectral_radius(closed).stable)
-
-
-def _solve_are(C, D, Q, R, s: float):
-    """(P, gain, closed loop, residual, Newton steps) of the stabilizing fixed point, on
-    2-D float arrays that the caller has judged (`solve_are`, or `validate_model` on the
-    capacity path); it judges nothing and takes no spectrum of the closed loop.
-
-    s is applied once, as sQ and sR, and one spectrum of C serves either route.  Q = 0:
-    the direct solution (`_q0_solution`), which a solve from C moved by about an ulp per
-    entry (a +-eps checkerboard) must match within TOL_FORWARD |P|.  Q != 0: `_newton`
-    from the direct Q = 0 gain of (beta C, beta D), beta = min(_BETA, 2 / (1 + rho_s)),
-    rho_s the largest stable modulus of C (beta = 1 if rho_s is within 4 TOL_SPEC of 1):
-    its closed loop has spectral radius below 1 / beta, and no stable mode of C needs to
-    be controllable.  One certificate ends both routes: the answer P, with the gain and
-    residual of one backward step from it, stands if that residual is within TOL_ARE,
-    else (its rounding grows as eps |C|^2) if the cost of its own gain is within
-    TOL_FORWARD |P| (`_certify`), which judges Newton's iterate at its step cap whatever
-    its residual.  A unit-circle eigenvalue of C with Q = 0, an unstabilizable mode, an
-    ill-conditioned equation, an unstable loop or a declined answer: PreconditionError.
-    """
     Q, R = s * Q, s * R
     try:
         modulus = np.abs(np.linalg.eigvals(C))
@@ -253,7 +235,8 @@ def _solve_are(C, D, Q, R, s: float):
             _certify(P, closed, Q + gain.T @ R @ gain, resid)
     except np.linalg.LinAlgError as exc:
         raise PreconditionError(f"Riccati solve: {exc}") from exc
-    return P, gain, closed, resid, iterations
+    return AreSolution(P=P, gain=gain, closed_loop=closed, residual=resid, iterations=iterations,
+                       stabilizing=stability.spectral_radius(closed).stable)
 
 
 def _step(P, step):

@@ -358,9 +358,9 @@ def simulate_batch(model: ChannelModel, strat: Strategy, steps: int, seeds) -> l
 
 
 def _draw_slabs(model: ChannelModel, strat: Strategy, steps: int, seed: int, Z, V, row: int,
-                roots=None):
-    """Draw one seed's noise (`_draw_noise`, `roots` as there) and write it into the
-    time-major (chunk, S*K, .) buffers Z and V at rows row .. row + K - 1, one per
+                roots):
+    """Draw one seed's noise (`_draw_noise` with the batch's `roots`) and write it into
+    the time-major (chunk, S*K, .) buffers Z and V at rows row .. row + K - 1, one per
     chunk; returns b0."""
     b0, z, v = _draw_noise(model, strat, steps, seed, roots)
     chunk = len(Z)

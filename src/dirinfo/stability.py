@@ -112,7 +112,7 @@ def solve_lyapunov(Acl, W) -> np.ndarray:
 
 def smith_doubling(Acl, W):
     """(Sigma, |W - Sigma + Acl Sigma Acl^T| / (1 + |W|)): `solve_lyapunov` without its
-    residual gate, for iterations that gate their own result (`riccati._newton`).
+    residual gate, for iterations that gate their own result (`riccati.solve_are`).
     Unless Acl's last power vanishes (|Acl^(2^k)|^2 <= eps; Smith 1968), PreconditionError
     names Acl's spectral radius if it is 1 - TOL_SPEC or more, else the power that overflowed."""
     Acl = _square(Acl)

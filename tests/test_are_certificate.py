@@ -136,8 +136,8 @@ def test_kleinman_oracle_matches_the_scalar_closed_form():
 
 
 def test_public_solve_are_flags_the_spectrum_of_every_sweep_answer():
-    # the public entry judges its inputs, enters the core and reads `stabilizing`
-    # from the closed loop's spectrum; the answer counts of the whole sweep hold
+    # `stabilizing` is read from the closed loop's spectrum; the answer counts of
+    # the whole sweep hold
     answered = {}
     for output_cost in ("0", "I", "e1"):
         answered[output_cost] = 0

@@ -204,7 +204,7 @@ def test_simulate_that_cannot_be_certified_fails_before_the_solve(tmp_path, caps
     def untouched(*args, **kwargs):
         raise AssertionError("solved or sampled a run that cannot be certified")
 
-    monkeypatch.setattr(cli.riccati, "_solve_are", untouched)
+    monkeypatch.setattr(cli.riccati, "solve_are", untouched)
     monkeypatch.setattr(cli.simulate, "simulate_batch", untouched)
     assert cli.main(["simulate", "--model", write_model(tmp_path)] + flags) == 1
     captured = capsys.readouterr()
@@ -259,10 +259,10 @@ def test_sweep_records_errors_per_cell(tmp_path):
     assert "capacity_nats" in report["rows"][1]
 
 
-def _counted_core(monkeypatch):
+def _counted_solves(monkeypatch):
     calls = []
-    core = cli.riccati._solve_are
-    monkeypatch.setattr(cli.riccati, "_solve_are", lambda *a: calls.append(a) or core(*a))
+    solve_are = cli.riccati.solve_are
+    monkeypatch.setattr(cli.riccati, "solve_are", lambda *a: calls.append(a) or solve_are(*a))
     return calls
 
 
@@ -284,7 +284,7 @@ def test_kappa_sweep_makes_one_unit_solve_and_keeps_every_row(tmp_path, monkeypa
     # 1.0 is below the floor, the rest are matched on the grid's one unit solution
     grid = [-1.0, math.nan, 1.0, 4.0, 9.0, 50.0]
     mp = write_model(tmp_path, Q=0.5)
-    calls = _counted_core(monkeypatch)
+    calls = _counted_solves(monkeypatch)
     code, report = run(parse_config(["sweep", "--model", mp, "--param", "kappa", "--units",
                                      "bits", "--grid=" + ",".join(map(str, grid))]))
     assert code == 0
@@ -302,7 +302,7 @@ def test_kappa_sweep_makes_one_unit_solve_and_keeps_every_row(tmp_path, monkeypa
 
 def test_kappa_sweep_of_an_unstabilizable_model_carries_one_error(tmp_path, monkeypatch):
     mp = write_model(tmp_path, D=0.0)
-    calls = _counted_core(monkeypatch)
+    calls = _counted_solves(monkeypatch)
     code, report = run(parse_config(["sweep", "--model", mp, "--param", "kappa",
                                      "--grid", "1,5,9"]))
     assert code == 0
@@ -314,7 +314,7 @@ def test_kappa_sweep_of_an_unstabilizable_model_carries_one_error(tmp_path, monk
 
 def test_sweep_over_c_makes_one_solve_per_cell(tmp_path, monkeypatch):
     mp = write_model(tmp_path, kappa=5.0)
-    calls = _counted_core(monkeypatch)
+    calls = _counted_solves(monkeypatch)
     code, report = run(parse_config(["sweep", "--model", mp, "--param", "C",
                                      "--grid", "0.5,2,3"]))
     assert code == 0

@@ -145,13 +145,11 @@ def test_capacity_ends_in_one_fixed_multiplier_solve(monkeypatch):
             return original(*args)
         monkeypatch.setattr(module, name, wrapper)
 
-    # the capacity path enters the Riccati core after validate_model, not solve_are
     for name in ("stationary_solve", "finite_horizon_dp"):
         counted(cap, name)
-    for name in ("solve_are", "_solve_are"):
-        counted(riccati, name)
+    counted(riccati, "solve_are")
     di.feedback_capacity(di.scalar_model(2.0, 1.0, 1.0, 1.0, 0.0, 9.0))
-    assert calls == ["_solve_are"]
+    assert calls == ["solve_are"]
     calls.clear()
     di.ftfi_capacity(di.scalar_model(2.0, 1.0, 1.0, 1.0, 0.0, 9.0, horizon=50, terminal_Q=1.0))
     assert calls == ["finite_horizon_dp"]
@@ -164,8 +162,7 @@ def test_one_are_solve_and_no_per_step_water_fill(monkeypatch):
         original = getattr(module, name)
         monkeypatch.setattr(module, name, lambda *a, **k: calls.append(name) or original(*a, **k))
 
-    for module, name in ((riccati, "solve_are"), (riccati, "_solve_are"), (wf, "solve"),
-                         (wf, "WaterfillProblem")):
+    for module, name in ((riccati, "solve_are"), (wf, "solve"), (wf, "WaterfillProblem")):
         counted(module, name)
     m = di.channel_model(np.diag([1.5, 0.4]), [[1.0, 0.2], [0.3, 1.0]], np.eye(2), np.eye(2),
                          np.zeros((2, 2)), 9.0, 30)
@@ -173,7 +170,7 @@ def test_one_are_solve_and_no_per_step_water_fill(monkeypatch):
                 lambda: di.kappa_min(m)):
         calls.clear()
         run()
-        assert calls == ["_solve_are"]
+        assert calls == ["solve_are"]
     calls.clear()
     cap.finite_horizon_dp(m, 0.3)
     di.ftfi_capacity(m)

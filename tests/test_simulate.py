@@ -457,7 +457,8 @@ def test_layout_copies_match_the_swapaxes_reference(d, S, steps):
     K = -(-steps // sim.CHUNK)
     Z = np.zeros((sim.CHUNK, S * K, d))
     V = np.zeros_like(Z)
-    b0 = [sim._draw_slabs(m, st, steps, seed, Z, V, seed * K) for seed in range(S)]
+    roots = sim._roots(m, st, steps)
+    b0 = [sim._draw_slabs(m, st, steps, seed, Z, V, seed * K, roots) for seed in range(S)]
     draws = [sim._draw_noise(m, st, steps, seed) for seed in range(S)]
     assert np.array(b0).tobytes() == np.array([dr[0] for dr in draws]).tobytes()
     for buf, k in ((Z, 1), (V, 2)):
