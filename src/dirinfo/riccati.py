@@ -16,7 +16,10 @@ Bode meets Shannon", 2004).  One complex Schur form of C with its eigenvalues in
 ascending modulus gives both: its leading columns span the stable subspace, the
 rest are V, and T is its trailing triangular block, in which the Stein equation
 is solved by substitution (Bartels & Stewart 1972).  Y's conditioning decides
-stabilizability.  With Q != 0, Newton's method (Kleinman 1968, Hewer 1971) runs
+stabilizability.  The Gramian and that Schur-form Stein kernel live in
+`stability` (`_stabilization_gramian`, `_schur`, `_stein`), whose
+`is_stabilizable` runs the same test; the certificate takes the kernel from
+there too.  With Q != 0, Newton's method (Kleinman 1968, Hewer 1971) runs
 from the direct Q = 0 gain of a scaled pair, which stabilizes C; the stabilizing
 solution exists unless (Q^{1/2}, C) has an unobservable unit-circle mode.
 `solve_are` takes C's spectrum once and picks the route; one certificate ends
@@ -36,7 +39,6 @@ from .model import _MISMATCH, _PD, _PSD, _check_rows
 
 TOL_ARE = 1e-11
 TOL_FORWARD = 1e-7      # P and its check (ulp-moved C, or its gain's cost) differ by more: declined
-TOL_GRAMIAN = 1e-13     # Y's smallest / largest eigenvalue at or below it: unstabilizable
 _MAX_ITER = 100         # Newton steps
 _BETA = 1.1             # the Q != 0 start scales (C, D) by at most this
 _EPS = np.finfo(float).eps
@@ -91,77 +93,21 @@ def optimal_gain(blocks: RiccatiStepBlocks) -> np.ndarray:
     return -blocks.X
 
 
-def _schur(T):
-    """(U, S): the complex Schur form T = U S U^H, S upper triangular with its
-    eigenvalues in ascending modulus.  Each round orthonormalizes the eigenvectors
-    of the trailing block (QR) and keeps the leading columns whose part below the
-    diagonal is within 16 eps |T|; a cluster whose eigenvectors QR cannot separate
-    starts the next round."""
-    n, tol = len(T), 16 * _EPS * np.linalg.norm(T)
-    S, U, j = T.astype(complex), np.eye(n, dtype=complex), 0
-    while j < n - 1:
-        w, V = np.linalg.eig(S[j:, j:])
-        Z = np.linalg.qr(V[:, np.argsort(np.abs(w), kind="stable")])[0]
-        S[j:] = Z.conj().T @ S[j:]
-        S[:, j:] = S[:, j:] @ Z
-        U[:, j:] = U[:, j:] @ Z
-        below = [np.linalg.norm(S[k + 1:, k]) > tol for k in range(j + 1, n - 1)]
-        j = j + 1 + below.index(True) if True in below else n - 1
-    return U, np.triu(S)
-
-
-def _stein(S, G):
-    """Y with S Y S^H - Y = G, S upper triangular: back substitution by columns,
-    and one step of iterative refinement with the residual formed in extended
-    precision (np.clongdouble).  Y's small entries carry P = Y^{-1}, and the
-    substitution alone leaves them only about 1e-11 relative."""
-    n = len(S)
-    Minv = np.linalg.inv(np.conj(np.diag(S))[:, None, None] * S - np.eye(n))   # column j's system
-
-    def substitute(G):
-        Y = np.zeros((n, n), dtype=complex)
-        for j in range(n - 1, -1, -1):
-            Y[:, j] = Minv[j] @ (G[:, j] - S @ (Y[:, j + 1:] @ S[j, j + 1:].conj()))
-        return Y
-
-    Y = substitute(G)
-    Sx, Yx = S.astype(np.clongdouble), Y.astype(np.clongdouble)
-    Y = (Yx + substitute((G - Sx @ Yx @ Sx.conj().T + Yx).astype(complex))).astype(complex)
-    return 0.5 * (Y + Y.conj().T)
-
-
-def _direct_q0(C, D, R, n_s):
-    """The stabilizing Q = 0 solution P = V Y^{-1} V^H for a C with n_s stable
-    eigenvalues, at least one outside the unit circle and none on it.  U S U^H is
-    the Schur form of C, so V = U[:, n_s:] spans the orthogonal complement of the
-    stable subspace and S_2 = S[n_s:, n_s:] = V^H C V; Y solves the Stein equation
-    S_2 Y S_2^H - Y = B R^{-1} B^H, B = V^H D.  A |diag S| that does not split at
-    n_s, or Y's smallest / largest eigenvalue within TOL_GRAMIAN (an unstabilizable
-    mode), is a PreconditionError."""
-    U, S = _schur(C)
-    modulus = np.abs(np.diag(S))
-    if not ((modulus[:n_s] < 1.0).all() and (modulus[n_s:] > 1.0).all()):
-        raise PreconditionError(
-            f"Schur form of C does not split at its {n_s} stable eigenvalues")
-    V, S = U[:, n_s:], S[n_s:, n_s:]
-    B = V.conj().T @ D
-    Y = _stein(S, B @ np.linalg.solve(R, B.conj().T))
-    w = np.linalg.eigvalsh(Y)
-    if not w[-1] > 0.0 or w[0] <= TOL_GRAMIAN * w[-1]:
-        raise PreconditionError(
-            "stabilizability test failed for (C, D): the stabilization Gramian's smallest "
-            f"/ largest eigenvalue is {w[0] / w[-1] if w[-1] > 0.0 else 0.0:.3e}")
-    return sym((V @ np.linalg.solve(Y, V.conj().T)).real)
-
-
 def _q0_solution(C, D, R, modulus):
-    """P of the Q = 0 equation, C's eigenvalue moduli given: 0 if C is stable, else `_direct_q0`."""
+    """P of the Q = 0 equation, C's eigenvalue moduli given: 0 if C is stable, else the
+    direct solution P = V Y^{-1} V^H from the stabilization Gramian Y of C's anti-stable
+    part and the basis V of that part (`stability._stabilization_gramian`).  A unit-circle
+    eigenvalue, a Schur form that does not split, or a declined Gramian: PreconditionError."""
     if not (modulus >= 1.0 - stability.TOL_SPEC).any():
         return np.zeros_like(C)
     if (np.abs(modulus - 1.0) <= stability.TOL_SPEC).any():
         raise PreconditionError(
             "Q = 0 and C has an eigenvalue on the unit circle: no stabilizing solution")
-    return _direct_q0(C, D, R, int((modulus < 1.0).sum()))
+    V, Y, ratio = stability._stabilization_gramian(C, D, R, int((modulus < 1.0).sum()))
+    if Y is None:
+        raise PreconditionError("stabilizability test failed for (C, D): the stabilization "
+                                f"Gramian's smallest / largest eigenvalue is {ratio:.3e}")
+    return sym((V @ np.linalg.solve(Y, V.conj().T)).real)
 
 
 def _check_close(P, P2, text: str) -> None:
@@ -177,9 +123,10 @@ def _certify(P, closed, W, resid) -> None:
     """Certify P, whose ARE residual is `resid`: the cost of its gain, sum_k (closed^T)^k W
     closed^k = U Y U^H with closed^T = U S U^H and S Y S^H - Y = -U^H W U (infinite for
     an unstable loop), must be within TOL_FORWARD |P| of P."""
-    U, S = _schur(closed.T)
+    U, S = stability._schur(closed.T)
     stable = np.abs(np.diag(S)).max(initial=0.0) < 1.0 - stability.TOL_SPEC
-    cost = sym((U @ _stein(S, -(U.conj().T @ W @ U)) @ U.conj().T).real) if stable else P + np.inf
+    cost = (sym((U @ stability._stein(S, -(U.conj().T @ W @ U)) @ U.conj().T).real) if stable
+            else P + np.inf)
     _check_close(P, cost, f"the ARE residual is {resid:.3e}, and the cost of P's own gain differs "
                  "from P by {differ:.3e} of |P|, more than {tol:g}")
 

@@ -1,4 +1,14 @@
-"""Linear-systems substrate: spectra, PBH tests, discrete Lyapunov equations."""
+"""Linear-systems substrate: spectra, PBH tests, the stabilization Gramian,
+discrete Lyapunov and Stein equations.
+
+Controllability and observability are PBH tests.  Stabilizability and
+detectability are decided by the minimum-energy stabilization Gramian (Elia,
+"When Bode meets Shannon", 2004), the same test that the direct Q = 0 Riccati
+solve runs (`riccati._q0_solution`): one complex Schur form of A with its
+eigenvalues in ascending modulus (`_schur`) splits off the anti-stable block T,
+the Gramian solves the Stein equation T Y T^H - Y = B R^{-1} B^H in it by
+substitution (`_stein`; Bartels & Stewart 1972), and Y's conditioning decides.
+Lyapunov equations of exponentially stable loops go by Smith doubling."""
 
 from __future__ import annotations
 
@@ -11,8 +21,10 @@ from .errors import DimensionError, PreconditionError
 TOL_SPEC = 1e-9          # stability margin on the unit circle
 TOL_RANK = 1e-9          # PBH rank cutoff, relative to the pencil and to |lam|
 TOL_LYAP = 1e-10         # residual tolerance for the algebraic Lyapunov solve
+TOL_GRAMIAN = 1e-13      # Y's smallest / largest eigenvalue at or below it: unstabilizable
 _MAX_DOUBLINGS = 64      # Smith doublings: 2^64 terms of the Lyapunov series
 _MAX_PASSES = 3          # Smith passes: the solve, then refinements on its residual
+_EPS = np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -35,21 +47,27 @@ def spectral_radius(A) -> SpectrumReport:
     return SpectrumReport(spectral_radius=radius, stable=radius < 1.0 - TOL_SPEC)
 
 
-def _pbh(A, B, margin: float) -> bool:
-    """PBH test: rank [A - lam*I, B] = n at every eigenvalue with |lam| >= margin.
+def _pair(A, B):
+    """(A, B) as float arrays, A square with as many rows as B."""
+    A = _square(A)
+    B = np.atleast_2d(np.asarray(B, dtype=float))
+    if B.shape[0] != A.shape[0]:
+        raise DimensionError(f"B has {B.shape[0]} rows, expected {A.shape[0]}")
+    return A, B
+
+
+def _pbh(A, B) -> bool:
+    """PBH test: rank [A - lam*I, B] = n at every eigenvalue lam of A.
     (The Krylov matrix [B, AB, ...] loses rank numerically as n grows; Paige 1981.)
 
     A singular value counts above TOL_RANK times the larger of the pencil's
     largest one and |lam|.  As |[A, B]| <= |[A - lam*I, B]| + |lam|, that is the
     size of [A, B] up to a factor 2, so a pencil that is only the rounding in A - lam*I
     (A = lam*I up to rounding, B = 0) has rank 0."""
-    A = _square(A)
-    B = np.atleast_2d(np.asarray(B, dtype=float))
+    A, B = _pair(A, B)
     n = A.shape[0]
-    if B.shape[0] != n:
-        raise DimensionError(f"B has {B.shape[0]} rows, expected {n}")
     for lam in np.linalg.eigvals(A):
-        if abs(lam) < margin or lam.imag < 0:     # at conj(lam) the pencil is the conjugate
+        if lam.imag < 0:     # at conj(lam) the pencil is the conjugate
             continue
         sv = np.linalg.svd(np.hstack([A - lam * np.eye(n), B]).astype(complex), compute_uv=False)
         if sv[-1] <= TOL_RANK * max(sv[0], abs(lam)):
@@ -59,7 +77,7 @@ def _pbh(A, B, margin: float) -> bool:
 
 def is_controllable(A, B) -> bool:
     """PBH test at every eigenvalue of A."""
-    return _pbh(A, B, 0.0)
+    return _pbh(A, B)
 
 
 def is_observable(C, A) -> bool:
@@ -72,8 +90,24 @@ def is_observable(C, A) -> bool:
 
 
 def is_stabilizable(A, B) -> bool:
-    """PBH test at every eigenvalue with |lam| >= 1 - TOL_SPEC."""
-    return _pbh(A, B, 1.0 - TOL_SPEC)
+    """Every mode of A with |lam| >= 1 - TOL_SPEC reachable from B, judged by the
+    stabilization Gramian of the direct Riccati solve (`_stabilization_gramian`, R = I):
+    True at once if A has no such mode, and False at once if B = 0, whose Gramian is 0
+    in any basis (detectability with Q = 0).  A mode within TOL_SPEC of the circle would
+    make the Stein equation singular, so then the test runs on beta A, beta = 1 + 2
+    TOL_SPEC, which moves it outside (and with it any mode within 2 TOL_SPEC below the
+    circle).  A Schur form of A that does not split at its stable eigenvalues is a
+    PreconditionError."""
+    A, B = _pair(A, B)
+    modulus = np.abs(np.linalg.eigvals(A))
+    marginal = modulus >= 1.0 - TOL_SPEC
+    if not marginal.any():
+        return True
+    if not B.any():
+        return False
+    beta = 1.0 + 2 * TOL_SPEC if (modulus[marginal] <= 1.0 + TOL_SPEC).any() else 1.0
+    n_s = int((beta * modulus < 1.0).sum())
+    return _stabilization_gramian(beta * A, B, np.eye(B.shape[1]), n_s)[1] is not None
 
 
 def is_detectable(G, A) -> bool:
@@ -83,6 +117,68 @@ def is_detectable(G, A) -> bool:
     if G.shape[1] != A.shape[0]:
         raise DimensionError(f"G has {G.shape[1]} columns, expected {A.shape[0]}")
     return is_stabilizable(A.T, G.T)
+
+
+def _schur(T):
+    """(U, S): the complex Schur form T = U S U^H, S upper triangular with its
+    eigenvalues in ascending modulus.  Each round orthonormalizes the eigenvectors
+    of the trailing block (QR) and keeps the leading columns whose part below the
+    diagonal is within 16 eps |T|; a cluster whose eigenvectors QR cannot separate
+    starts the next round."""
+    n, tol = len(T), 16 * _EPS * np.linalg.norm(T)
+    S, U, j = T.astype(complex), np.eye(n, dtype=complex), 0
+    while j < n - 1:
+        w, V = np.linalg.eig(S[j:, j:])
+        Z = np.linalg.qr(V[:, np.argsort(np.abs(w), kind="stable")])[0]
+        S[j:] = Z.conj().T @ S[j:]
+        S[:, j:] = S[:, j:] @ Z
+        U[:, j:] = U[:, j:] @ Z
+        below = [np.linalg.norm(S[k + 1:, k]) > tol for k in range(j + 1, n - 1)]
+        j = j + 1 + below.index(True) if True in below else n - 1
+    return U, np.triu(S)
+
+
+def _stein(S, G):
+    """Y with S Y S^H - Y = G, S upper triangular: back substitution by columns,
+    and one step of iterative refinement with the residual formed in extended
+    precision (np.clongdouble).  Y's small entries carry P = Y^{-1}, and the
+    substitution alone leaves them only about 1e-11 relative."""
+    n = len(S)
+    Minv = np.linalg.inv(np.conj(np.diag(S))[:, None, None] * S - np.eye(n))   # column j's system
+
+    def substitute(G):
+        Y = np.zeros((n, n), dtype=complex)
+        for j in range(n - 1, -1, -1):
+            Y[:, j] = Minv[j] @ (G[:, j] - S @ (Y[:, j + 1:] @ S[j, j + 1:].conj()))
+        return Y
+
+    Y = substitute(G)
+    Sx, Yx = S.astype(np.clongdouble), Y.astype(np.clongdouble)
+    Y = (Yx + substitute((G - Sx @ Yx @ Sx.conj().T + Yx).astype(complex))).astype(complex)
+    return 0.5 * (Y + Y.conj().T)
+
+
+def _stabilization_gramian(C, D, R, n_s):
+    """(V, Y, ratio) for a C with n_s eigenvalues inside the unit circle and none on it.
+    U S U^H is the Schur form of C, so V = U[:, n_s:] spans the orthogonal complement of
+    the stable subspace and S_2 = S[n_s:, n_s:] = V^H C V; the minimum-energy stabilization
+    Gramian Y solves the Stein equation S_2 Y S_2^H - Y = B R^{-1} B^H, B = V^H D, and
+    ratio is its smallest / largest eigenvalue (0 if the largest is not positive).  Y is
+    None where that ratio is at or below TOL_GRAMIAN: an unstabilizable mode.  A |diag S|
+    that does not split at n_s is a PreconditionError."""
+    U, S = _schur(C)
+    modulus = np.abs(np.diag(S))
+    if not ((modulus[:n_s] < 1.0).all() and (modulus[n_s:] > 1.0).all()):
+        raise PreconditionError(
+            f"Schur form of C does not split at its {n_s} stable eigenvalues")
+    V, S = U[:, n_s:], S[n_s:, n_s:]
+    B = V.conj().T @ D
+    Y = _stein(S, B @ np.linalg.solve(R, B.conj().T))
+    w = np.linalg.eigvalsh(Y)
+    ratio = w[0] / w[-1] if w[-1] > 0.0 else 0.0
+    if not w[-1] > 0.0 or w[0] <= TOL_GRAMIAN * w[-1]:
+        Y = None
+    return V, Y, ratio
 
 
 def lyapunov_step(Kprev, Acl, W) -> np.ndarray:

@@ -15,6 +15,7 @@ from dirinfo import cli
 from dirinfo import model as model_mod
 from dirinfo.cli import RunConfig, UsageError, emit_report, parse_config, run
 from dirinfo.errors import DirinfoError
+from test_direct_are import family_stream
 
 
 def write_model(tmp_path, name="m.json", **overrides):
@@ -617,6 +618,23 @@ def test_check_and_capacity_report_a_validation_error_alike(tmp_path, capsys, ch
     report = json.loads(captured.out)
     assert (report["error_type"], report["error"]) == ("ModelValidationError", error)
     assert captured.err == f"error: {error}\n"
+
+
+def test_check_and_capacity_name_a_schur_form_that_does_not_split_alike(tmp_path, capsys):
+    # family seed 7 model 226: a near-defective cluster at 1 +- 1e-5 that the Schur
+    # form puts on the wrong side of the circle; check asks the solve's Gramian test
+    C, D = next((C, D) for k, C, D in family_stream(7) if k == 226)
+    p, q = D.shape
+    mp = write_model(tmp_path, C=C.tolist(), D=D.tolist(), KV=np.eye(p).tolist(),
+                     R=np.eye(q).tolist(), Q=np.zeros((p, p)).tolist(), kappa=2.0 * p)
+    reports = []
+    for command in ("check", "capacity"):
+        assert cli.main([command, "--model", mp]) == 1
+        reports.append(json.loads(capsys.readouterr().out))
+    check, capacity = ((r["error_type"], r["error"]) for r in reports)
+    assert check == capacity
+    assert check == ("PreconditionError",
+                     "Schur form of C does not split at its 1 stable eigenvalues")
 
 
 @pytest.mark.parametrize("change, errors", [

@@ -100,6 +100,42 @@ def test_non_normal_family_capacity_waits_on_no_output_covariance(seed, floor):
     assert answered >= floor
 
 
+@pytest.mark.parametrize("seed", [7, 11])
+def test_is_stabilizable_agrees_with_the_q0_solve(seed):
+    # `is_stabilizable` runs the direct solve's Gramian test, so it says True wherever
+    # that solve answers and False wherever its gate names the pair unstabilizable
+    answered, declined = 0, 0
+    for _, C, D in family_stream(seed):
+        try:
+            di.solve_are(C, D, np.zeros_like(C), np.eye(D.shape[1]), 1.0)
+        except PreconditionError as exc:
+            if "stabilizability test failed" in str(exc):
+                declined += 1
+                assert not di.is_stabilizable(C, D)
+            continue
+        answered += 1
+        assert di.is_stabilizable(C, D)
+    assert answered > 0 and declined > 0
+
+
+def test_a_schur_form_that_does_not_split_fails_stabilizability_as_the_solve_does():
+    C, D = next((C, D) for k, C, D in family_stream(7) if k == 226)
+    with pytest.raises(PreconditionError, match="does not split") as solve:
+        di.solve_are(C, D, np.zeros_like(C), np.eye(D.shape[1]), 1.0)
+    with pytest.raises(PreconditionError) as check:
+        di.is_stabilizable(C, D)
+    assert str(check.value) == str(solve.value)
+
+
+@pytest.mark.parametrize("position", [46, 95, 191])
+def test_a_zero_observation_is_undetectable_where_the_transpose_does_not_split(position):
+    # `check` asks is_detectable(sqrt(Q), C); with Q = 0 no mode is observed, whatever
+    # the Schur form of C^T, which does not split on these models
+    C, D = next((C, D) for k, C, D in family_stream(7) if k == position)
+    assert di.is_stabilizable(C, D)
+    assert not di.is_detectable(np.zeros_like(C), C)
+
+
 @pytest.mark.parametrize("seed, position", [(7, 84), (7, 173), (7, 184), (11, 163)])
 def test_well_conditioned_family_models_answer_near_the_oracle(seed, position):
     # a one-ulp move of C moves the oracle P by under 5e-8 on these models, so
@@ -146,7 +182,7 @@ def test_iterations_count_newton_steps_only(monkeypatch):
 @pytest.mark.parametrize("k", [2, 3, 4])
 def test_defective_unstable_mode_is_decided_by_the_gramian(k):
     # Q J Q^T, J a k x k Jordan block at -1.386: eigvals is off by about eps^(1/k),
-    # and PBH calls the pair with b = Q (1, ..., 1, 0) stabilizable
+    # and PBH calls the pair with b = Q (1, ..., 1, 0) controllable
     U = np.linalg.qr(np.random.default_rng(k).normal(size=(k, k)))[0]
     A = U @ (-1.386 * np.eye(k) + np.eye(k, k=1)) @ U.T
     for last, answers in ((0.0, False), (1.0, True)):

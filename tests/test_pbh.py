@@ -11,6 +11,7 @@ import pytest
 from dirinfo import solve_are, stability
 from dirinfo.cli import parse_config, run
 from dirinfo.errors import PreconditionError
+import oracles
 
 JORDAN = -1.386 * np.eye(3) + np.diag([1.0, 1.0], 1)
 
@@ -91,9 +92,6 @@ def test_capacity_of_an_unstabilizable_rounded_model_is_a_precondition_failure(t
     assert "stabilizability" in report["error"]
 
 
-@pytest.mark.xfail(strict=True, raises=AssertionError,
-                   reason="PBH at the computed eigenvalues misses the rotated Jordan pair's "
-                          "unreachable mode; the Riccati solve's Gramian names it")
 @pytest.mark.parametrize("k", [2, 3, 4])
 def test_rotated_jordan_block_with_an_unreachable_last_mode_is_not_stabilizable(k):
     # Q J Q^T with J the k x k Jordan block at -1.386 and b = Q (1, ..., 1, 0)^T
@@ -103,3 +101,13 @@ def test_rotated_jordan_block_with_an_unreachable_last_mode_is_not_stabilizable(
     with pytest.raises(PreconditionError, match="stabilizability test failed"):
         solve_are(A, b, np.zeros((k, k)), [[1.0]], 1.0)
     assert not stability.is_stabilizable(A, b)
+
+
+@pytest.mark.parametrize("index", [862, 910, 923, 948, 960])
+def test_large_c_sweep_models_that_the_q0_solve_stabilizes_are_stabilizable(index):
+    # PBH at the computed eigenvalues of these |C| ~ 1e6 channels called them
+    # unstabilizable, while the Q = 0 solve answers each with a stabilizing P
+    C, D = next((C, D) for k, _, C, D in oracles.are_sweep((1e6,)) if k == index)
+    sol = solve_are(C, D, np.zeros_like(C), np.eye(D.shape[1]), 1.0)
+    assert sol.stabilizing
+    assert stability.is_stabilizable(C, D)

@@ -47,6 +47,29 @@ def test_stabilizable_examples():
     assert di.is_stabilizable([[0.5, 0.1], [0, 0.3]], np.zeros((2, 1)))
 
 
+@pytest.mark.parametrize("a", [1.0, -1.0, 1.0 - 5e-10, 1.0 - 1e-9, 1.0 + 1e-9, 1.0 + 2e-9])
+def test_a_mode_from_the_stability_margin_on_must_be_reachable(a):
+    # |lam| >= 1 - TOL_SPEC counts as unstable, on the circle too, where the
+    # Gramian's Stein equation would be singular if A were not scaled first
+    assert not di.is_stabilizable([[a]], [[0.0]])
+    assert di.is_stabilizable([[a]], [[1.0]])
+    assert not di.is_stabilizable(np.diag([a, 0.5]), [[0.0], [1.0]])
+    assert di.is_stabilizable(np.diag([a, 0.5]), [[1.0], [0.0]])
+
+
+def test_a_rotation_on_the_circle_must_be_reachable():
+    A = np.zeros((3, 3))
+    A[:2, :2] = [[0.0, -1.0], [1.0, 0.0]]
+    A[2, 2] = 0.5
+    assert di.is_stabilizable(A, [[1.0], [0.0], [0.0]])
+    assert not di.is_stabilizable(A, [[0.0], [0.0], [1.0]])
+
+
+def test_a_mode_inside_the_stability_margin_needs_no_input():
+    assert di.is_stabilizable([[1.0 - 2e-9]], [[0.0]])
+    assert di.is_stabilizable(np.diag([1.0 - 2e-9, 2.0]), [[0.0], [1.0]])
+
+
 def test_detectable_examples():
     # zero observation is fine when the dynamics are already stable
     assert di.is_detectable([[0.0]], [[0.5]])
