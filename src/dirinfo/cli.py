@@ -439,10 +439,12 @@ def _run_check(config: RunConfig) -> dict:
         Q = m.Q_seq[0]
         G = sym_sqrt(Q)
         rep = stability.spectral_radius(C)
+        # the Q = 0 solve's Gramian sees D R^-1 D^T = B B^T, with B = D L^-T and R = L L^T
+        B = np.linalg.solve(np.linalg.cholesky(m.R(0)), D.T).T
         result.update({
             "spectral_radius": rep.spectral_radius,
             "stable": rep.stable,
-            "stabilizable": stability.is_stabilizable(C, D),
+            "stabilizable": stability.is_stabilizable(C, B),
             "detectable": stability.is_detectable(G, C),
             "controllable": stability.is_controllable(C, D),
             "observable": stability.is_observable(G, C),

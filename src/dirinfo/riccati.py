@@ -41,7 +41,6 @@ TOL_ARE = 1e-11
 TOL_FORWARD = 1e-7      # P and its check (ulp-moved C, or its gain's cost) differ by more: declined
 _MAX_ITER = 100         # Newton steps
 _BETA = 1.1             # the Q != 0 start scales (C, D) by at most this
-_EPS = np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -173,7 +172,7 @@ def solve_are(C, D, Q, R, s: float) -> AreSolution:
                 C, D, Q, R, optimal_gain(_backward_step(P, beta * C, beta * D, Q, R)[1]))
         else:
             P, iterations = _q0_solution(C, D, R, modulus), 0
-            moved = C * (1.0 + (-1.0) ** np.indices(C.shape).sum(axis=0) * _EPS)
+            moved = C * (1.0 + (-1.0) ** np.indices(C.shape).sum(axis=0) * stability._EPS)
             _check_close(P, _q0_solution(moved, D, R, modulus), "solves from C and from C "
                          "moved by one ulp differ by {differ:.3e} of |P|, more than {tol:g}")
             gain, resid = _step(P, _backward_step(P, C, D, Q, R))

@@ -7,7 +7,9 @@ detectability are decided by the minimum-energy stabilization Gramian (Elia,
 solve runs (`riccati._q0_solution`): one complex Schur form of A with its
 eigenvalues in ascending modulus (`_schur`) splits off the anti-stable block T,
 the Gramian solves the Stein equation T Y T^H - Y = B R^{-1} B^H in it by
-substitution (`_stein`; Bartels & Stewart 1972), and Y's conditioning decides.
+substitution (`_stein`; Bartels & Stewart 1972), and Y's conditioning decides.  A mode
+within TOL_SPEC of the circle, which the Q = 0 solve declines, is moved off it by scaling A,
+and Y is then judged with each mode scaled by its own fully actuated Gramian.
 Lyapunov equations of exponentially stable loops go by Smith doubling."""
 
 from __future__ import annotations
@@ -90,33 +92,42 @@ def is_observable(C, A) -> bool:
 
 
 def is_stabilizable(A, B) -> bool:
-    """Every mode of A with |lam| >= 1 - TOL_SPEC reachable from B, judged by the
-    stabilization Gramian of the direct Riccati solve (`_stabilization_gramian`, R = I):
-    True at once if A has no such mode, and False at once if B = 0, whose Gramian is 0
-    in any basis (detectability with Q = 0).  A mode within TOL_SPEC of the circle would
-    make the Stein equation singular, so then the test runs on beta A, beta = 1 + 2
-    TOL_SPEC, which moves it outside (and with it any mode within 2 TOL_SPEC below the
-    circle).  A Schur form of A that does not split at its stable eigenvalues is a
-    PreconditionError."""
-    A, B = _pair(A, B)
-    modulus = np.abs(np.linalg.eigvals(A))
-    marginal = modulus >= 1.0 - TOL_SPEC
-    if not marginal.any():
-        return True
-    if not B.any():
-        return False
-    beta = 1.0 + 2 * TOL_SPEC if (modulus[marginal] <= 1.0 + TOL_SPEC).any() else 1.0
-    n_s = int((beta * modulus < 1.0).sum())
-    return _stabilization_gramian(beta * A, B, np.eye(B.shape[1]), n_s)[1] is not None
+    """Every mode of A with |lam| >= 1 - TOL_SPEC reachable from B (`_stabilizable`).
+    A Schur form of A that does not split at its stable eigenvalues is a
+    PreconditionError, with the text of the direct Riccati solve's."""
+    return _stabilizable(*_pair(A, B), "C")
 
 
 def is_detectable(G, A) -> bool:
-    """Dual of stabilizability: (G, A) detectable iff (A^T, G^T) stabilizable."""
+    """Dual of stabilizability: (G, A) detectable iff (A^T, G^T) stabilizable.  A Schur
+    form that does not split is a PreconditionError naming C^T, the matrix it was taken of."""
     A = _square(A)
     G = np.atleast_2d(np.asarray(G, dtype=float))
     if G.shape[1] != A.shape[0]:
         raise DimensionError(f"G has {G.shape[1]} columns, expected {A.shape[0]}")
-    return is_stabilizable(A.T, G.T)
+    return _stabilizable(A.T, G.T, "C^T")
+
+
+def _stabilizable(A, B, name: str) -> bool:
+    """Whether the modes of A with |lam| >= 1 - TOL_SPEC are reachable from B, by the
+    stabilization Gramian (`_stabilization_gramian`, R = I; `name` names A in a split
+    error).  True at once if A has no such mode; False at once if B = 0, whose Gramian is
+    0 in any basis (detectability with Q = 0).  With no mode within TOL_SPEC of the
+    circle, this is the direct Q = 0 solve's own test.  A mode within it would make the
+    Stein equation singular, so A is first scaled by beta = 2 / (rho_s + rho_u), rho_s
+    the largest modulus below 1 - TOL_SPEC and rho_u the smallest at or above it, which
+    puts the circle midway between them.  No solve inverts that Gramian, and a mode so
+    near the circle would dwarf the others in it, so it is judged `relative`."""
+    modulus = np.abs(np.linalg.eigvals(A))
+    must = modulus >= 1.0 - TOL_SPEC
+    if not must.any():
+        return True
+    if not B.any():
+        return False
+    marginal = bool((modulus[must] <= 1.0 + TOL_SPEC).any())
+    beta = 2.0 / (modulus[~must].max(initial=0.0) + modulus[must].min()) if marginal else 1.0
+    return _stabilization_gramian(beta * A, B, np.eye(B.shape[1]), int((~must).sum()),
+                                  name, relative=marginal)[1] is not None
 
 
 def _schur(T):
@@ -158,23 +169,27 @@ def _stein(S, G):
     return 0.5 * (Y + Y.conj().T)
 
 
-def _stabilization_gramian(C, D, R, n_s):
+def _stabilization_gramian(C, D, R, n_s, name="C", relative=False):
     """(V, Y, ratio) for a C with n_s eigenvalues inside the unit circle and none on it.
     U S U^H is the Schur form of C, so V = U[:, n_s:] spans the orthogonal complement of
     the stable subspace and S_2 = S[n_s:, n_s:] = V^H C V; the minimum-energy stabilization
     Gramian Y solves the Stein equation S_2 Y S_2^H - Y = B R^{-1} B^H, B = V^H D, and
     ratio is its smallest / largest eigenvalue (0 if the largest is not positive).  Y is
-    None where that ratio is at or below TOL_GRAMIAN: an unstabilizable mode.  A |diag S|
-    that does not split at n_s is a PreconditionError."""
+    None where that ratio is at or below TOL_GRAMIAN: an unstabilizable mode.  With
+    `relative`, the ratio is that of Y scaled to unit diagonal by the fully actuated
+    Gramian (S_2 Y S_2^H - Y = I): each mode against its own distance from the circle,
+    which the input's rounding cannot shift.  A |diag S| that does not split at n_s is a
+    PreconditionError naming C as `name`."""
     U, S = _schur(C)
     modulus = np.abs(np.diag(S))
     if not ((modulus[:n_s] < 1.0).all() and (modulus[n_s:] > 1.0).all()):
         raise PreconditionError(
-            f"Schur form of C does not split at its {n_s} stable eigenvalues")
+            f"Schur form of {name} does not split at its {n_s} stable eigenvalues")
     V, S = U[:, n_s:], S[n_s:, n_s:]
     B = V.conj().T @ D
     Y = _stein(S, B @ np.linalg.solve(R, B.conj().T))
-    w = np.linalg.eigvalsh(Y)
+    d = 1.0 / np.sqrt(np.diag(_stein(S, np.eye(len(S)))).real) if relative else np.ones(len(S))
+    w = np.linalg.eigvalsh(d[:, None] * Y * d)
     ratio = w[0] / w[-1] if w[-1] > 0.0 else 0.0
     if not w[-1] > 0.0 or w[0] <= TOL_GRAMIAN * w[-1]:
         Y = None

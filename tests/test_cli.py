@@ -637,6 +637,33 @@ def test_check_and_capacity_name_a_schur_form_that_does_not_split_alike(tmp_path
                      "Schur form of C does not split at its 1 stable eigenvalues")
 
 
+def test_check_names_the_transpose_where_its_schur_form_does_not_split(tmp_path, capsys):
+    # family seed 7 model 46 with Q = e1 e1^T: detectability is stabilizability of
+    # (C^T, sqrt(Q)), whose Schur form does not split; capacity declines the model too
+    C, D = next((C, D) for k, C, D in family_stream(7) if k == 46)
+    p, q = D.shape
+    Q = np.zeros((p, p))
+    Q[0, 0] = 1.0
+    mp = write_model(tmp_path, C=C.tolist(), D=D.tolist(), KV=np.eye(p).tolist(),
+                     R=np.eye(q).tolist(), Q=Q.tolist(), kappa=2.0 * p)
+    assert cli.main(["check", "--model", mp]) == 1
+    report = json.loads(capsys.readouterr().out)
+    assert (report["error_type"], report["error"]) == (
+        "PreconditionError", "Schur form of C^T does not split at its 2 stable eigenvalues")
+    assert cli.main(["capacity", "--model", mp]) == 1
+
+
+def test_check_judges_stabilizability_with_the_model_input_weight(tmp_path, capsys):
+    # D's second column is 1e-7 and R weighs it 1e-9: with R = I the Gramian's
+    # ratio would be 4e-15, with the model's R it is 4e-6, as the Q = 0 solve sees it
+    mp = write_model(tmp_path, C=[[2.0, 0.0], [0.0, 3.0]], D=[[1.0, 0.0], [0.0, 1e-7]],
+                     KV=np.eye(2).tolist(), R=[[1.0, 0.0], [0.0, 1e-9]],
+                     Q=np.zeros((2, 2)).tolist(), kappa=100.0)
+    assert cli.main(["check", "--model", mp]) == 0
+    assert json.loads(capsys.readouterr().out)["result"]["stabilizable"] is True
+    assert cli.main(["capacity", "--model", mp]) == 0
+
+
 @pytest.mark.parametrize("change, errors", [
     ({"KV": [[1.0, 0.0], [0.0, 1.0]]}, ["dimension mismatch: KV[0] is (2, 2), expected (1, 1)"]),
     ({"memory": -1}, ["memory order M must be >= 1", "expected -1 channel blocks, got 2"]),

@@ -100,21 +100,34 @@ def test_non_normal_family_capacity_waits_on_no_output_covariance(seed, floor):
     assert answered >= floor
 
 
+def _input_weight(k, q, weighted):
+    """I, or an SPD R with eigenvalues spread over 1e-4 to 1 in a random basis."""
+    if not weighted:
+        return np.eye(q)
+    rng = np.random.default_rng(1000 + k)
+    U = np.linalg.qr(rng.normal(size=(q, q)))[0]
+    return U @ np.diag(10.0 ** rng.uniform(-4.0, 0.0, size=q)) @ U.T
+
+
+@pytest.mark.parametrize("weighted", [False, True])
 @pytest.mark.parametrize("seed", [7, 11])
-def test_is_stabilizable_agrees_with_the_q0_solve(seed):
-    # `is_stabilizable` runs the direct solve's Gramian test, so it says True wherever
-    # that solve answers and False wherever its gate names the pair unstabilizable
+def test_is_stabilizable_agrees_with_the_q0_solve(seed, weighted):
+    # `is_stabilizable` runs the direct solve's Gramian test, so on (C, D L^-T), R = L L^T,
+    # the pair whose Gramian that solve forms, it says True wherever the solve answers
+    # and False wherever its gate names the pair unstabilizable
     answered, declined = 0, 0
-    for _, C, D in family_stream(seed):
+    for k, C, D in family_stream(seed):
+        R = _input_weight(k, D.shape[1], weighted)
+        B = np.linalg.solve(np.linalg.cholesky(R), D.T).T
         try:
-            di.solve_are(C, D, np.zeros_like(C), np.eye(D.shape[1]), 1.0)
+            di.solve_are(C, D, np.zeros_like(C), R, 1.0)
         except PreconditionError as exc:
             if "stabilizability test failed" in str(exc):
                 declined += 1
-                assert not di.is_stabilizable(C, D)
+                assert not di.is_stabilizable(C, B)
             continue
         answered += 1
-        assert di.is_stabilizable(C, D)
+        assert di.is_stabilizable(C, B)
     assert answered > 0 and declined > 0
 
 

@@ -68,6 +68,38 @@ def test_a_rotation_on_the_circle_must_be_reachable():
 def test_a_mode_inside_the_stability_margin_needs_no_input():
     assert di.is_stabilizable([[1.0 - 2e-9]], [[0.0]])
     assert di.is_stabilizable(np.diag([1.0 - 2e-9, 2.0]), [[0.0], [1.0]])
+    # beside a mode on the circle too, which the scaling moves out but not this one
+    assert di.is_stabilizable(np.diag([1.0, 1.0 - 1.5e-9]), [[1.0], [0.0]])
+
+
+def _rotated(A, B, seed):
+    U = np.linalg.qr(np.random.default_rng(seed).normal(size=np.shape(A)))[0]
+    return U @ A @ U.T, U @ B
+
+
+@pytest.mark.parametrize("seed", [None, 0, 1, 2])
+def test_a_mode_on_the_circle_does_not_hide_a_large_unstable_one(seed):
+    # the circle's mode has a Gramian some 1e8 times the mode at 300's; each is
+    # judged against its own distance from the circle, so both count as reached
+    rotate = (lambda A, B: (A, B)) if seed is None else (lambda A, B: _rotated(A, B, seed))
+    for diag, B, answer in ((np.diag([1.0, 300.0]), np.eye(2), True),
+                            (np.diag([1.0 - 2e-9, 1.0, 300.0]), np.eye(3), True),
+                            (np.diag([1.0, 300.0]), np.eye(2)[:, :1], False),
+                            (np.diag([1.0, 300.0]), np.eye(2)[:, 1:], False),
+                            (np.eye(2), np.eye(2)[:, :1], False)):
+        assert di.is_stabilizable(*rotate(diag, B)) is answer
+
+
+PAIRS = [([[2.0]], [[1.0]]), ([[1, 1], [0, 1]], [[0], [1]]), (np.eye(2), np.eye(2)),
+         (np.diag([1.0, 300.0]), np.eye(2)), (np.diag([-1.0, 300.0, 0.5]), np.eye(3)),
+         (np.diag([1.0 - 2e-9, 1.0, 300.0]), np.eye(3)), ([[0.0, -1.0], [1.0, 0.0]], np.eye(2)),
+         (np.diag([1.0 + 1e-9, 50.0]), [[1.0], [1.0]]), ([[1.0, 1.0], [0.0, 1.0]], [[0.0], [1.0]])]
+
+
+@pytest.mark.parametrize("A, B", PAIRS)
+def test_a_controllable_pair_is_stabilizable(A, B):
+    assert di.is_controllable(A, B)
+    assert di.is_stabilizable(A, B)
 
 
 def test_detectable_examples():
