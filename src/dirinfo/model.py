@@ -36,12 +36,6 @@ def min_eigenvalue(a: np.ndarray) -> float:
     return float(np.linalg.eigvalsh(0.5 * (a + a.T)).min())
 
 
-def psd_tolerance(a: np.ndarray) -> float:
-    """Absolute eigenvalue slack for PSD checks, scaled to the matrix."""
-    scale = float(np.abs(np.linalg.eigvalsh(0.5 * (a + a.T))).max(initial=0.0))
-    return TOL_PSD * max(1.0, scale)
-
-
 class ScalarView(NamedTuple):
     C: float
     D: float
@@ -265,7 +259,7 @@ def _check_rows(rows) -> list:
     Per matrix, in index order, the first of: a shape other than `shape`
     (the `mismatch` text), a non-finite entry, and for a `kind` asymmetry
     (allclose(A, A^T) at atol 1e-12 (1 + max|A|)) or a smallest eigenvalue
-    at most `psd_tolerance` (definite) or below -`psd_tolerance`
+    at most TOL_PSD max(1, max|eigenvalue|) (definite) or below minus that
     (semidefinite).  The matrices of every row that have one shape are
     stacked: one isfinite per distinct shape, and one eigvalsh on the stack
     of its finite matrices that have a kind.  The errors come row by row.

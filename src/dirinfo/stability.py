@@ -1,7 +1,8 @@
-"""Linear-systems substrate: spectra, PBH tests, the stabilization Gramian,
-discrete Lyapunov and Stein equations.
+"""Linear-systems substrate: spectra, the controllability staircase, the stabilization
+Gramian, discrete Lyapunov and Stein equations.
 
-Controllability and observability are PBH tests.  Stabilizability and
+Controllability and observability are decided by the orthogonal staircase form, one
+SVD rank decision per block and no eigenvalues (`is_controllable`).  Stabilizability and
 detectability are decided by the minimum-energy stabilization Gramian (Elia,
 "When Bode meets Shannon", 2004), the same test that the direct Q = 0 Riccati
 solve runs (`riccati._q0_solution`): one complex Schur form of A with its
@@ -21,7 +22,7 @@ import numpy as np
 from .errors import DimensionError, PreconditionError
 
 TOL_SPEC = 1e-9          # stability margin on the unit circle
-TOL_RANK = 1e-9          # PBH rank cutoff, relative to the pencil and to |lam|
+TOL_RANK = 1e-9          # staircase rank cutoff, relative to max(|A|_2, |B|_2)
 TOL_LYAP = 1e-10         # residual tolerance for the algebraic Lyapunov solve
 TOL_GRAMIAN = 1e-13      # Y's smallest / largest eigenvalue at or below it: unstabilizable
 _MAX_DOUBLINGS = 64      # Smith doublings: 2^64 terms of the Lyapunov series
@@ -58,28 +59,23 @@ def _pair(A, B):
     return A, B
 
 
-def _pbh(A, B) -> bool:
-    """PBH test: rank [A - lam*I, B] = n at every eigenvalue lam of A.
-    (The Krylov matrix [B, AB, ...] loses rank numerically as n grows; Paige 1981.)
-
-    A singular value counts above TOL_RANK times the larger of the pencil's
-    largest one and |lam|.  As |[A, B]| <= |[A - lam*I, B]| + |lam|, that is the
-    size of [A, B] up to a factor 2, so a pencil that is only the rounding in A - lam*I
-    (A = lam*I up to rounding, B = 0) has rank 0."""
-    A, B = _pair(A, B)
-    n = A.shape[0]
-    for lam in np.linalg.eigvals(A):
-        if lam.imag < 0:     # at conj(lam) the pencil is the conjugate
-            continue
-        sv = np.linalg.svd(np.hstack([A - lam * np.eye(n), B]).astype(complex), compute_uv=False)
-        if sv[-1] <= TOL_RANK * max(sv[0], abs(lam)):
-            return False
-    return True
-
-
 def is_controllable(A, B) -> bool:
-    """PBH test at every eigenvalue of A."""
-    return _pbh(A, B)
+    """Controllability staircase (Van Dooren 1981; Paige 1981): no eigenvalues, and
+    not the Krylov matrix [B, AB, ...], which loses rank numerically as n grows.
+    The SVD U S W^T of the input block B counts its r singular values above
+    TOL_RANK max(|A|_2, |B|_2); U^T A U splits off those r reachable directions,
+    and the coupling block of the rest to them is the next input.  (A, B) is
+    controllable when the reached dimensions add up to n, and not at an r = 0."""
+    A, B = _pair(A, B)
+    tol = TOL_RANK * max(np.linalg.norm(A, 2), np.linalg.norm(B, 2))
+    while len(A):
+        U, sv, _ = np.linalg.svd(B)
+        r = int((sv > tol).sum())
+        if r == 0:
+            return False
+        A = U.T @ A @ U
+        A, B = A[r:, r:], A[r:, :r]
+    return True
 
 
 def is_observable(C, A) -> bool:

@@ -24,7 +24,7 @@ import numpy as np
 from dirinfo import stability
 from dirinfo.errors import PreconditionError
 from dirinfo.linalg import logdet_pd, sym, sym_sqrt
-from dirinfo.model import TOL_PSD, Strategy, min_eigenvalue, psd_tolerance, strategy
+from dirinfo.model import TOL_PSD, Strategy, min_eigenvalue, strategy
 from dirinfo.riccati import AreSolution
 from dirinfo.simulate import _A, _B, _C, _D, _E, _F, _gaussian_logpdf_terms
 from dirinfo.waterfill import WaterfillProblem
@@ -152,6 +152,12 @@ class AreClassification:
     stabilizable: bool
     detectable: bool
     kv_controllable: bool      # (closed loop, K_V^{1/2}) controllable: output covariance is unique PD
+
+
+def psd_tolerance(a: np.ndarray) -> float:
+    """Absolute eigenvalue slack for PSD checks, scaled to the matrix."""
+    scale = float(np.abs(np.linalg.eigvalsh(0.5 * (a + a.T))).max(initial=0.0))
+    return TOL_PSD * max(1.0, scale)
 
 
 def classify_are(solution: AreSolution, C, D, Q, R, s: float, KV) -> AreClassification:

@@ -197,7 +197,7 @@ def test_criterion_7_lyapunov_stability_suite(rng):
         assert di.is_detectable(C, A) == di.is_stabilizable(A.T, C.T)
         assert di.is_observable(C, A) == di.is_controllable(A.T, C.T)
     print(f"\nACCEPTANCE 7 PASS: Lyapunov residuals <= 1e-10 (worst {worst:.2e}), "
-          f"two-of-three positivity, PBH duality on 50 instances")
+          f"two-of-three positivity, controllability duality on 50 instances")
 
 
 def test_criterion_8_monte_carlo_information_stability():

@@ -5,8 +5,9 @@ Stein equation of its anti-stable part.  `oracles.stabilizing_are_q0`
 evaluates the same solution in 50-digit arithmetic from left eigenvectors,
 with no split and no iteration.  On the non-normal, near-marginal family
 C = U T U^T, every model must answer within 1e-6 of the oracle or raise a
-named DirinfoError.  The Gramian of the split decides stabilizability, so
-defective eigenvalues that PBH misses are named failures.  Q != 0 runs
+named DirinfoError.  The Gramian of the split decides stabilizability, so an
+unreachable defective mode, whose eigenvalue is computed only to about eps^(1/k),
+is a named failure.  Q != 0 runs
 Newton's method from the direct gain of a scaled pair, which stabilizes a
 unit-circle mode that only Q makes stabilizable.
 """
@@ -195,7 +196,8 @@ def test_iterations_count_newton_steps_only(monkeypatch):
 @pytest.mark.parametrize("k", [2, 3, 4])
 def test_defective_unstable_mode_is_decided_by_the_gramian(k):
     # Q J Q^T, J a k x k Jordan block at -1.386: eigvals is off by about eps^(1/k),
-    # and PBH calls the pair with b = Q (1, ..., 1, 0) controllable
+    # so a PBH test at the computed eigenvalues calls the pair with b = Q (1, ..., 1, 0)
+    # controllable; the staircase (`test_pbh.py`) and the Gramian do not
     U = np.linalg.qr(np.random.default_rng(k).normal(size=(k, k)))[0]
     A = U @ (-1.386 * np.eye(k) + np.eye(k, k=1)) @ U.T
     for last, answers in ((0.0, False), (1.0, True)):

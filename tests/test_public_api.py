@@ -27,7 +27,8 @@ PUBLIC = [
 # reference implementations that only the tests call: they live in tests/oracles.py
 TEST_ORACLES = [("waterfill", "objective"), ("waterfill", "scalar_solve"),
                 ("simulate", "info_density_step"), ("riccati", "classify_are"),
-                ("riccati", "AreClassification"), ("model", "lift_strategy")]
+                ("riccati", "AreClassification"), ("model", "lift_strategy"),
+                ("model", "psd_tolerance")]
 
 
 def test_public_names_are_the_pinned_list():
