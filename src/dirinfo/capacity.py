@@ -64,10 +64,11 @@ COST_TOL = 1e-9          # budget below the cost floor by more than COST_TOL * (
 
 @dataclass(frozen=True)
 class FiniteHorizonSolution:
+    """The per-step fields are read-only stacks over the n + 1 steps."""
     s: float
-    P_seq: tuple
-    r_seq: tuple
-    strategy: Strategy
+    P_seq: np.ndarray          # (n+1, p, p)
+    r_seq: np.ndarray          # (n+1,)
+    strategy: Strategy         # gains (n+1, q, p), innovations (n+1, q, q)
     achieved_cost: float       # per-unit-time average
     value_nats: float          # -E<b, P(0) b> + r(0)
     rate_nats: float           # directed information of the strategy over the n + 1 steps
@@ -198,8 +199,8 @@ def finite_horizon_dp(model: ChannelModel, s: float, unit=None) -> FiniteHorizon
     (zero at the terminal step); K_Z(i) fills step i at level 1/(2s), and r(i)
     accumulates the per-step water-fill values minus trace(P(i+1) K_V(i)).
     `unit` is that pass, `_riccati_pass(model)`, when the caller has made it
-    (`ftfi_capacity` matches the budget on it); it is read, not written.  When
-    None the pass is made here, with the same bits.
+    (`ftfi_capacity` matches the budget on it), or None to make it here with the
+    same bits; it is read, not written, and its gain stack, frozen, is the strategy's.
     The pass stops at its exact plateau (`_riccati_pass`): a time-invariant
     model stops stepping once P_1 repeats bit for bit and copies that step
     into the earlier ones, bit-identical to n steps; a Q = 0 model with
@@ -228,7 +229,7 @@ def finite_horizon_dp(model: ChannelModel, s: float, unit=None) -> FiniteHorizon
     r = np.cumsum(np.append(values[n] + s * (n + 1) * model.kappa, steps))[::-2]
 
     # built here, PSD by construction: wrapped without the caller-input checks
-    strat = Strategy(gains=tuple(_freeze(G)), innovations=tuple(_freeze(KZ)))
+    strat = Strategy(gains=_freeze(G), innovations=_freeze(KZ))
     with np.errstate(over="ignore", invalid="ignore"):   # a non-finite value is raised below
         value = -float(np.trace(P[0] @ model.initial_second_moment())) + float(r[0])
     if not np.isfinite(value):
@@ -236,7 +237,7 @@ def finite_horizon_dp(model: ChannelModel, s: float, unit=None) -> FiniteHorizon
             f"fixed multiplier s = {s:.12g}: value_nats = -E<b, P(0) b> + r(0) is not finite "
             f"over {n} steps: the cost-to-go overflows over this horizon")
     return FiniteHorizonSolution(
-        s=float(s), P_seq=tuple(P), r_seq=tuple(r.tolist()), strategy=strat,
+        s=float(s), P_seq=_freeze(P), r_seq=_freeze(r), strategy=strat,
         achieved_cost=float(floor + spent.sum()) / (n + 1), value_nats=value,
         rate_nats=float(rates.sum()),
     )
@@ -321,10 +322,9 @@ def _view(model: ChannelModel, unit, s: float) -> StationarySolution:
         if not rep.stable:
             raise PreconditionError(declined) from exc
     g = are.gain
-    kz_zero = float(np.abs(KZ).max(initial=0.0)) <= 1e-12
     if not g.any():     # the Q = 0 route returns exact zeros for a stable C
         regime = REGIME_STABLE_NO_FEEDBACK
-    elif kz_zero:
+    elif not KZ.any():      # `waterfill.fill` writes exact zeros where no subchannel is wet
         regime = REGIME_ZERO_RATE
     else:
         regime = REGIME_UNSTABLE_STABILIZED

@@ -203,13 +203,11 @@ def memory_model(C_blocks, D, KV, R, Q_K, kappa, horizon, memory=None,
 
 @dataclass(frozen=True)
 class Strategy:
-    """Per-step feedback gains and innovations covariances.
+    """Per-step feedback gains (m, q, p) and innovations covariances (m, q, q) as
+    read-only stacks; a single-entry strategy (m = 1) is stationary and broadcasts."""
 
-    A single-entry strategy is stationary and broadcasts over steps.
-    """
-
-    gains: tuple
-    innovations: tuple
+    gains: np.ndarray
+    innovations: np.ndarray
 
     def gain(self, i: int) -> np.ndarray:
         return self.gains[0] if len(self.gains) == 1 else self.gains[i]
@@ -223,16 +221,18 @@ class Strategy:
 
 
 def strategy(gains, innovations) -> Strategy:
-    g = tuple(_freeze(_as_matrix(x)) for x in gains)
-    kz = tuple(_freeze(_as_matrix(x)) for x in innovations)
-    q = len(kz[0]) if kz else 0
-    errors = _check_rows([("gains", g, g[0].shape if g else None, None, _MISMATCH),
+    """A Strategy of checked entries, each sequence stacked and frozen once."""
+    g, kz = [_as_matrix(x) for x in gains], [_as_matrix(x) for x in innovations]
+    if not (g and kz):
+        raise DimensionError("a strategy needs at least one step")
+    q = len(kz[0])
+    errors = _check_rows([("gains", g, g[0].shape, None, _MISMATCH),
                           ("innovations", kz, (q, q), _INNOVATIONS, _INNOVATIONS[0])])
     if errors:
         raise ModelValidationError(errors[:1])
     if len(g) != len(kz):
         raise DimensionError("gains and innovations lengths differ")
-    return Strategy(gains=g, innovations=kz)
+    return Strategy(gains=_freeze(np.stack(g)), innovations=_freeze(np.stack(kz)))
 
 
 def stationary_strategy(gain, KZ) -> Strategy:

@@ -14,7 +14,8 @@ output (only if its covariance is nonzero), then all innovation uniforms as a
 (steps, q) block, then all noise uniforms as a (steps, p) block.
 
 Per-step matrices are (m, ., .) stacks: m = 1 for what every step shares (a
-time-invariant model, a stationary strategy), else one entry per step.  Square
+time-invariant model, a stationary strategy), else one entry per step.  A
+strategy's gains and innovations are such stacks, sliced without a copy.  Square
 roots, inverses and log-determinants are taken once per stack, batched, and a
 stack of one multiplies as a single 2-D product.  A batch takes the roots of
 the initial covariance and of the K_Z and K_V stacks once, for every seed.
@@ -255,8 +256,8 @@ def _roots(model: ChannelModel, strat: Strategy, steps: int):
     """The square roots a draw multiplies: of the initial covariance (None where
     it is zero) and of the K_Z and K_V stacks over `steps`."""
     return (sym_sqrt(model.initial_cov) if model.initial_cov.any() else None,
-            sym_sqrt(np.stack(strat.innovations[:steps])),
-            sym_sqrt(np.stack(model.KV_seq[:steps])))
+            sym_sqrt(np.asarray(strat.innovations[:steps])),
+            sym_sqrt(np.asarray(model.KV_seq[:steps])))
 
 
 def _draw_noise(model: ChannelModel, strat: Strategy, steps: int, seed: int, roots=None):
@@ -344,7 +345,7 @@ def simulate_batch(model: ChannelModel, strat: Strategy, steps: int, seeds) -> l
     roots = _roots(model, strat, steps)
     for s, seed in enumerate(seeds):
         b0[s] = _draw_slabs(model, strat, steps, seed, Z, V, s * K, roots)
-    C, D, G, KZ = (np.stack(seq[:steps]) for seq in (
+    C, D, G, KZ = (np.asarray(seq[:steps]) for seq in (
         model.C_seq, model.D_seq, strat.gains, strat.innovations))
     # a stationary loop weighs every output with the running Q; otherwise
     # step i = horizon takes terminal_Q
@@ -493,18 +494,12 @@ def stability_report(traces, target_rate: float, target_cost: float,
 
 
 def trace_to_csv(trace: SimulationTrace) -> str:
-    """Plot-ready CSV: step, b..., a..., info_density, cost, running_rate."""
-    p = trace.B_path.shape[1]
-    q = trace.A_path.shape[1]
+    """Plot-ready CSV: step, b..., a..., info_density, cost, running_rate, by one savetxt."""
+    (_, p), (_, q) = trace.B_path.shape, trace.A_path.shape
+    header = ",".join(["step", *(f"b{j}" for j in range(p)), *(f"a{j}" for j in range(q)),
+                       "info_density", "cost", "running_rate"])
+    cols = np.column_stack([np.arange(trace.steps), trace.B_path, trace.A_path,
+                            trace.info_density_path, trace.cost_path, trace.running_rate])
     buf = io.StringIO()
-    header = (["step"] + [f"b{j}" for j in range(p)] + [f"a{j}" for j in range(q)]
-              + ["info_density", "cost", "running_rate"])
-    buf.write(",".join(header) + "\n")
-    for i in range(trace.steps):
-        row = [str(i)]
-        row += [f"{x:.12g}" for x in trace.B_path[i]]
-        row += [f"{x:.12g}" for x in trace.A_path[i]]
-        row += [f"{trace.info_density_path[i]:.12g}", f"{trace.cost_path[i]:.12g}",
-                f"{trace.running_rate[i]:.12g}"]
-        buf.write(",".join(row) + "\n")
+    np.savetxt(buf, cols, fmt="%.12g", delimiter=",", header=header, comments="")
     return buf.getvalue()

@@ -4,7 +4,8 @@ Each one is an independent, unbatched statement of a quantity that the
 library computes another way: the water-fill objective and its scalar
 closed form, the normal quantile on whole arrays with np.polyval, the
 Monte Carlo scan's time-major buffer layout by swapaxes and transpose, the
-per-step directed-information density, the uniqueness certificate of a
+per-step directed-information density, the trace CSV one row at a time,
+the uniqueness certificate of a
 Riccati solution, the stabilizing Riccati solution in 50-digit arithmetic
 (closed form for Q = 0, Kleinman's iteration for Q != 0) with the seeded
 random channels it is checked on, the embedding of a first-order gain into
@@ -14,6 +15,7 @@ canonical report serialization one element at a time.
 
 from __future__ import annotations
 
+import io
 import json
 import math
 from dataclasses import dataclass
@@ -137,6 +139,24 @@ def info_density_step(b_prev, a, b, C, D, KV, gain, KZ) -> float:
     # same association as r1 so the densities cancel exactly when a = gain b
     r2 = b - C @ b_prev - D @ (gain @ b_prev)
     return float(-0.5 * (ldKV + r1 @ KVi @ r1) + 0.5 * (ldM + r2 @ Mi @ r2))
+
+
+def trace_csv_reference(trace) -> str:
+    """`trace_to_csv` by a Python loop over the rows, formatting one element at a time."""
+    p = trace.B_path.shape[1]
+    q = trace.A_path.shape[1]
+    buf = io.StringIO()
+    header = (["step"] + [f"b{j}" for j in range(p)] + [f"a{j}" for j in range(q)]
+              + ["info_density", "cost", "running_rate"])
+    buf.write(",".join(header) + "\n")
+    for i in range(trace.steps):
+        row = [str(i)]
+        row += [f"{x:.12g}" for x in trace.B_path[i]]
+        row += [f"{x:.12g}" for x in trace.A_path[i]]
+        row += [f"{trace.info_density_path[i]:.12g}", f"{trace.cost_path[i]:.12g}",
+                f"{trace.running_rate[i]:.12g}"]
+        buf.write(",".join(row) + "\n")
+    return buf.getvalue()
 
 
 # ---------------------------------------------------------------------------

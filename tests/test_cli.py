@@ -92,6 +92,17 @@ def test_zero_capacity_is_success(tmp_path):
     assert report["result"]["kappa_min"] == pytest.approx(3.0, abs=1e-9)
 
 
+@pytest.mark.parametrize("kappa", [1e-13, 2e-13, 1e-12])
+def test_a_budget_just_above_kappa_min_is_not_zero_rate(tmp_path, kappa):
+    # kappa_min = 3e-14, and K_Z, 1.75e-14 to 2.4e-13, is small but not zero: the
+    # regime follows the water-fill, as the closed form's does
+    mp = write_model(tmp_path, D=1e7, kappa=kappa)
+    code, report = run(parse_config(["capacity", "--model", mp]))
+    assert code == 0
+    assert report["result"]["regime"] == report["oracle"]["regime"]
+    assert report["result"]["capacity_nats"] > 0.0
+
+
 def test_units_bits_conversion(tmp_path):
     mp = write_model(tmp_path, C=0.5, kappa=1.0)
     code, report = run(parse_config(["capacity", "--model", mp, "--units", "bits"]))

@@ -130,6 +130,31 @@ def test_dp_on_a_given_pass_equals_the_dp_that_makes_it(name):
             assert getattr(given, value) == getattr(own, value)
 
 
+@pytest.mark.parametrize("name", sorted(MODELS))
+def test_dp_calls_on_one_pass_leave_its_arrays_bit_identical(name):
+    m = MODELS[name]()
+    unit = capacity._riccati_pass(m)
+    before = [np.array(a) for a in unit]
+    for s in (0.37, 2.5):
+        capacity.finite_horizon_dp(m, s, unit)
+    assert [np.asarray(a).tobytes() for a in unit] == [a.tobytes() for a in before]
+
+
+@pytest.mark.parametrize("name", sorted(MODELS))
+def test_per_step_fields_are_read_only_stacks(name):
+    m = MODELS[name]()
+    n, p, q = m.horizon, m.output_dim, m.input_dim
+    sol = capacity.finite_horizon_dp(m, 0.37)
+    g, kz = sol.strategy.gains, sol.strategy.innovations
+    checked, stationary = di.strategy(list(g), list(kz)), di.stationary_strategy(g[0], kz[0])
+    fields = [(sol.P_seq, (n + 1, p, p)), (sol.r_seq, (n + 1,)),
+              (g, (n + 1, q, p)), (kz, (n + 1, q, q)),
+              (checked.gains, (n + 1, q, p)), (checked.innovations, (n + 1, q, q)),
+              (stationary.gains, (1, q, p)), (stationary.innovations, (1, q, q))]
+    for a, shape in fields:
+        assert type(a) is np.ndarray and a.shape == shape and not a.flags.writeable
+
+
 def test_q0_model_stops_after_one_step(monkeypatch):
     assert _steps(monkeypatch, MODELS["scalar_q0"]()) == 1
 

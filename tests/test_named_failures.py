@@ -76,6 +76,9 @@ FAILURES = [
     ("strategy, lengths differ",
      lambda: di.strategy([[[1.0]], [[1.0]]], [[[1.0]]]),
      DimensionError, "gains and innovations lengths differ"),
+    ("strategy, no steps",
+     lambda: di.strategy([], []),
+     DimensionError, "a strategy needs at least one step"),
 ]
 
 

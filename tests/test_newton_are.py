@@ -327,7 +327,7 @@ def test_kappa_min_of_an_unstable_channel_with_a_tiny_gain_is_the_closed_form():
 def test_finite_horizon_strategy_is_frozen_and_valid():
     m = di.channel_model(2.0, 1.0, 1.0, 1.0, 0.0, 9.0, 20)
     strat = capacity.finite_horizon_dp(m, 0.1).strategy
-    for a in strat.gains + strat.innovations:
+    for a in (*strat.gains, *strat.innovations):
         assert not a.flags.writeable
     checked = di.strategy(strat.gains, strat.innovations)
     for a, b in zip(checked.innovations, strat.innovations):

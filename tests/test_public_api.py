@@ -28,7 +28,7 @@ PUBLIC = [
 TEST_ORACLES = [("waterfill", "objective"), ("waterfill", "scalar_solve"),
                 ("simulate", "info_density_step"), ("riccati", "classify_are"),
                 ("riccati", "AreClassification"), ("model", "lift_strategy"),
-                ("model", "psd_tolerance")]
+                ("model", "psd_tolerance"), ("simulate", "trace_csv_reference")]
 
 
 def test_public_names_are_the_pinned_list():

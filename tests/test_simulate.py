@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import math
 import pathlib
@@ -719,6 +720,42 @@ def test_trace_csv_layout():
     assert float(first[1]) == pytest.approx(tr.B_path[0, 0], rel=1e-10)
 
 
+def _diverged_trace(rng):
+    # C = -1e100 under g = 0 overflows to -inf at step 4 and reads nan after it;
+    # -0.0 and +inf are planted in the cost, so every special value is on the trace
+    m = di.scalar_model(-1e100, 1.0, 1.0, 1.0, 0.0, 9.0)
+    with np.errstate(all="ignore"):
+        tr = di.sample_trajectory(m, di.stationary_strategy([[0.0]], [[0.0]]), 8, seed=1)
+    cost = tr.cost_path.copy()
+    cost[:2] = -0.0, np.inf
+    return dataclasses.replace(tr, cost_path=cost)
+
+
+CSV_TRACES = {
+    "one_step": lambda rng: di.sample_trajectory(kappa9_model(), kappa9_strategy(), 1, seed=4),
+    "past_chunk": lambda rng: di.sample_trajectory(kappa9_model(), kappa9_strategy(),
+                                                   2 * sim.CHUNK + 5, seed=4),
+    "p2_q2": lambda rng: di.sample_trajectory(*_layout_model(2), 300, seed=4),
+    "memory2": lambda rng: di.sample_trajectory(*_memory2(rng), 300, seed=4),
+    "diverged": _diverged_trace,
+}
+
+
+@pytest.mark.parametrize("name", sorted(CSV_TRACES))
+def test_trace_csv_is_the_per_row_reference_byte_for_byte(name, rng):
+    tr = CSV_TRACES[name](rng)
+    assert di.trace_to_csv(tr) == oracles.trace_csv_reference(tr)
+
+
+def test_diverged_csv_trace_holds_every_special_value(rng):
+    tr = _diverged_trace(rng)
+    x = np.concatenate([tr.B_path.ravel(), tr.cost_path])
+    assert np.isnan(x).any() and np.isposinf(x).any() and np.isneginf(x).any()
+    assert ((x == 0.0) & np.signbit(x)).any()
+    cells = set(di.trace_to_csv(tr).replace("\n", ",").split(","))
+    assert {"nan", "inf", "-inf", "-0"} <= cells
+
+
 def test_time_varying_model_bounds_steps():
     m = di.channel_model([[[0.5]], [[0.6]]], [[[1.0]], [[1.0]]], [[[1.0]], [[1.0]]],
                          [[[1.0]], [[1.0]]], [[[0.0]], [[0.0]]], 1.0, 1,
@@ -896,6 +933,22 @@ def _q_with_terminal_weight(rng):
 
 def _memory_order2(rng):
     return load_model(str(DOCS / "memory_order2.json"))
+
+
+@pytest.mark.parametrize("make", [_scalar_unstable_n50, _time_varying_4_step,
+                                  _q_with_terminal_weight, _memory_order2])
+def test_ftfi_strategy_samples_the_bits_of_its_steps_as_lists_and_tuples(make, rng):
+    # the FTFI strategy reaches the batch as one stack; a checked strategy of its
+    # steps as lists and a Strategy of them as tuples are stacked, to the same bits
+    m = make(rng)
+    st = di.ftfi_capacity(m)[0].strategy
+    g, kz = st.gains, st.innovations
+    copies = [di.strategy(list(g), list(kz)), di.Strategy(gains=tuple(g), innovations=tuple(kz))]
+    want = di.simulate_batch(m, st, m.horizon + 1, range(3))
+    for other in copies:
+        for got, ref in zip(di.simulate_batch(m, other, m.horizon + 1, range(3)), want):
+            for path in ("B_path", "A_path", "info_density_path", "cost_path", "running_rate"):
+                assert getattr(got, path).tobytes() == getattr(ref, path).tobytes()
 
 
 @pytest.mark.parametrize("make", [_scalar_unstable_n50, _time_varying_4_step,
