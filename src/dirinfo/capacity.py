@@ -34,12 +34,13 @@ The unit solution does not depend on kappa, so a kappa sweep
 water-fill decomposition for its whole grid, and matches each cell's budget
 on it (`_match_budget`); each cell still validates its own kappa.
 
-The finite-horizon backward pass stops at its exact plateau.  On a
+The finite-horizon backward pass stops at its exact repeats.  On a
 time-invariant model every step applies one map to P_1(i+1), so once P_1(i)
-equals P_1(i+1) bit for bit, every earlier step repeats it: those steps are
-copied, bit-identical to stepping n times, with no tolerance.  A Q = 0 model
-with terminal_Q = 0 takes one step (P_1 = 0); a time-varying model never
-plateaus.
+equals a later P_1(i+k) bit for bit, the earlier steps repeat the k steps
+after i: those steps are copied, bit-identical to stepping n times, with no
+tolerance.  A fixed point is k = 1; a pass may also settle into a cycle of
+k > 1 bit patterns.  A Q = 0 model with terminal_Q = 0 takes one step
+(P_1 = 0); a time-varying model never repeats.
 """
 
 from __future__ import annotations
@@ -120,12 +121,14 @@ def _riccati_pass(model: ChannelModel):
     the cost floor trace(P_1(0) K_{B_{-1}}) + sum_{i<n} trace(P_1(i+1) K_V(i)),
     and the K_V stack, which `finite_horizon_dp` reads at any multiplier.
 
-    Exact plateau: on a time-invariant model every step i < n applies the same
-    map to P_1(i+1), so once P_1(i) equals P_1(i+1) bit for bit, every earlier
-    step repeats step i's P_1, gain and weight bit for bit; the P_1 and gain are
-    copied instead of stepped, and the weight's subchannels indexed.  A
-    Q = 0 model with terminal_Q = 0 stops after one step (P_1 = 0).  A
-    time-varying model steps n times, even where its matrices repeat.  A P_1
+    Exact repeats: on a time-invariant model every step i < n applies the same
+    map to P_1(i+1), so once P_1(i) equals any later P_1(i+k) bit for bit (a map
+    from the hash of each P_1's bytes to its step finds it, the bytes confirm it),
+    every earlier step m repeats step i + (m - i) mod k's P_1, gain and weight bit
+    for bit; the P_1 and gain are copied instead of stepped, and the subchannels
+    of the weights from step i on indexed.  A Q = 0 model with terminal_Q = 0
+    stops after one step (P_1 = 0).  A time-varying model steps n times, even
+    where its matrices repeat.  A P_1
     that is not finite raises PreconditionError naming its step, before it
     reaches a solve or an SVD.
     """
@@ -135,8 +138,9 @@ def _riccati_pass(model: ChannelModel):
     gains = np.empty((n + 1, model.input_dim, model.output_dim))
     weights = np.empty_like(R)
     P[n], gains[n], weights[n] = sym(model.terminal_Q), 0.0, sym(R[n])
-    bits = P.view(np.uint64)     # bit patterns: -0.0 and 0.0 differ
-    first = 0                    # the steps before it repeat it; their weights stay unset
+    src = np.arange(n + 1)       # the step whose P_1, gain and weight each step repeats
+    first = 0                    # the steps before it repeat later ones; their weights stay unset
+    seen = {hash(P[n].tobytes()): n}    # the hash of a P_1's bytes (-0.0 != 0.0) -> its step
     with np.errstate(over="ignore", invalid="ignore"):   # a non-finite P_1 is raised below
         for i in range(n - 1, -1, -1):
             P[i], blocks = riccati._backward_step(P[i + 1], C[i], D[i], Q[i], R[i])
@@ -145,10 +149,15 @@ def _riccati_pass(model: ChannelModel):
                     f"backward pass: P_1({i}) is not finite at step {i} of {n}: "
                     "the cost-to-go overflows over this horizon")
             gains[i], weights[i] = riccati.optimal_gain(blocks), blocks.H22
-            if model.time_invariant and np.array_equal(bits[i], bits[i + 1]):
-                P[:i], gains[:i] = P[i], gains[i]
-                first = i
+            if not model.time_invariant:
+                continue
+            key = P[i].tobytes()
+            j = seen.get(hash(key))
+            if j is not None and key == P[j].tobytes():     # P_1(i) = P_1(j): period j - i
+                first, src[:i] = i, i + (np.arange(i) - i) % (j - i)
+                P[:i], gains[:i] = P[src[:i]], gains[src[:i]]
                 break
+            seen[hash(key)] = i
     with np.errstate(over="ignore", invalid="ignore"):   # a non-finite floor is raised below
         floor = float(np.trace(P[0] @ model.initial_second_moment()) + _traces(P[1:], KV[:n]).sum())
     if not np.isfinite(floor):
@@ -158,8 +167,7 @@ def _riccati_pass(model: ChannelModel):
     # one K_V per entry of the model's sequence: a stack of one broadcasts over the steps
     kv = np.stack([model.noise_for_inversion(i)[0] for i in range(len(model.KV_seq))])
     sigma, V = waterfill.subchannels(D[first:], kv, weights[first:])
-    at = np.maximum(np.arange(n + 1) - first, 0)
-    return P, gains, sigma[at], V[at], floor, KV
+    return P, gains, sigma[src - first], V[src - first], floor, KV
 
 
 def _traces(A, B) -> np.ndarray:
@@ -201,10 +209,11 @@ def finite_horizon_dp(model: ChannelModel, s: float, unit=None) -> FiniteHorizon
     `unit` is that pass, `_riccati_pass(model)`, when the caller has made it
     (`ftfi_capacity` matches the budget on it), or None to make it here with the
     same bits; it is read, not written, and its gain stack, frozen, is the strategy's.
-    The pass stops at its exact plateau (`_riccati_pass`): a time-invariant
-    model stops stepping once P_1 repeats bit for bit and copies that step
-    into the earlier ones, bit-identical to n steps; a Q = 0 model with
-    terminal_Q = 0 takes one step; a time-varying model never plateaus.
+    The pass stops at its exact repeats (`_riccati_pass`): a time-invariant
+    model stops stepping once P_1 repeats a later step's bits and copies the
+    steps of that period into the earlier ones, bit-identical to n steps; a
+    Q = 0 model with terminal_Q = 0 takes one step; a time-varying model never
+    repeats.
     The achieved cost is the LQ cost-to-go identity at the s = 1 gains: the
     pass's cost floor plus the water-fill spend sum_i trace(W_1(i) K_Z(i)),
     per unit time, so no output second moment K_B is propagated.  A P = s P_1

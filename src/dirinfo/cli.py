@@ -62,6 +62,7 @@ import math
 import sys
 from dataclasses import dataclass
 from itertools import repeat
+from json.encoder import encode_basestring_ascii as _quote
 
 import numpy as np
 
@@ -293,22 +294,26 @@ def load_model(path: str, kappa_override=None, horizon_override=None) -> Channel
 # canonical serialization
 
 
+_LITERALS = {None: "null", True: "true", False: "false"}
+
+
 def _canon(value, exact: bool = False) -> str:
     """Sorted keys, %.12g floats, "inf"/"nan" strings for non-finite floats;
     `exact` writes a float that %.12g would round with all the digits that read
     it back equal.  A non-empty, all-finite float64 array is written by one
-    %-format built from its shape; any other array goes through `tolist`."""
+    %-format built from its shape; any other array goes through `tolist`.
+    Strings are quoted by json's own ASCII encoder, the one `json.dumps` calls."""
     if value is None or value is True or value is False:   # bools before ints
-        return json.dumps(value)
+        return _LITERALS[value]
     if isinstance(value, (int, np.integer)):
         return str(int(value))
     if isinstance(value, (float, np.floating)):
         if not math.isfinite(value):
-            return json.dumps(str(value))
+            return _quote(str(value))
         text = f"{float(value):.12g}"
         return repr(float(value)) if exact and float(text) != value else text
     if isinstance(value, str):
-        return json.dumps(value)
+        return _quote(value)
     if isinstance(value, np.ndarray):
         if (not exact and value.dtype == np.float64 and value.size
                 and np.isfinite(value).all()):
@@ -320,7 +325,7 @@ def _canon(value, exact: bool = False) -> str:
     if isinstance(value, (list, tuple)):
         return "[" + ", ".join(map(_canon, value, repeat(exact))) + "]"
     if isinstance(value, dict):
-        return "{" + ", ".join(f"{json.dumps(str(k))}: {_canon(value[k], exact)}"
+        return "{" + ", ".join(f"{_quote(str(k))}: {_canon(value[k], exact)}"
                                for k in sorted(value)) + "}"
     raise TypeError(f"cannot serialize {type(value)!r}")
 

@@ -221,12 +221,15 @@ class Strategy:
 
 
 def strategy(gains, innovations) -> Strategy:
-    """A Strategy of checked entries, each sequence stacked and frozen once."""
+    """A Strategy of checked entries, each sequence stacked and frozen once.  Every gain
+    must be a (q, p) matrix, q and p the first and last axes of the first gain, and
+    every innovations covariance (r, r), r the first axis of the first one; a model
+    whose (q, p) differ is judged by `simulate_batch`."""
     g, kz = [_as_matrix(x) for x in gains], [_as_matrix(x) for x in innovations]
     if not (g and kz):
         raise DimensionError("a strategy needs at least one step")
     q = len(kz[0])
-    errors = _check_rows([("gains", g, g[0].shape, None, _MISMATCH),
+    errors = _check_rows([("gains", g, (len(g[0]), g[0].shape[-1]), None, _MISMATCH),
                           ("innovations", kz, (q, q), _INNOVATIONS, _INNOVATIONS[0])])
     if errors:
         raise ModelValidationError(errors[:1])
@@ -261,26 +264,30 @@ def _check_rows(rows) -> list:
     (allclose(A, A^T) at atol 1e-12 (1 + max|A|)) or a smallest eigenvalue
     at most TOL_PSD max(1, max|eigenvalue|) (definite) or below minus that
     (semidefinite).  The matrices of every row that have one shape are
-    stacked: one isfinite per distinct shape, and one eigvalsh on the stack
-    of its finite matrices that have a kind.  The errors come row by row.
+    stacked, those without a kind first: one isfinite per distinct shape, and
+    one eigvalsh on the stack of its finite matrices that have a kind.  Only a
+    failed test is looked up by index.  The errors come row by row.
     """
     found = [{} for _ in rows]
-    by_shape = {}       # shape -> [(row, index)] of the matrices that have it
-    for r, (name, seq, shape, _, mismatch) in enumerate(rows):
+    by_shape = {}       # shape -> ([(row, index)] without a kind, [(row, index)] with one)
+    for r, (name, seq, shape, kind, mismatch) in enumerate(rows):
         for i, m in enumerate(seq):
             if m.shape != shape:
                 found[r][i] = mismatch.format(name=name, i=i, shape=m.shape, want=shape)
             else:
-                by_shape.setdefault(shape, []).append((r, i))
-    for members in by_shape.values():
-        A = np.stack([rows[r][1][i] for r, i in members])
-        finite = np.isfinite(A).reshape(len(members), -1).all(axis=1)
-        for r, i in (members[j] for j in np.flatnonzero(~finite)):
-            found[r][i] = f"{rows[r][0]}[{i}] has a non-finite entry"
-        kept = [j for j, (r, _) in enumerate(members) if finite[j] and rows[r][3] is not None]
-        if not kept:
+                by_shape.setdefault(shape, ([], []))[kind is not None].append((r, i))
+    for plain, members in by_shape.values():
+        A = np.stack([rows[r][1][i] for r, i in plain + members])
+        finite = np.isfinite(A).reshape(len(A), -1).all(axis=1)
+        A = A[len(plain):]
+        if not finite.all():
+            for (r, i), ok in zip(plain + members, finite):
+                if not ok:
+                    found[r][i] = f"{rows[r][0]}[{i}] has a non-finite entry"
+            kept = finite[len(plain):]
+            A, members = A[kept], [m for m, k in zip(members, kept) if k]
+        if not members:
             continue
-        A, members = A[kept], [members[j] for j in kept]
         AT = A.swapaxes(1, 2)
         atol = 1e-12 * (1 + np.abs(A).max(axis=(1, 2), initial=0.0))
         asym = (np.abs(A - AT) > atol[:, None, None] + 1e-5 * np.abs(AT)).any(axis=(1, 2))
@@ -289,7 +296,10 @@ def _check_rows(rows) -> list:
         slack = TOL_PSD * np.maximum(1.0, np.abs(w).max(axis=1, initial=0.0))
         definite = np.array([rows[r][3][2] for r, _ in members])
         fails = ~asym & np.where(definite, lo <= slack, lo < -slack)
-        for j in np.flatnonzero(asym | fails):
+        bad = asym | fails
+        if not bad.any():
+            continue
+        for j in np.flatnonzero(bad):
             r, i = members[j]
             name, asym_text, fail_text = rows[r][0], *rows[r][3][:2]
             if asym[j] and asym_text:

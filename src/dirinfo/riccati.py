@@ -53,12 +53,18 @@ class RiccatiStepBlocks:
 
 @dataclass(frozen=True)
 class AreSolution:
+    """A `solve_are` answer.  `stabilizing` is not stored: it is taken from the
+    closed loop's spectrum each time it is read, which no capacity path does."""
     P: np.ndarray
     gain: np.ndarray
     closed_loop: np.ndarray
-    stabilizing: bool
     residual: float     # above TOL_ARE only where the cost of the answer's gain certified it
     iterations: int     # Newton steps: 0 for Q = 0, which never iterates
+
+    @property
+    def stabilizing(self) -> bool:
+        """Whether the closed loop's spectral radius is below 1 - TOL_SPEC."""
+        return stability.spectral_radius(self.closed_loop).stable
 
 
 def check_multiplier(s) -> None:
@@ -76,8 +82,9 @@ def riccati_backward_step(Pnext, C, D, Q, R, s: float):
 
 def _backward_step(Pnext, C, D, Q, R):
     """The unit-problem step (s applied as sQ, sR) on 2-D float arrays, Pnext symmetric."""
-    H11 = sym(C.T @ Pnext @ C + Q)
-    H12 = C.T @ Pnext @ D
+    CtP = C.T @ Pnext
+    H11 = sym(CtP @ C + Q)
+    H12 = CtP @ D
     H22 = sym(D.T @ Pnext @ D + R)
     try:
         X = np.linalg.solve(H22, H12.T)
@@ -145,8 +152,10 @@ def solve_are(C, D, Q, R, s: float) -> AreSolution:
     backward step from it, stands if that residual is within TOL_ARE, else (its rounding
     grows as eps |C|^2) if the cost of its own gain is within TOL_FORWARD |P|
     (`_certify`), which judges Newton's iterate at its step cap whatever its residual.
-    `iterations` counts Newton steps.  A unit-circle eigenvalue of C with Q = 0, an unstabilizable
-    mode, an ill-conditioned equation, an unstable loop or a declined answer: PreconditionError.
+    `iterations` counts Newton steps.  The answer's `stabilizing` flag takes the closed
+    loop's spectrum when it is read, not here.  A unit-circle eigenvalue of C with Q = 0,
+    an unstabilizable mode, an ill-conditioned equation, an unstable loop or a declined
+    answer: PreconditionError.
     """
     C, D, Q, R = (np.atleast_2d(np.asarray(a, dtype=float)) for a in (C, D, Q, R))
     check_multiplier(s)
@@ -181,8 +190,7 @@ def solve_are(C, D, Q, R, s: float) -> AreSolution:
             _certify(P, closed, Q + gain.T @ R @ gain, resid)
     except np.linalg.LinAlgError as exc:
         raise PreconditionError(f"Riccati solve: {exc}") from exc
-    return AreSolution(P=P, gain=gain, closed_loop=closed, residual=resid, iterations=iterations,
-                       stabilizing=stability.spectral_radius(closed).stable)
+    return AreSolution(P=P, gain=gain, closed_loop=closed, residual=resid, iterations=iterations)
 
 
 def _step(P, step):

@@ -327,8 +327,11 @@ def simulate_batch(model: ChannelModel, strat: Strategy, steps: int, seeds) -> l
     if len(strat.gains) > 1 and strat.steps < steps:
         raise DimensionError("strategy shorter than requested steps")
     p, q = model.output_dim, model.input_dim
-    shapes = {g.shape for g in strat.gains}, {z.shape for z in strat.innovations}
-    if shapes != ({(q, p)}, {(q, q)}):
+    try:    # O(1) on a stack; a tuple-built Strategy is stacked, and fails if its entries differ
+        shapes = np.shape(strat.gains)[1:], np.shape(strat.innovations)[1:]
+    except ValueError:
+        shapes = None
+    if shapes != ((q, p), (q, q)):
         raise DimensionError(f"strategy gains must be {q}x{p} and innovations {q}x{q}")
     seeds = list(seeds)
     if not seeds:

@@ -76,3 +76,29 @@ def test_exact_writes_every_digit_of_a_float_that_12g_rounds(a, text):
 ])
 def test_edge_shapes_and_values(a, text):
     assert _agree(a) == text
+
+
+# quotes, backslashes, control characters, non-ASCII text (a line separator, and one
+# character past the BMP, which json writes as a surrogate pair) and the empty string,
+# in keys and values
+TRICKY = st.sampled_from(['"', "\\", "\n\t\x00\x1f\x7f", "café \u2028 \U0001d11e", "", '\\"'])
+TEXT = st.one_of(st.text(), TRICKY)
+SCALARS = st.one_of(TEXT, st.sampled_from([None, True, False] + NON_FINITE), FINITE)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(doc=st.dictionaries(TEXT, st.one_of(SCALARS, st.lists(SCALARS, max_size=3),
+                                            st.dictionaries(TEXT, SCALARS, max_size=3)),
+                           max_size=6))
+def test_strings_and_literals_match_the_reference(doc):
+    for exact in (False, True):
+        assert cli._canon(doc, exact) == oracles.canon(doc, exact)
+
+
+@pytest.mark.parametrize("value, text", [
+    (None, "null"), (True, "true"), (False, "false"), ("", '""'),
+    ('a"b\\c\né', '"a\\"b\\\\c\\n\\u00e9"'), ({"": math.nan, "\x00": -math.inf},
+                                                  '{"": "nan", "\\u0000": "-inf"}'),
+])
+def test_literals_and_escapes(value, text):
+    assert cli._canon(value) == oracles.canon(value) == text

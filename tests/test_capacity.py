@@ -1,11 +1,13 @@
 import dataclasses
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import dirinfo as di
 from dirinfo import capacity as cap
+from dirinfo.cli import load_model
 from dirinfo.errors import InfeasibleError, PreconditionError
 import oracles
 from conftest import random_spd, random_stable
@@ -470,3 +472,35 @@ def test_tiny_fixed_multiplier_answers_or_names_s(s):
         cap.finite_horizon_dp(m, s)
     with pytest.raises(PreconditionError, match=rf"^multiplier s = {s:.12g}: the "):
         cap.stationary_solve(dataclasses.replace(m, horizon=0), s)
+
+
+# -- the closed-loop spectrum is taken only when read --------------------------
+
+DOCS = Path(__file__).resolve().parent.parent / "docs" / "models"
+
+SPECTRUM_FREE = {
+    **{name: (lambda name=name: load_model(str(DOCS / f"{name}.json")))
+       for name in ("scalar_unstable", "scalar_stable", "mimo_stable", "memory_order2")},
+    "scalar_q_nonzero": lambda: di.scalar_model(2.0, 1.0, 1.0, 1.0, 0.5, 30.0),
+    "mimo_q_eye": lambda: di.channel_model([[1.2, 0.3], [0.0, 0.5]], [[1.0], [0.6]], np.eye(2),
+                                           1.0, np.eye(2), 30.0, 0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SPECTRUM_FREE))
+def test_capacity_paths_take_no_closed_loop_spectrum(monkeypatch, name):
+    m = SPECTRUM_FREE[name]()
+    radius, calls = di.stability.spectral_radius, []
+
+    def counted(A):
+        calls.append(1)
+        return radius(A)
+
+    monkeypatch.setattr(di.stability, "spectral_radius", counted)
+    sol, _ = cap.feedback_capacity(m)
+    cap.stationary_solve(m, sol.s)
+    cells = cap._kappa_cells(m, [0.5 * m.kappa, m.kappa, 2.0 * m.kappa])
+    assert sol.KB is not None and all(not isinstance(c, Exception) for c in cells)
+    assert calls == []
+    are = cap._unit_solution(m)[0]
+    assert are.stabilizing == radius(are.closed_loop).stable and calls == [1]

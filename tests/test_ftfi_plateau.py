@@ -1,11 +1,11 @@
 """The finite-horizon DP against a loop of the public one-step oracles, bit for bit.
 
 `_riccati_pass` steps a private kernel over pre-built stacks and, on a
-time-invariant model, stops at the first step whose P_1 repeats the next
-one bit for bit, copying it into every earlier step and indexing that step's
-subchannels.  Neither may move a bit: P, the gains and K_Z must equal a plain
-loop of `riccati_backward_step` (at s = 1, scaled by s) and a per-step
-water-fill, with `np.array_equal`.  The DP has no forward pass: its achieved
+time-invariant model, stops at the first step whose P_1 repeats a later one
+bit for bit, copying the steps of that period into every earlier step and
+indexing their subchannels.  Neither may move a bit: P, the gains and K_Z
+must equal a plain loop of `riccati_backward_step` (at s = 1, scaled by s)
+and a per-step water-fill, with `np.array_equal`.  The DP has no forward pass: its achieved
 cost comes from the LQ cost-to-go identity, and a forward loop of
 `lyapunov_step` checks it to rel 1e-12.
 """
@@ -43,6 +43,15 @@ def _time_varying(n=39):
                             [1.0] * (n + 1), 30.0, n, time_invariant=False)
 
 
+def _two_by_one_cycle(n=300):
+    """A 2x1 channel with Q != 0 whose P_1 never reaches a fixed point: 33 steps from
+    the end it settles into a cycle of 4 bit patterns."""
+    return di.channel_model([[1.252821473253419, 0.30738795301239125], [0.0, 0.49822178713919957]],
+                            [[1.0], [0.6159559929660171]], [[1.0, 0.2], [0.2, 1.0]], 1.0,
+                            np.diag([0.26114927945709665, 0.19086416300649908]),
+                            5.272708830400722, n)
+
+
 MODELS = {
     "scalar_q0": lambda: di.scalar_model(2.0, 1.0, 1.0, 1.0, 0.0, 9.0, horizon=500),
     "scalar_c2_q1": lambda: di.scalar_model(2.0, 1.0, 1.0, 1.0, 1.0, 30.0, horizon=300),
@@ -54,6 +63,7 @@ MODELS = {
     "horizon_0": lambda: di.scalar_model(2.0, 1.0, 1.0, 1.0, 1.0, 30.0, horizon=0),
     "horizon_1": lambda: di.scalar_model(2.0, 1.0, 1.0, 1.0, 1.0, 30.0, horizon=1),
     "time_varying": _time_varying,
+    "two_by_one_cycle": _two_by_one_cycle,
 }
 
 
@@ -162,6 +172,15 @@ def test_q0_model_stops_after_one_step(monkeypatch):
 def test_time_invariant_model_stops_at_its_fixed_point(monkeypatch):
     m = MODELS["scalar_c2_q1"]()
     assert 1 < _steps(monkeypatch, m) < m.horizon
+
+
+def test_time_invariant_model_stops_at_a_cycle_of_its_bits(monkeypatch):
+    m = _two_by_one_cycle()
+    P = capacity.finite_horizon_dp(m, 1.0).P_seq
+    # no step repeats the next one, but every step repeats the one 4 later
+    assert not any(np.array_equal(P[i], P[i + 1]) for i in range(m.horizon))
+    assert all(np.array_equal(P[i], P[i + 4]) for i in range(m.horizon - 40))
+    assert _steps(monkeypatch, m) < 40
 
 
 def test_time_varying_model_never_plateaus(monkeypatch):

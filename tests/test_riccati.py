@@ -208,7 +208,6 @@ def test_classify_stable_scalar_unique():
 
 def test_classify_flags_negative_candidate():
     fake = riccati.AreSolution(P=np.array([[-1.0]]), gain=np.zeros((1, 1)),
-                               closed_loop=np.array([[0.5]]), stabilizing=True,
-                               residual=0.0, iterations=0)
+                               closed_loop=np.array([[0.5]]), residual=0.0, iterations=0)
     rep = oracles.classify_are(fake, [[0.5]], [[1.0]], [[0.0]], [[1.0]], 1.0, [[1.0]])
     assert not rep.psd
