@@ -131,6 +131,10 @@ def _riccati_pass(model: ChannelModel):
     where its matrices repeat.  A P_1
     that is not finite raises PreconditionError naming its step, before it
     reaches a solve or an SVD.
+
+    Each step is one `riccati._backward_step` (the step-count tests count it),
+    fed the P_1 it returned last; its gain, `riccati.optimal_gain`'s -X, is
+    written into the gain stack in place, and its weight is its H22 block.
     """
     C, D, KV, R, Q = _stacks(model)
     n = model.horizon
@@ -141,17 +145,19 @@ def _riccati_pass(model: ChannelModel):
     src = np.arange(n + 1)       # the step whose P_1, gain and weight each step repeats
     first = 0                    # the steps before it repeat later ones; their weights stay unset
     seen = {hash(P[n].tobytes()): n}    # the hash of a P_1's bytes (-0.0 != 0.0) -> its step
+    P1 = P[n]                    # the last step's P_1, the next step's input
     with np.errstate(over="ignore", invalid="ignore"):   # a non-finite P_1 is raised below
         for i in range(n - 1, -1, -1):
-            P[i], blocks = riccati._backward_step(P[i + 1], C[i], D[i], Q[i], R[i])
-            if not np.isfinite(P[i]).all():
+            P1, blocks = riccati._backward_step(P1, C[i], D[i], Q[i], R[i])
+            if not np.isfinite(P1).all():
                 raise PreconditionError(
                     f"backward pass: P_1({i}) is not finite at step {i} of {n}: "
                     "the cost-to-go overflows over this horizon")
-            gains[i], weights[i] = riccati.optimal_gain(blocks), blocks.H22
+            P[i], weights[i] = P1, blocks.H22
+            np.negative(blocks.X, out=gains[i])     # riccati.optimal_gain, in place
             if not model.time_invariant:
                 continue
-            key = P[i].tobytes()
+            key = P1.tobytes()
             j = seen.get(hash(key))
             if j is not None and key == P[j].tobytes():     # P_1(i) = P_1(j): period j - i
                 first, src[:i] = i, i + (np.arange(i) - i) % (j - i)

@@ -302,16 +302,28 @@ def _canon(value, exact: bool = False) -> str:
     `exact` writes a float that %.12g would round with all the digits that read
     it back equal.  A non-empty, all-finite float64 array is written by one
     %-format built from its shape; any other array goes through `tolist`.
-    Strings are quoted by json's own ASCII encoder, the one `json.dumps` calls."""
+    Strings are quoted by json's own ASCII encoder, the one `json.dumps` calls.
+    The exact types a report holds most (float, dict, str) are tested first, by
+    `type(value) is`; every other value, their subclasses included, takes the
+    isinstance chain, which hands a float subclass and a dict subclass back as
+    a float and a dict."""
+    kind = type(value)
+    if kind is float:
+        if not math.isfinite(value):
+            return _quote(str(value))
+        text = f"{value:.12g}"
+        return repr(value) if exact and float(text) != value else text
+    if kind is dict:
+        return "{" + ", ".join(f"{_quote(str(k))}: {_canon(value[k], exact)}"
+                               for k in sorted(value)) + "}"
+    if kind is str:
+        return _quote(value)
     if value is None or value is True or value is False:   # bools before ints
         return _LITERALS[value]
     if isinstance(value, (int, np.integer)):
         return str(int(value))
     if isinstance(value, (float, np.floating)):
-        if not math.isfinite(value):
-            return _quote(str(value))
-        text = f"{float(value):.12g}"
-        return repr(float(value)) if exact and float(text) != value else text
+        return _canon(float(value), exact)
     if isinstance(value, str):
         return _quote(value)
     if isinstance(value, np.ndarray):
@@ -325,8 +337,7 @@ def _canon(value, exact: bool = False) -> str:
     if isinstance(value, (list, tuple)):
         return "[" + ", ".join(map(_canon, value, repeat(exact))) + "]"
     if isinstance(value, dict):
-        return "{" + ", ".join(f"{_quote(str(k))}: {_canon(value[k], exact)}"
-                               for k in sorted(value)) + "}"
+        return _canon(dict(value), exact)
     raise TypeError(f"cannot serialize {type(value)!r}")
 
 

@@ -32,6 +32,12 @@ def _freeze(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _own(x) -> np.ndarray:
+    """A read-only float copy of x, at least 2-D: the model's own array, so the
+    caller's stays writable and no later write to it reaches a validated model."""
+    return _freeze(np.array(x, dtype=float, ndmin=2))
+
+
 def min_eigenvalue(a: np.ndarray) -> float:
     return float(np.linalg.eigvalsh(0.5 * (a + a.T)).min())
 
@@ -153,17 +159,16 @@ class MemoryJModel:
 def channel_model(C, D, KV, R, Q, kappa, horizon, terminal_Q=None,
                   initial_mean=None, initial_cov=None, time_invariant=True,
                   augmented=False) -> ChannelModel:
-    """A ChannelModel from matrices or scalars (broadcast if TI); validation judges shapes."""
+    """A ChannelModel from matrices or scalars (broadcast if TI); validation judges shapes.
+    Every array is the model's own read-only copy: the caller's arrays stay writable."""
     def to_seq(x):
-        if time_invariant:
-            return (_freeze(_as_matrix(x)),)
-        return tuple(_freeze(_as_matrix(m)) for m in x)
+        return (_own(x),) if time_invariant else tuple(map(_own, x))
 
     C_seq, D_seq, KV_seq, R_seq, Q_seq = map(to_seq, (C, D, KV, R, Q))
     p, q = C_seq[0].shape[0], D_seq[0].shape[1]
-    tq = Q_seq[-1] if terminal_Q is None else _freeze(_as_matrix(terminal_Q))
-    mean = np.zeros(p) if initial_mean is None else np.asarray(initial_mean, dtype=float).reshape(-1)
-    cov = np.zeros((p, p)) if initial_cov is None else _as_matrix(initial_cov)
+    tq = Q_seq[-1] if terminal_Q is None else _own(terminal_Q)
+    mean = np.zeros(p) if initial_mean is None else np.array(initial_mean, dtype=float).reshape(-1)
+    cov = np.zeros((p, p)) if initial_cov is None else _own(initial_cov)
     return ChannelModel(
         horizon=int(horizon), output_dim=p, input_dim=q,
         C_seq=C_seq, D_seq=D_seq, KV_seq=KV_seq, R_seq=R_seq, Q_seq=Q_seq,
@@ -180,23 +185,23 @@ def scalar_model(C, D, KV, R, Q, kappa, horizon=0, terminal_Q=None, **kw) -> Cha
 
 def memory_model(C_blocks, D, KV, R, Q_K, kappa, horizon, memory=None,
                  cost_memory=None, initial_history=None) -> MemoryJModel:
-    blocks = tuple(_freeze(_as_matrix(c)) for c in C_blocks)
+    """A MemoryJModel; like `channel_model`, it holds read-only copies of the caller's arrays."""
+    blocks = tuple(map(_own, C_blocks))
     p = blocks[0].shape[0]
     M = len(blocks) if memory is None else int(memory)
-    D = _freeze(_as_matrix(D))
+    D = _own(D)
     q = D.shape[1]
     K = int(cost_memory) if cost_memory is not None else 1
     qk_dim = max(K * p, 0)
     if Q_K is None or qk_dim == 0:
         Q_K = np.zeros((qk_dim, qk_dim))
     J = max(M, K, 0)
-    hist = np.zeros((J, p)) if initial_history is None else np.asarray(initial_history, float)
+    hist = np.zeros((J, p)) if initial_history is None else np.array(initial_history, float)
     if hist.size == J * p:      # else validation names the mismatch
         hist = hist.reshape(J, p)
     return MemoryJModel(
         horizon=int(horizon), output_dim=p, input_dim=q,
-        C_blocks=blocks, D=D, KV=_freeze(_as_matrix(KV)),
-        R=_freeze(_as_matrix(R)), Q_K=_freeze(_as_matrix(Q_K)),
+        C_blocks=blocks, D=D, KV=_own(KV), R=_own(R), Q_K=_own(Q_K),
         memory=M, cost_memory=K, kappa=float(kappa), initial_history=_freeze(hist),
     )
 
@@ -221,15 +226,15 @@ class Strategy:
 
 
 def strategy(gains, innovations) -> Strategy:
-    """A Strategy of checked entries, each sequence stacked and frozen once.  Every gain
-    must be a (q, p) matrix, q and p the first and last axes of the first gain, and
-    every innovations covariance (r, r), r the first axis of the first one; a model
-    whose (q, p) differ is judged by `simulate_batch`."""
+    """A Strategy of checked entries, each sequence stacked and frozen once.  Every
+    innovations covariance must be (q, q), q the first axis of the first one, and every
+    gain a (q, p) matrix, p the last axis of the first gain; a model whose (q, p)
+    differ is judged by `simulate_batch`."""
     g, kz = [_as_matrix(x) for x in gains], [_as_matrix(x) for x in innovations]
     if not (g and kz):
         raise DimensionError("a strategy needs at least one step")
     q = len(kz[0])
-    errors = _check_rows([("gains", g, (len(g[0]), g[0].shape[-1]), None, _MISMATCH),
+    errors = _check_rows([("gains", g, (q, g[0].shape[-1]), None, _MISMATCH),
                           ("innovations", kz, (q, q), _INNOVATIONS, _INNOVATIONS[0])])
     if errors:
         raise ModelValidationError(errors[:1])
@@ -264,8 +269,13 @@ def _check_rows(rows) -> list:
     (allclose(A, A^T) at atol 1e-12 (1 + max|A|)) or a smallest eigenvalue
     at most TOL_PSD max(1, max|eigenvalue|) (definite) or below minus that
     (semidefinite).  The matrices of every row that have one shape are
-    stacked, those without a kind first: one isfinite per distinct shape, and
-    one eigvalsh on the stack of its finite matrices that have a kind.  Only a
+    stacked, those without a kind first, and judged on a short path that the
+    per-row rule (`tests/oracles.check_rows`) only reaches when a test fails:
+    one isfinite over the whole stack (per matrix only if it finds a
+    non-finite entry), a bitwise A == A^T over the stack of the finite
+    matrices that have a kind (the allclose test only where the bits differ),
+    and one eigvalsh, whose ascending rows give the smallest eigenvalue w[0]
+    and max|eigenvalue| = max(-w[0], w[-1]); a 0 x 0 matrix passes.  Only a
     failed test is looked up by index.  The errors come row by row.
     """
     found = [{} for _ in rows]
@@ -277,34 +287,40 @@ def _check_rows(rows) -> list:
             else:
                 by_shape.setdefault(shape, ([], []))[kind is not None].append((r, i))
     for plain, members in by_shape.values():
-        A = np.stack([rows[r][1][i] for r, i in plain + members])
-        finite = np.isfinite(A).reshape(len(A), -1).all(axis=1)
-        A = A[len(plain):]
-        if not finite.all():
+        A = np.array([rows[r][1][i] for r, i in plain + members])
+        if np.isfinite(A).all():
+            A = A[len(plain):]
+        else:
+            finite = np.isfinite(A).reshape(len(A), -1).all(axis=1)
             for (r, i), ok in zip(plain + members, finite):
                 if not ok:
                     found[r][i] = f"{rows[r][0]}[{i}] has a non-finite entry"
             kept = finite[len(plain):]
-            A, members = A[kept], [m for m, k in zip(members, kept) if k]
-        if not members:
+            A, members = A[len(plain):][kept], [m for m, k in zip(members, kept) if k]
+        if not members or not A.shape[-1]:
             continue
         AT = A.swapaxes(1, 2)
-        atol = 1e-12 * (1 + np.abs(A).max(axis=(1, 2), initial=0.0))
-        asym = (np.abs(A - AT) > atol[:, None, None] + 1e-5 * np.abs(AT)).any(axis=(1, 2))
+        if (A == AT).all():
+            asym = None
+        else:
+            atol = 1e-12 * (1 + np.abs(A).max(axis=(1, 2)))
+            asym = (np.abs(A - AT) > atol[:, None, None] + 1e-5 * np.abs(AT)).any(axis=(1, 2))
         w = np.linalg.eigvalsh(0.5 * (A + AT))
-        lo = w.min(axis=1, initial=np.inf)
-        slack = TOL_PSD * np.maximum(1.0, np.abs(w).max(axis=1, initial=0.0))
+        lo = w[:, 0]
+        slack = TOL_PSD * np.maximum(1.0, np.maximum(-lo, w[:, -1]))
         definite = np.array([rows[r][3][2] for r, _ in members])
-        fails = ~asym & np.where(definite, lo <= slack, lo < -slack)
-        bad = asym | fails
+        bad = np.where(definite, lo <= slack, lo < -slack)
+        if asym is not None:
+            bad |= asym
         if not bad.any():
             continue
         for j in np.flatnonzero(bad):
             r, i = members[j]
             name, asym_text, fail_text = rows[r][0], *rows[r][3][:2]
-            if asym[j] and asym_text:
-                found[r][i] = asym_text.format(name=name, i=i)
-            elif fails[j]:
+            if asym is not None and asym[j]:
+                if asym_text:
+                    found[r][i] = asym_text.format(name=name, i=i)
+            else:
                 found[r][i] = fail_text.format(name=name, i=i, lo=lo[j])
     return [row[i] for row in found for i in sorted(row)]
 

@@ -131,11 +131,10 @@ def normal_quantile(u):
     (stored as y), and u - 0.5 is +0.0 only at u = 0.5, where the central value
     is already +0.0.  So q(u) == -q(1 - u) whenever 1 - u is exact.  The flat
     input is walked in blocks of QBLOCK elements, so every temporary stays in
-    cache.
+    cache; each block checks its own w > 0 (false for nan, +-0.0, 1.0 and values
+    outside (0, 1)), so the input is not scanned before the blocks.
     """
     u = np.asarray(u, dtype=float)
-    if u.size and not (u.min() > 0.0 and u.max() < 1.0):
-        raise PreconditionError("uniform sample on the boundary of (0, 1)")
     flat = u.reshape(-1)
     out = np.empty_like(flat)
     for s in range(0, flat.size, QBLOCK):
@@ -156,9 +155,12 @@ def _horner(coef, r):
 def _quantile_block(u, x):
     """AS241 of a 1-D block u into x: the central rational on every element,
     then the tail on the elements below 0.075 (after the reflection), then
-    the sign of u - 0.5 (written into the spent w) by one copysign."""
+    the sign of u - 0.5 (written into the spent w) by one copysign.  A w that is
+    not positive (u outside (0, 1), or nan) raises PreconditionError."""
     w = np.subtract(1.0, u)
     np.minimum(w, u, out=w)
+    if not (w > 0.0).all():
+        raise PreconditionError("uniform sample on the boundary of (0, 1)")
     np.subtract(w, 0.5, out=x)
     tail = np.flatnonzero(x < -0.425)
     r = np.multiply(x, x)

@@ -71,6 +71,52 @@ def test_validation_mark_is_not_inherited_by_copies():
         di.validate_model(dataclasses.replace(mem, memory=0))
 
 
+def _channel_arrays(m):
+    return (*m.C_seq, *m.D_seq, *m.KV_seq, *m.R_seq, *m.Q_seq, m.terminal_Q,
+            m.initial_mean, m.initial_cov)
+
+
+def _memory_arrays(m):
+    return (*m.C_blocks, m.D, m.KV, m.R, m.Q_K, m.initial_history)
+
+
+@pytest.mark.parametrize("build, arrays", [
+    (lambda a: di.channel_model(a["C"], np.eye(1), 1.0, 1.0, 0.0, 1.0, 0), _channel_arrays),
+    (lambda a: di.channel_model(2 * a["eye2"], a["eye2"], a["eye2"], a["eye2"], 0 * a["eye2"],
+                                1.0, 0, terminal_Q=a["eye2"], initial_mean=a["mean2"],
+                                initial_cov=a["eye2"]), _channel_arrays),
+    (lambda a: di.channel_model(a["C3"], a["C3"], a["C3"], a["C3"], 0 * a["C3"], 1.0, 1,
+                                time_invariant=False), _channel_arrays),
+    (lambda a: di.memory_model([a["C"], a["C"]], a["C"], a["C"], a["C"], a["C"], 1.0, 4,
+                               initial_history=a["hist"]), _memory_arrays),
+], ids=["scalar", "mimo", "time-varying-stack", "memory"])
+def test_models_hold_read_only_copies_of_the_callers_arrays(build, arrays):
+    given = {"C": np.array([[2.0]]), "eye2": np.eye(2), "mean2": np.array([0.5, -0.5]),
+             "C3": np.full((2, 1, 1), 2.0), "hist": np.array([[0.1], [0.2]])}
+    before = {k: a.copy() for k, a in given.items()}
+    m = di.validate_model(build(given))
+    for a in arrays(m):
+        assert not a.flags.writeable
+        assert not any(np.shares_memory(a, g) for g in given.values())
+    for k, g in given.items():
+        assert g.flags.writeable
+        g += 1.0                # the caller's writes do not reach the model
+    assert model_mod._read_only(m) and m.__dict__.get(model_mod._VALIDATED)
+    assert di.validate_model(m) is m
+    rebuilt = build(before)
+    assert all(np.array_equal(a, b) for a, b in zip(arrays(m), arrays(rebuilt)))
+
+
+def test_a_transpose_that_differs_in_its_last_bit_passes_validation():
+    # R = R^T up to one ulp of its off-diagonal: the short path's A == A^T fails and
+    # the allclose test, which it falls back on, calls R symmetric
+    R = np.array([[2.0, 0.3], [np.nextafter(0.3, 1.0), 2.0]])
+    assert not (R == R.T).all()
+    m = di.channel_model(0.5 * np.eye(2), np.eye(2), np.eye(2), R, np.zeros((2, 2)), 1.0, 0)
+    assert di.validate_model(m) is m
+    assert model_mod._check_rows([("R", (R,), (2, 2), model_mod._PD, model_mod._MISMATCH)]) == []
+
+
 def test_scalar_view_projects():
     m = di.scalar_model(0.5, 1.2, 0.9, 2.0, 0.3, 1.5)
     v = di.scalar_view(m)
@@ -275,7 +321,11 @@ def test_validate_names_the_non_finite_step_and_memory_block():
 
 
 # what `_defective` does to a matrix; None leaves it valid (symmetric positive definite if square)
-DEFECTS = (None, None, "shape", "nan", "inf", "asym", "indefinite", "zero")
+# "asym_within" and "asym_outside" move A[0, -1] just inside and just outside the
+# allclose test's tolerance, and "eig_edge" puts an eigenvalue of a diagonal matrix at
+# exactly +-TOL_PSD max(1, max|eigenvalue|): each reaches a fallback of the short path
+DEFECTS = (None, None, "shape", "nan", "inf", "asym", "indefinite", "zero",
+           "asym_within", "asym_outside", "eig_edge")
 
 
 def _defective(rng, shape, defect):
@@ -295,6 +345,15 @@ def _defective(rng, shape, defect):
         A.flat[0] = -1.0 - np.abs(A).sum()
     elif defect == "zero":
         A[...] = 0.0            # semidefinite, not definite
+    elif A.ndim == 2 and shape[0] == shape[1] and defect in ("asym_within", "asym_outside"):
+        a = A[-1, 0]
+        tol = 1e-12 * (1 + np.abs(A).max()) + 1e-5 * abs(a)
+        A[0, -1] = a + (0.5 if defect == "asym_within" else 1.01) * tol
+    elif A.ndim == 2 and shape[0] == shape[1] and defect == "eig_edge":
+        d, k = rng.uniform(0.5, 2.0, shape[0]), rng.integers(shape[0])
+        edge = model_mod.TOL_PSD * max(1.0, np.delete(d, k).max(initial=0.0))
+        d[k] = edge if rng.random() < 0.5 else -edge
+        A = np.diag(d)
     return model_mod._freeze(A)
 
 

@@ -82,6 +82,9 @@ FAILURES = [
     ("strategy, rank-3 gain",
      lambda: di.strategy([np.zeros((1, 1, 1))], [[[1.0]]]),
      ModelValidationError, "dimension mismatch: gains[0] is (1, 1, 1), expected (1, 1)"),
+    ("strategy, gain rows other than the innovations' size",
+     lambda: di.stationary_strategy([[-1.5]], EYE2),
+     ModelValidationError, "dimension mismatch: gains[0] is (1, 1), expected (2, 1)"),
     ("strategy, gain with the wrong row count",
      lambda: di.strategy([[[1.0, 0.0]], np.zeros((2, 2))], [[[1.0]], [[1.0]]]),
      ModelValidationError, "dimension mismatch: gains[1] is (2, 2), expected (1, 2)"),

@@ -123,6 +123,18 @@ def test_quantile_boundary_rejected():
         di.normal_quantile(np.array([0.2, 1.0]))
 
 
+@pytest.mark.parametrize("bad", [np.nan, 0.0, -0.0, 1.0, -0.25, 1.5, np.inf, -np.inf])
+@pytest.mark.parametrize("at", [0, sim.QBLOCK - 1, sim.QBLOCK, 2 * sim.QBLOCK + 5])
+def test_quantile_rejects_a_value_outside_the_open_interval_in_any_block(bad, at):
+    u = np.random.Generator(np.random.Philox(key=17)).random(2 * sim.QBLOCK + 9)
+    u[at] = bad
+    for call in (di.normal_quantile, oracles.normal_quantile):
+        with pytest.raises(PreconditionError, match="uniform sample on the boundary of"):
+            call(u)
+    with pytest.raises(PreconditionError, match="uniform sample on the boundary of"):
+        di.normal_quantile(bad)
+
+
 def test_innovation_median_is_zero_vector():
     np.testing.assert_array_equal(di.innovation_from_uniform([0.5, 0.5], np.eye(2)), [0.0, 0.0])
 
@@ -769,7 +781,7 @@ def test_time_varying_model_bounds_steps():
 
 @pytest.mark.parametrize("gain, KZ", [
     ([[-1.5, 0.0]], [[1.5]]),              # gain not (q, p)
-    ([[-1.5]], np.eye(2)),                 # innovations not (q, q)
+    ([[-1.5], [0.0]], np.eye(2)),          # a (2, 1) gain and its (2, 2) innovations
 ])
 def test_batch_rejects_strategy_shapes_of_another_model(gain, KZ):
     with pytest.raises(DimensionError, match="strategy gains must be 1x1"):
